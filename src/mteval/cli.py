@@ -8,13 +8,16 @@ and ``report`` concatenates score tables into one table for
 Exit codes: 0 success, 1 data error, 2 usage error. Output is fully
 deterministic; identical inputs produce byte-identical output. In tsv
 mode scores are printed times 100 with two decimals, except NIST which
-stays on its natural scale; json carries raw values.
+stays on its natural scale; json carries raw values, with ``null`` for
+a score that is undefined (TER of non-empty hypotheses whose references
+are all empty), so the output is always strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,9 +84,13 @@ def _read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
             )
         for cell in row:
             try:
-                float(cell)
+                value = float(cell)
             except ValueError:
                 raise TableFormatError(f"{path}: non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise TableFormatError(
+                    f"{path}: row {idx} has non-finite cell {cell!r}"
+                )
     return header, rows
 
 
@@ -102,6 +109,11 @@ def _write_output(text: str, out: str | None) -> None:
 
 # ---------------------------------------------------------------------------
 # score
+
+
+def _json_score(value: float) -> float | None:
+    """A score for JSON output: null where it is undefined (NaN or infinite)."""
+    return value if math.isfinite(value) else None
 
 
 def _format_cell(name: str, value: float) -> str:
@@ -237,9 +249,13 @@ def cmd_score(args: argparse.Namespace) -> int:
             "corpus": stats,
             "metrics": {
                 name: {
-                    "score": results[name]["score"],
+                    "score": _json_score(results[name]["score"]),
                     **(
-                        {"per_sentence": results[name]["per_sentence"]}
+                        {
+                            "per_sentence": [
+                                _json_score(v) for v in results[name]["per_sentence"]
+                            ]
+                        }
                         if args.per_sentence
                         else {}
                     ),
@@ -252,7 +268,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 for name in metrics
             },
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = [
             "# " + " ".join(f"{k}={v}" for k, v in stats.items()),

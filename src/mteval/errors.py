@@ -29,6 +29,10 @@ class LengthMismatchError(MTEvalError):
     """Correlation inputs differ in length or are shorter than two."""
 
 
+class NonFiniteValueError(MTEvalError):
+    """A correlation input holds NaN or an infinity."""
+
+
 class ZeroVarianceError(MTEvalError):
     """A correlation input is constant, so the coefficient is undefined."""
 

@@ -11,12 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.stats import t as _student_t
-
 from .errors import (
     DegenerateTableError,
     InsufficientDistinctValuesError,
     LengthMismatchError,
+    NonFiniteValueError,
     ZeroVarianceError,
 )
 
@@ -56,6 +55,8 @@ def _check_vectors(x: Sequence[float], y: Sequence[float]) -> int:
         raise LengthMismatchError(f"vectors of length {len(x)} and {len(y)}")
     if len(x) < 2:
         raise LengthMismatchError("need at least two observations")
+    if not all(map(math.isfinite, x)) or not all(map(math.isfinite, y)):
+        raise NonFiniteValueError("correlation input holds NaN or an infinity")
     return len(x)
 
 
@@ -71,7 +72,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     syy = math.fsum((b - mean_y) ** 2 for b in y)
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVarianceError("correlation is undefined for a constant vector")
-    coefficient = sxy / math.sqrt(sxx * syy)
+    # two roots: the product sxx * syy can underflow to zero or overflow
+    coefficient = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     coefficient = max(-1.0, min(1.0, coefficient))
     return CorrelationResult(coefficient=coefficient, n=n)
 
@@ -93,13 +95,16 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def _two_tailed_p(coefficient: float, n: int) -> float:
+    # lazy: loading scipy dominates CLI start-up and only this p-value needs it
+    from scipy.stats import t as student_t
+
     if n <= 2:
         return 1.0
     denom = 1.0 - coefficient * coefficient
     if denom <= 0.0:
         return 0.0
     t_stat = coefficient * math.sqrt((n - 2) / denom)
-    return float(2.0 * _student_t.sf(abs(t_stat), n - 2))
+    return float(2.0 * student_t.sf(abs(t_stat), n - 2))
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

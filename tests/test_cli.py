@@ -1,9 +1,13 @@
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mteval
 from mteval.cli import main, read_score_table
 from mteval.errors import TableFormatError
 
@@ -32,6 +36,15 @@ def identical_files(tmp_path):
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def strict_json(output: str):
+    """Parse ``output``, failing on the NaN/Infinity extensions to JSON."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(output, parse_constant=reject)
 
 
 def tsv_scores(output: str) -> dict[str, float]:
@@ -72,6 +85,34 @@ class TestScoreCommand:
         )
         assert code == 0
         assert tsv_scores(out)["TER"] == 0.00
+
+    @pytest.fixture
+    def empty_ref_files(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        ref.write_text("\n", encoding="utf-8")
+        return hyp, ref
+
+    def test_json_writes_null_for_undefined_ter(self, capsys, empty_ref_files):
+        hyp, ref = empty_ref_files
+        code, out = run_cli(
+            capsys,
+            "score", "--metric", "ter", "--hyp", str(hyp), "--ref", str(ref),
+            "--format", "json", "--per-sentence",
+        )
+        assert code == 0
+        ter = strict_json(out)["metrics"]["ter"]
+        assert ter["score"] is None
+        assert ter["per_sentence"] == [None]
+
+    def test_tsv_keeps_undefined_ter_as_inf(self, capsys, empty_ref_files):
+        hyp, ref = empty_ref_files
+        code, out = run_cli(
+            capsys, "score", "--metric", "ter", "--hyp", str(hyp), "--ref", str(ref)
+        )
+        assert code == 0
+        assert tsv_scores(out)["TER"] == math.inf
 
     def test_json_carries_raw_scores(self, capsys, identical_files):
         hyp, ref = identical_files
@@ -273,6 +314,13 @@ class TestCorrelateCommand:
         path.write_text("a\tb\n1\toops\n", encoding="utf-8")
         assert main(["correlate", "--table", str(path)]) == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_is_data_error(self, capsys, tmp_path, cell):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\n1\t2\n{cell}\t3\n2\t5\n", encoding="utf-8")
+        assert main(["correlate", "--table", str(path)]) == 1
+        assert repr(cell) in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_merges_two_tables(self, capsys, pl_en_table_path, en_pl_table_path):
@@ -325,6 +373,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "100.00" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    src = Path(mteval.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mteval.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_read_score_table_rejects_header_only(tmp_path):

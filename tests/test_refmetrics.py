@@ -17,9 +17,15 @@ from mteval import (
     ter_score,
 )
 from mteval.errors import EmptyCorpusError
-from mteval.refmetrics import _length_penalty, _position_alignment, _shifted_edit_count
+from mteval.refmetrics import (
+    _edit_distance,
+    _length_penalty,
+    _position_alignment,
+    _reference_masks,
+    _shifted_edit_count,
+)
 from mteval import ParallelCorpus
-from helpers import corpus_of, random_corpus
+from helpers import block_moved_pair, corpus_of, random_corpus
 
 VOCAB = list("abcdef")
 EMPTY = SynonymLexicon.empty()
@@ -157,6 +163,60 @@ class TestTer:
         assert optimal_shift_edits(hyp, ref) <= greedy <= dp_edit_distance(
             tuple(hyp), tuple(ref)
         )
+
+
+def bit_parallel_distance(hyp, ref):
+    return _edit_distance(hyp, _reference_masks(ref), len(ref))
+
+
+def _sequences_over(vocab_size):
+    # explicit lengths so that word boundaries at 64 and 128 bits are crossed
+    words = st.sampled_from("abc"[:vocab_size])
+    return st.integers(0, 140).flatmap(
+        lambda n: st.lists(words, min_size=n, max_size=n)
+    )
+
+
+# 30 pairs with reference lengths spread evenly over 5..80 tokens
+_PIN_VOCAB = [f"w{v}" for v in range(16)]
+_PINNED_PAIRS = [
+    block_moved_pair(random.Random(20260 + k), _PIN_VOCAB, 5 + 75 * k // 29)
+    for k in range(30)
+]
+# Recorded by running the O(n*m) dynamic-programming TER shift search
+# (the implementation before the bit-parallel edit distance) on these pairs.
+_PINNED_EDITS = [
+    1, 1, 3, 2, 3, 1, 3, 5, 5, 7, 6, 9, 9, 10, 11,
+    13, 5, 10, 5, 7, 4, 25, 4, 13, 6, 3, 16, 11, 10, 20,
+]
+
+
+class TestTerEditDistance:
+    @pytest.mark.parametrize(
+        "hyp, ref",
+        [
+            ((), ()),
+            (("x",), ()),
+            ((), ("x",)),
+            (("a",) * 70, ()),
+            ((), ("a", "b") * 70),
+        ],
+    )
+    def test_empty_side_matches_dp(self, hyp, ref):
+        assert bit_parallel_distance(hyp, ref) == dp_edit_distance(hyp, ref)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(_sequences_over(k), _sequences_over(k))
+        )
+    )
+    def test_matches_dp_on_repetitive_sequences(self, pair):
+        hyp, ref = pair
+        assert bit_parallel_distance(hyp, ref) == dp_edit_distance(hyp, ref)
+
+    def test_shifted_edit_count_pinned(self):
+        assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
 
 
 # --- METEOR ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from mteval.errors import (
     DegenerateTableError,
     InsufficientDistinctValuesError,
     LengthMismatchError,
+    NonFiniteValueError,
     ZeroVarianceError,
 )
 
@@ -46,6 +47,13 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             pearson([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            pearson([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteValueError):
+            pearson([1.0, 2.0, 3.0], [1.0, 2.0, bad])
+
     def test_self_correlation_is_one(self):
         x = [3.0, 1.0, 4.0, 1.5, 9.0]
         assert pearson(x, x).coefficient == pytest.approx(1.0, abs=1e-12)
@@ -66,6 +74,10 @@ class TestPearson:
             expected = scipy.stats.pearsonr(x, y).statistic
             assert pearson(x, y).coefficient == pytest.approx(expected, abs=1e-10)
 
+    def test_tiny_variances_do_not_underflow(self):
+        x = [0.0, 0.0, 3.3534962271440695e-103]
+        assert pearson(x, x).coefficient == pytest.approx(1.0)
+
     @given(VECTORS, VECTORS)
     def test_bounded(self, x, y):
         n = min(len(x), len(y))
@@ -81,6 +93,13 @@ class TestPearson:
 class TestSpearman:
     def test_monotone_function_is_one(self):
         assert spearman([1, 2, 3], [1, 8, 27]).coefficient == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            spearman([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(NonFiniteValueError):
+            spearman([1.0, 2.0, 3.0, 4.0], [bad, 2.0, 3.0, 4.0])
 
     def test_reversal_is_minus_one(self):
         assert spearman([1, 2, 3], [30, 20, 10]).coefficient == pytest.approx(-1.0)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus import EvalPair, ParallelCorpus
 from .errors import EmptyCorpusError
-from .ngram import extract_ngrams, max_counts
+from .ngram import extract_ngrams, max_ref_counts
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
         if total == 0:
             stats.append((0, 0))
             continue
-        best = max_counts([extract_ngrams(ref, n) for ref in pair.references])
+        best = max_ref_counts(pair.references, n).get
         clipped = sum(
-            min(count, best[gram]) for gram, count in hyp_counts.counts.items()
+            min(count, best(gram, 0)) for gram, count in hyp_counts.counts.items()
         )
         stats.append((clipped, total))
     return stats

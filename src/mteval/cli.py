@@ -70,12 +70,21 @@ class _UsageError(Exception):
 
 
 def _read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header names and row cells of a score table; comments skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Header names and row cells of a score table; comments skipped.
+
+    A leading byte order mark is dropped, and a metric name that appears
+    twice in the header raises :class:`TableFormatError`.
+    """
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     content = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if len(content) < 2:
         raise TableFormatError(f"{path}: need a header row and at least one data row")
     header = content[0].split()
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise TableFormatError(
+            f"{path}: metric name {duplicates[0]!r} appears more than once in the header"
+        )
     rows = [ln.split() for ln in content[1:]]
     for idx, row in enumerate(rows, start=2):
         if len(row) != len(header):

@@ -3,7 +3,8 @@
 Hypothesis and reference files are UTF-8 plain text, one sentence per
 line (LF or CRLF). A synonym lexicon file holds one synonym set per
 line, comma separated; blank lines and lines starting with ``#`` are
-skipped. All loaded objects are immutable and safe to share between
+skipped. A byte order mark at the start of any of these files is
+dropped. All loaded objects are immutable and safe to share between
 concurrent scorers.
 """
 
@@ -97,7 +98,7 @@ class ParallelCorpus:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return Path(path).read_text(encoding="utf-8-sig").splitlines()
 
 
 def load_parallel_corpus(
@@ -160,7 +161,7 @@ def load_synonym_lexicon(
     one word, raises :class:`MalformedLineError`.
     """
     entries: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

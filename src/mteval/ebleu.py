@@ -34,6 +34,7 @@ from .corpus import (
     build_rare_word_set,
 )
 from .errors import EmptyCorpusError, OrderMismatchError
+from .ngram import max_ref_counts, windows
 
 
 @dataclass(frozen=True)
@@ -119,26 +120,26 @@ def _order_stats(
     total = max(0, len(hyp) - n + 1)
     if total == 0:
         return 0.0, 0
-    allowed: Counter = Counter()
-    for ref in pair.references:
-        counts = Counter(tuple(ref[j : j + n]) for j in range(len(ref) - n + 1))
-        for gram, count in counts.items():
-            if count > allowed[gram]:
-                allowed[gram] = count
+    allowed = max_ref_counts(pair.references, n)
+    substituted = trace.substituted_positions
+    rare_words = rare.words
     instances: dict[tuple, list[float]] = {}
-    for i in range(total):
-        gram = tuple(hyp[i : i + n])
-        weight = cfg.synonym_score ** sum(
-            1 for j in range(i, i + n) if j in trace.substituted_positions
+    for i, gram in enumerate(windows(hyp, n)):
+        if gram not in allowed:
+            continue
+        # synonym_score ** 0 is 1.0, so a pair without substitutions
+        # skips the count.
+        weight = (
+            cfg.synonym_score ** sum(1 for j in range(i, i + n) if j in substituted)
+            if substituted
+            else 1.0
         )
-        if any(token in rare.words for token in gram):
+        if not rare_words.isdisjoint(gram):
             weight *= cfg.rare_words_score
         instances.setdefault(gram, []).append(weight)
     matched = 0.0
     for gram, weights in instances.items():
         cap = allowed[gram]
-        if cap <= 0:
-            continue
         weights.sort(reverse=True)
         matched += sum(weights[:cap])
     return matched, total

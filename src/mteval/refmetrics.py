@@ -14,23 +14,11 @@ from typing import Iterator, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, SynonymLexicon, TokenSeq
 from .errors import EmptyCorpusError
+from .ngram import NGram, max_ref_counts, window_counts, windows
 
 
 # ---------------------------------------------------------------------------
 # NIST
-
-
-def _window_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def _pair_max_ref_counts(pair: EvalPair, n: int) -> Counter:
-    merged: Counter = Counter()
-    for ref in pair.references:
-        for gram, count in _window_counts(ref, n).items():
-            if count > merged[gram]:
-                merged[gram] = count
-    return merged
 
 
 def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
@@ -43,22 +31,17 @@ def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
     n-gram total, the orders are summed, and the result is scaled by a
     length factor exp(beta * log(min(c/r, 1))^2) that reaches 0.5 when
     the hypothesis is two thirds of the average reference length.
+
+    Two passes. The first clips each pair's hypothesis n-grams against
+    its references and records every match as (n-gram, clipped count)
+    in scoring order. The second pools reference counts for the matched
+    n-grams only, then sums the information of the recorded matches in
+    that same order, so scores are those of pooling every reference
+    n-gram, bit for bit.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
-    ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
-    total_ref_tokens = 0
-    for ref in corpus.all_references():
-        total_ref_tokens += len(ref)
-        for n in range(1, max_order + 1):
-            ref_counts[n].update(_window_counts(ref, n))
-
-    def info(gram: tuple) -> float:
-        n = len(gram)
-        numer = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
-        return math.log2(numer / ref_counts[n][gram])
-
-    matched_info = [0.0] * (max_order + 1)
+    matches: list[list[tuple[NGram, int]]] = [[] for _ in range(max_order + 1)]
     hyp_totals = [0] * (max_order + 1)
     hyp_len = 0
     avg_ref_len = 0.0
@@ -66,13 +49,32 @@ def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
         hyp_len += len(pair.hypothesis)
         avg_ref_len += sum(len(ref) for ref in pair.references) / len(pair.references)
         for n in range(1, max_order + 1):
-            hyp = _window_counts(pair.hypothesis, n)
-            hyp_totals[n] += sum(hyp.values())
-            best = _pair_max_ref_counts(pair, n)
-            for gram, count in hyp.items():
-                m = min(count, best[gram])
+            hyp_totals[n] += max(0, len(pair.hypothesis) - n + 1)
+            best = max_ref_counts(pair.references, n).get
+            record = matches[n].append
+            for gram, count in window_counts(pair.hypothesis, n).items():
+                m = min(count, best(gram, 0))
                 if m:
-                    matched_info[n] += m * info(gram)
+                    record((gram, m))
+
+    # The prefix w1..wn-1 of a matched n-gram occurs in the same
+    # hypothesis and reference, so it is a matched (n-1)-gram itself and
+    # every count the information weights divide by is pooled.
+    needed = {gram for order in matches for gram, _ in order}
+    ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
+    total_ref_tokens = 0
+    for ref in corpus.all_references():
+        total_ref_tokens += len(ref)
+        for n in range(1, max_order + 1):
+            ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
+
+    matched_info = [0.0] * (max_order + 1)
+    for n in range(1, max_order + 1):
+        counts = ref_counts[n]
+        prefix_counts = ref_counts[n - 1]
+        for gram, m in matches[n]:
+            numer = total_ref_tokens if n == 1 else prefix_counts[gram[:-1]]
+            matched_info[n] += m * math.log2(numer / counts[gram])
 
     if hyp_len == 0 or avg_ref_len == 0.0:
         return 0.0

@@ -1,8 +1,12 @@
-"""Small corpus builders shared across test modules."""
+"""Small corpus builders and reference oracles shared across test modules."""
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
+
+from hypothesis import strategies as st
 
 from mteval import EvalPair, ParallelCorpus, tokenize
 
@@ -40,6 +44,19 @@ def random_corpus(
     return corpus_of(*rows)
 
 
+@st.composite
+def small_corpora(draw, alphabet: str = "abc", max_pairs: int = 4, max_len: int = 12):
+    """Corpora of 1-``max_pairs`` pairs and 1-3 references per pair over a
+    vocabulary of the first 1-``len(alphabet)`` letters: repeated tokens,
+    empty hypotheses and references, and one-pair corpora are all common."""
+    vocab = alphabet[: draw(st.integers(1, len(alphabet)))]
+    ref_count = draw(st.integers(1, 3))
+    sentence = st.lists(st.sampled_from(vocab), max_size=max_len).map(tuple)
+    refs = st.lists(sentence, min_size=ref_count, max_size=ref_count).map(tuple)
+    pairs = draw(st.lists(st.builds(EvalPair, sentence, refs), min_size=1, max_size=max_pairs))
+    return ParallelCorpus(pairs=tuple(pairs), ref_count=ref_count)
+
+
 def block_moved_pair(
     rng: random.Random, vocab: list[str], ref_len: int
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -65,3 +82,95 @@ def block_moved_pair(
         elif len(hyp) > 1:
             del hyp[k]
     return tuple(hyp), tuple(ref)
+
+
+# --- Oracles: the n-gram scoring code as it stood before the counting moved
+# into ``mteval.ngram``. Copied unchanged (apart from names) from
+# ``mteval.refmetrics.nist_score`` with its ``_window_counts`` and
+# ``_pair_max_ref_counts``, and from ``mteval.ebleu._order_stats``. Tests
+# compare the library against these with ``==``, so any change to the
+# order or kind of float operations shows as a failure.
+
+
+def _oracle_window_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _oracle_pair_max_ref_counts(pair, n):
+    merged = Counter()
+    for ref in pair.references:
+        for gram, count in _oracle_window_counts(ref, n).items():
+            if count > merged[gram]:
+                merged[gram] = count
+    return merged
+
+
+def oracle_nist_score(corpus, max_order=5):
+    ref_counts = [Counter() for _ in range(max_order + 1)]
+    total_ref_tokens = 0
+    for ref in corpus.all_references():
+        total_ref_tokens += len(ref)
+        for n in range(1, max_order + 1):
+            ref_counts[n].update(_oracle_window_counts(ref, n))
+
+    def info(gram):
+        n = len(gram)
+        numer = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
+        return math.log2(numer / ref_counts[n][gram])
+
+    matched_info = [0.0] * (max_order + 1)
+    hyp_totals = [0] * (max_order + 1)
+    hyp_len = 0
+    avg_ref_len = 0.0
+    for pair in corpus.pairs:
+        hyp_len += len(pair.hypothesis)
+        avg_ref_len += sum(len(ref) for ref in pair.references) / len(pair.references)
+        for n in range(1, max_order + 1):
+            hyp = _oracle_window_counts(pair.hypothesis, n)
+            hyp_totals[n] += sum(hyp.values())
+            best = _oracle_pair_max_ref_counts(pair, n)
+            for gram, count in hyp.items():
+                m = min(count, best[gram])
+                if m:
+                    matched_info[n] += m * info(gram)
+
+    if hyp_len == 0 or avg_ref_len == 0.0:
+        return 0.0
+    score = sum(
+        matched_info[n] / hyp_totals[n]
+        for n in range(1, max_order + 1)
+        if hyp_totals[n] > 0
+    )
+    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+    ratio = min(hyp_len / avg_ref_len, 1.0)
+    return score * math.exp(beta * math.log(ratio) ** 2)
+
+
+def oracle_ebleu_order_stats(trace, pair, n, rare, cfg):
+    hyp = trace.modified_hypothesis
+    total = max(0, len(hyp) - n + 1)
+    if total == 0:
+        return 0.0, 0
+    allowed = Counter()
+    for ref in pair.references:
+        counts = Counter(tuple(ref[j : j + n]) for j in range(len(ref) - n + 1))
+        for gram, count in counts.items():
+            if count > allowed[gram]:
+                allowed[gram] = count
+    instances = {}
+    for i in range(total):
+        gram = tuple(hyp[i : i + n])
+        weight = cfg.synonym_score ** sum(
+            1 for j in range(i, i + n) if j in trace.substituted_positions
+        )
+        if any(token in rare.words for token in gram):
+            weight *= cfg.rare_words_score
+        instances.setdefault(gram, []).append(weight)
+    matched = 0.0
+    for gram, weights in instances.items():
+        cap = allowed[gram]
+        if cap <= 0:
+            continue
+        weights.sort(reverse=True)
+        matched += sum(weights[:cap])
+    return matched, total

@@ -321,6 +321,18 @@ class TestCorrelateCommand:
         assert main(["correlate", "--table", str(path)]) == 1
         assert repr(cell) in capsys.readouterr().err
 
+    def test_utf8_bom_is_not_part_of_the_first_metric_name(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(b"\xef\xbb\xbfBLEU\tTER\n1\t3\n2\t2\n3\t1\n")
+        assert read_score_table(path).metric_names == ("BLEU", "TER")
+
+    def test_duplicate_metric_name_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("A\tA\tB\n1\t2\t3\n2\t1\t5\n", encoding="utf-8")
+        assert main(["correlate", "--table", str(path)]) == 1
+        assert "'A'" in capsys.readouterr().err
+        assert main(["report", "--in", str(path)]) == 1
+
 
 class TestReportCommand:
     def test_merges_two_tables(self, capsys, pl_en_table_path, en_pl_table_path):

@@ -85,6 +85,14 @@ class TestLoadParallelCorpus:
         corpus = load_parallel_corpus(hyp, [ref])
         assert [p.hypothesis for p in corpus] == [("a", "b"), ("c", "d")]
 
+    def test_utf8_bom_is_not_part_of_the_first_token(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_bytes(b"\xef\xbb\xbfthe cat sat down\n")
+        ref.write_text("the cat sat down\n", encoding="utf-8")
+        corpus = load_parallel_corpus(hyp, [ref])
+        assert corpus.pairs[0].hypothesis == ("the", "cat", "sat", "down")
+
     def test_needs_a_reference_file(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
         hyp.write_text("a\n", encoding="utf-8")
@@ -125,6 +133,12 @@ class TestSynonymLexicon:
     def test_multiword_field_raises(self, tmp_path):
         with pytest.raises(MalformedLineError):
             self._load(tmp_path, "new york, city\n")
+
+    def test_utf8_bom_is_not_part_of_the_first_headword(self, tmp_path):
+        path = tmp_path / "syn.txt"
+        path.write_bytes(b"\xef\xbb\xbfcat, feline\n")
+        lex = load_synonym_lexicon(path)
+        assert set(lex.entries) == {"cat", "feline"}
 
     def test_no_self_synonyms(self, tmp_path):
         lex = self._load(tmp_path, "a, a, b\n")

@@ -12,14 +12,22 @@ from mteval import (
     RareWordSet,
     SynonymLexicon,
     bleu_score,
+    build_rare_word_set,
     ebleu_cumulative,
     ebleu_length_score,
     ebleu_order_score,
     ebleu_score,
     synonym_substitute,
 )
+from mteval.ebleu import _order_stats
 from mteval.errors import EmptyCorpusError, OrderMismatchError
-from helpers import corpus_of, pair_of, random_corpus
+from helpers import (
+    corpus_of,
+    oracle_ebleu_order_stats,
+    pair_of,
+    random_corpus,
+    small_corpora,
+)
 
 EXAM_LEXICON = SynonymLexicon(
     entries={
@@ -155,6 +163,39 @@ class TestOrderScore:
         trace = synonym_substitute(pair, SynonymLexicon.empty())
         with pytest.raises(OrderMismatchError):
             ebleu_order_score(trace, pair, 3, NO_RARE, EbleuConfig(max_order=2))
+
+
+def assert_order_stats_match_oracle(corpus, lexicon, rare, cfg):
+    for pair in corpus.pairs:
+        trace = synonym_substitute(pair, lexicon)
+        for n in range(1, cfg.max_order + 1):
+            got = _order_stats(trace, pair, n, rare, cfg)
+            assert got == oracle_ebleu_order_stats(trace, pair, n, rare, cfg)
+
+
+class TestOrderStatsBitIdentity:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        small_corpora(alphabet="abcdef"),
+        st.frozensets(st.sampled_from("abcdef")),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([0.9, 0.5, 0.0, 1.0]),
+        st.sampled_from([1.1, 1.0, 1.7]),
+    )
+    def test_small_corpora(self, corpus, rare_words, max_order, synonym, bonus):
+        cfg = EbleuConfig(
+            max_order=max_order, synonym_score=synonym, rare_words_score=bonus
+        )
+        rare = RareWordSet(words=rare_words, source_vocab_size=6, percent=1.0)
+        assert_order_stats_match_oracle(corpus, PAIRED_LEXICON, rare, cfg)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_longer_corpora(self, seed):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, VOCAB, max_pairs=40, max_len=30)
+        cfg = EbleuConfig(max_order=5, rare_words_percent=0.3)
+        rare = build_rare_word_set(corpus.all_references(), cfg.rare_words_percent)
+        assert_order_stats_match_oracle(corpus, PAIRED_LEXICON, rare, cfg)
 
 
 class TestLengthScore:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mteval import clipped_match_count, extract_ngrams, modified_precision, tokenize
 from mteval.errors import OrderMismatchError
+from mteval.ngram import max_ref_counts, window_counts
 from helpers import pair_of
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
@@ -56,6 +57,56 @@ class TestExtractNgrams:
     def test_total_multiplicity(self, tokens, n):
         total = sum(extract_ngrams(tokens, n).counts.values())
         assert total == max(0, len(tokens) - n + 1)
+
+
+@st.composite
+def small_vocab_sentences(draw, min_count, max_count):
+    """1-3 token lists (empty ones included) over a shared 1-3-word vocabulary."""
+    vocab = draw(st.sampled_from(("a", "ab", "abc")))
+    sentence = st.lists(st.sampled_from(vocab), max_size=10)
+    return draw(st.lists(sentence, min_size=min_count, max_size=max_count))
+
+
+# Orders past the longest sentence (10 tokens) included.
+WIDE_ORDERS = st.integers(min_value=1, max_value=12)
+
+
+class TestWindowCounts:
+    def test_empty_tokens(self):
+        assert window_counts((), 1) == {}
+
+    def test_order_longer_than_sentence(self):
+        assert window_counts(("a", "b"), 3) == {}
+
+    def test_unigrams(self):
+        assert window_counts(("b", "a", "b"), 1) == {("b",): 2, ("a",): 1}
+
+    @given(small_vocab_sentences(1, 1), WIDE_ORDERS)
+    def test_matches_brute_force_in_first_occurrence_order(self, sentences, n):
+        tokens = sentences[0]
+        got = window_counts(tokens, n)
+        want = brute_force_ngrams(tokens, n)
+        assert dict(got) == want
+        assert list(got) == list(want)
+
+
+class TestMaxRefCounts:
+    def test_no_references(self):
+        assert max_ref_counts([], 2) == {}
+
+    def test_takes_the_larger_count_of_either_reference(self):
+        got = max_ref_counts([("a", "a", "b"), ("b", "b", "c")], 1)
+        assert dict(got) == {("a",): 2, ("b",): 2, ("c",): 1}
+
+    @given(small_vocab_sentences(1, 3), WIDE_ORDERS)
+    def test_matches_brute_force_in_first_occurrence_order(self, refs, n):
+        want = {}
+        for ref in refs:
+            for gram, count in brute_force_ngrams(ref, n).items():
+                want[gram] = max(want.get(gram, 0), count)
+        got = max_ref_counts(refs, n)
+        assert dict(got) == want
+        assert list(got) == list(want)
 
 
 class TestClippedMatchCount:

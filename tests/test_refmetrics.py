@@ -25,7 +25,13 @@ from mteval.refmetrics import (
     _shifted_edit_count,
 )
 from mteval import ParallelCorpus
-from helpers import block_moved_pair, corpus_of, random_corpus
+from helpers import (
+    block_moved_pair,
+    corpus_of,
+    oracle_nist_score,
+    random_corpus,
+    small_corpora,
+)
 
 VOCAB = list("abcdef")
 EMPTY = SynonymLexicon.empty()
@@ -121,6 +127,17 @@ class TestNist:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             nist_score(ParallelCorpus(pairs=(), ref_count=1))
+
+    @settings(deadline=None, max_examples=300)
+    @given(small_corpora(), st.integers(min_value=1, max_value=5))
+    def test_bit_identical_to_pooling_every_reference_ngram(self, corpus, max_order):
+        assert nist_score(corpus, max_order) == oracle_nist_score(corpus, max_order)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_identical_on_longer_corpora(self, seed):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, list("abcdefgh"), max_pairs=40, max_len=30)
+        assert nist_score(corpus) == oracle_nist_score(corpus)
 
 
 # --- TER ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .corpus import (
     TokenizerConfig,
     load_parallel_corpus,
     load_synonym_lexicon,
+    read_lines,
 )
 from .ebleu import EbleuConfig, ebleu_score
 from .errors import DegenerateTableError, MTEvalError, TableFormatError
@@ -72,11 +73,13 @@ class _UsageError(Exception):
 def _read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Header names and row cells of a score table; comments skipped.
 
-    A leading byte order mark is dropped, and a metric name that appears
-    twice in the header raises :class:`TableFormatError`.
+    Lines end at LF or CRLF only, as in corpus files. A leading byte
+    order mark is dropped, and a metric name that appears twice in the
+    header raises :class:`TableFormatError`.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    content = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    content = [
+        ln for ln in read_lines(path) if ln.strip() and not ln.lstrip().startswith("#")
+    ]
     if len(content) < 2:
         raise TableFormatError(f"{path}: need a header row and at least one data row")
     header = content[0].split()
@@ -433,7 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="metric to run, repeatable",
     )
     score.add_argument("--lexicon", metavar="PATH", help="synonym lexicon file")
-    score.add_argument("--max-ngram", type=int, default=4, metavar="N")
+    score.add_argument(
+        "--max-ngram",
+        type=int,
+        default=4,
+        metavar="N",
+        help="n-gram order of BLEU and EBLEU only; NIST always uses order 5",
+    )
     score.add_argument("--synonym-score", type=float, default=0.90, metavar="F")
     score.add_argument("--rare-words-percent", type=float, default=0.10, metavar="F")
     score.add_argument("--rare-words-score", type=float, default=1.10, metavar="F")

@@ -97,8 +97,16 @@ class ParallelCorpus:
         return sum(len(ref) for ref in self.all_references())
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, a leading byte order mark dropped.
+
+    Lines end at LF or CRLF only. ``str.splitlines`` would also break at
+    a lone CR, U+0085, U+2028, U+2029, form feed, vertical tab and
+    U+001C-U+001E, which would misalign line-paired files; here those
+    stay in their line, where tokenization reads them as whitespace.
+    """
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
+        return [line.removesuffix("\n").removesuffix("\r") for line in fh]
 
 
 def load_parallel_corpus(
@@ -114,8 +122,8 @@ def load_parallel_corpus(
     """
     if not ref_paths:
         raise ValueError("at least one reference file is required")
-    hyp_lines = _read_lines(hyp_path)
-    ref_lines = [_read_lines(p) for p in ref_paths]
+    hyp_lines = read_lines(hyp_path)
+    ref_lines = [read_lines(p) for p in ref_paths]
     for path, lines in zip(ref_paths, ref_lines):
         if len(lines) != len(hyp_lines):
             raise LineCountMismatchError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .corpus import EvalPair, ParallelCorpus, SynonymLexicon, TokenSeq
 from .errors import EmptyCorpusError
@@ -103,23 +103,27 @@ def _reference_masks(ref: Sequence[str]) -> dict[str, int]:
     return masks
 
 
-def _edit_distance(seq: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
-    """Word-level Levenshtein distance from ``seq`` to a reference, unit costs.
+def _advance(
+    seq: Sequence[str],
+    masks: dict[str, int],
+    full: int,
+    last: int,
+    state: tuple[int, int, int],
+    columns: list[tuple[int, int, int]] | None = None,
+) -> int:
+    """Feed ``seq`` through the edit-distance recurrence from a column state.
 
     Bit-parallel form of Myers (1999) for global edit distance (Hyyrö
     2003): the reference is the pattern, one Python int per vertical
     delta vector holds a whole DP column, so each token of ``seq`` costs
-    a constant number of big-int operations. ``vp``/``vn`` mark the +1/-1
-    differences down the current column, ``hp``/``hn`` those across to
-    it, and ``distance`` follows the column's last cell. ``masks`` comes
-    from ``_reference_masks(ref)`` and ``ref_len`` is ``len(ref)``.
+    a constant number of big-int operations. ``state`` is ``(vp, vn,
+    distance)``: ``vp``/``vn`` mark the +1/-1 differences down a column,
+    ``hp``/``hn`` those across to the next, and ``distance`` follows the
+    column's last cell. ``full`` has one bit per reference token and
+    ``last`` is its top bit. Returns the distance after the last token;
+    when ``columns`` is given, the state after each token is appended to it.
     """
-    if ref_len == 0:
-        return len(seq)
-    full = (1 << ref_len) - 1
-    last = 1 << (ref_len - 1)
-    vp, vn = full, 0
-    distance = ref_len
+    vp, vn, distance = state
     for word in seq:
         eq = masks.get(word, 0)
         xv = eq | vn
@@ -134,66 +138,103 @@ def _edit_distance(seq: Sequence[str], masks: dict[str, int], ref_len: int) -> i
         hn <<= 1
         vp = (hn | ~(xv | hp)) & full
         vn = hp & xv
+        if columns is not None:
+            columns.append((vp, vn, distance))
     return distance
 
 
-def _candidate_shifts(
-    hyp: Sequence[str], ref: Sequence[str]
-) -> Iterator[tuple[str, ...]]:
-    """Sequences reachable by moving one reference-matching phrase of ``hyp``.
+def _edit_distance(seq: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
+    """Word-level Levenshtein distance from ``seq`` to a reference, unit costs.
 
-    A phrase hyp[i:i+L] equal to ref[j:j+L] is removed and reinserted at
-    the matching reference position, for every run length up to the
-    phrase cap and move distance cap.
+    ``masks`` comes from ``_reference_masks(ref)`` and ``ref_len`` is
+    ``len(ref)``; ``_advance`` runs the recurrence from the empty prefix.
     """
-    seen: set[tuple[str, ...]] = set()
-    for i in range(len(hyp)):
-        for j in range(len(ref)):
-            if hyp[i] != ref[j] or i == j:
-                continue
-            if abs(i - j) > _MAX_SHIFT_DISTANCE:
-                continue
-            run = 0
-            while (
-                i + run < len(hyp)
-                and j + run < len(ref)
-                and hyp[i + run] == ref[j + run]
-                and run < _MAX_SHIFT_PHRASE
-            ):
-                run += 1
-            for length in range(1, run + 1):
-                block = tuple(hyp[i : i + length])
-                rest = tuple(hyp[:i]) + tuple(hyp[i + length :])
-                pos = min(j, len(rest))
-                shifted = rest[:pos] + block + rest[pos:]
-                if shifted not in seen:
-                    seen.add(shifted)
-                    yield shifted
+    if ref_len == 0:
+        return len(seq)
+    full = (1 << ref_len) - 1
+    return _advance(seq, masks, full, 1 << (ref_len - 1), (full, 0, ref_len))
 
 
 def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     """Greedy best-first phrase shifts (one edit each) plus edit distance.
 
-    The reference's match masks are built once and serve the first
-    distance, every shift candidate and every greedy iteration.
+    A candidate moves a phrase current[i:i+L] equal to ref[j:j+L] to
+    position ``pos = min(j, n - L)`` of the n - L remaining tokens, for
+    every run length L up to the phrase cap and every |i - j| up to the
+    move distance cap. Candidates come in order of i, then j, then L, and
+    one is chosen only if it strictly beats the best gain so far.
+
+    No candidate sequence is built. One pass over ``current`` stores the
+    column state before each of its tokens. A candidate equals
+    ``current`` before column ``p = min(i, pos)`` and from column
+    ``q = max(i, pos) + L`` on, so its distance resumes from the stored
+    state at ``p`` over its changed window and then ``current[q:]``. The
+    move is L deletions plus L insertions, or the same for the
+    ``|pos - i|`` tokens it jumps, so by the triangle inequality it lowers
+    the distance by at most ``2 * min(L, |pos - i|)``; a candidate whose
+    bound does not exceed the best gain is skipped unevaluated, and so is
+    one whose window equals ``current[p:q]`` (a move inside a run of
+    repeated words, which leaves ``current`` as it is). These steps are
+    exact, and a candidate that repeats an earlier sequence has that
+    sequence's gain and so never wins; the chosen shifts are those of
+    building and scoring every distinct candidate in full.
     """
-    masks = _reference_masks(ref)
     ref_len = len(ref)
+    if ref_len == 0:
+        return len(hyp)
+    masks = _reference_masks(ref)
+    positions: dict[str, list[int]] = {}
+    for j, word in enumerate(ref):
+        positions.setdefault(word, []).append(j)
+    full = (1 << ref_len) - 1
+    last = 1 << (ref_len - 1)
     current: tuple[str, ...] = tuple(hyp)
+    n = len(current)
+    columns = [(full, 0, ref_len)]
+    distance = _advance(current, masks, full, last, columns[0], columns)
     edits = 0
-    distance = _edit_distance(current, masks, ref_len)
     while distance > 0:
         best_gain = 0
-        best_seq = None
-        for candidate in _candidate_shifts(current, ref):
-            gain = distance - _edit_distance(candidate, masks, ref_len)
-            if gain > best_gain:
-                best_gain, best_seq = gain, candidate
-        if best_seq is None:
+        best = None
+        for i, word in enumerate(current):
+            for j in positions.get(word, ()):
+                if i == j or abs(i - j) > _MAX_SHIFT_DISTANCE:
+                    continue
+                run = 1
+                while (
+                    i + run < n
+                    and j + run < ref_len
+                    and current[i + run] == ref[j + run]
+                    and run < _MAX_SHIFT_PHRASE
+                ):
+                    run += 1
+                for length in range(1, run + 1):
+                    pos = min(j, n - length)
+                    if 2 * min(length, abs(pos - i)) <= best_gain:
+                        continue
+                    block = current[i : i + length]
+                    if pos < i:
+                        p, q = pos, i + length
+                        window = block + current[pos:i]
+                    else:
+                        p, q = i, pos + length
+                        window = current[i + length : q] + block
+                    if window == current[p:q]:
+                        continue
+                    gain = distance - _advance(
+                        window + current[q:], masks, full, last, columns[p]
+                    )
+                    if gain > best_gain:
+                        best_gain, best = gain, (i, length, pos)
+        if best is None:
             break
+        i, length, pos = best
+        rest = current[:i] + current[i + length :]
+        current = rest[:pos] + current[i : i + length] + rest[pos:]
         edits += 1
-        current = best_seq
         distance -= best_gain
+        columns = [(full, 0, ref_len)]
+        _advance(current, masks, full, last, columns[0], columns)
     return edits + distance
 
 
@@ -204,9 +245,12 @@ def ter_score(corpus: ParallelCorpus) -> float:
     delete, substitute, and phrase shift each cost one. Shifts are chosen
     greedily, each step taking the first candidate with the largest drop
     in word edit distance. That distance comes from the bit-parallel
-    algorithm of Myers (1999) in Hyyrö's (2003) edit distance form,
-    which is exact: scores equal those of the textbook O(n*m) dynamic
-    program.
+    algorithm of Myers (1999) in Hyyrö's (2003) edit distance form. Each
+    candidate's distance resumes from the current sequence's stored
+    column at its first changed word, and a candidate is skipped when the
+    size of its move bounds its gain to no more than the best so far.
+    All of it is exact: scores equal those of scoring every candidate
+    sequence in full with the textbook O(n*m) dynamic program.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")

@@ -174,3 +174,58 @@ def oracle_ebleu_order_stats(trace, pair, n, rare, cfg):
         weights.sort(reverse=True)
         matched += sum(weights[:cap])
     return matched, total
+
+
+# --- Oracle: TER's greedy shift search as it stood when every candidate
+# sequence was built in full and deduplicated. Copied unchanged (apart
+# from names) from ``mteval.refmetrics._candidate_shifts`` and the greedy
+# loop of ``_shifted_edit_count``, with the edit distance passed in.
+
+_ORACLE_MAX_SHIFT_PHRASE = 10
+_ORACLE_MAX_SHIFT_DISTANCE = 50
+
+
+def _oracle_candidate_shifts(hyp, ref):
+    seen = set()
+    for i in range(len(hyp)):
+        for j in range(len(ref)):
+            if hyp[i] != ref[j] or i == j:
+                continue
+            if abs(i - j) > _ORACLE_MAX_SHIFT_DISTANCE:
+                continue
+            run = 0
+            while (
+                i + run < len(hyp)
+                and j + run < len(ref)
+                and hyp[i + run] == ref[j + run]
+                and run < _ORACLE_MAX_SHIFT_PHRASE
+            ):
+                run += 1
+            for length in range(1, run + 1):
+                block = tuple(hyp[i : i + length])
+                rest = tuple(hyp[:i]) + tuple(hyp[i + length :])
+                pos = min(j, len(rest))
+                shifted = rest[:pos] + block + rest[pos:]
+                if shifted not in seen:
+                    seen.add(shifted)
+                    yield shifted
+
+
+def oracle_shifted_edit_count(hyp, ref, edit_distance):
+    """``edit_distance(seq, ref)`` is any exact word-level Levenshtein."""
+    current = tuple(hyp)
+    edits = 0
+    distance = edit_distance(current, ref)
+    while distance > 0:
+        best_gain = 0
+        best_seq = None
+        for candidate in _oracle_candidate_shifts(current, ref):
+            gain = distance - edit_distance(candidate, ref)
+            if gain > best_gain:
+                best_gain, best_seq = gain, candidate
+        if best_seq is None:
+            break
+        edits += 1
+        current = best_seq
+        distance -= best_gain
+    return edits + distance

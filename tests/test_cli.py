@@ -236,6 +236,25 @@ class TestScoreCommand:
         )
         assert code == 1
 
+    def test_unicode_line_separator_does_not_split_a_pair(self, capsys, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("the cat\x85sat\nhello world\n", encoding="utf-8")
+        ref.write_text("the cat sat\nhello\x85world\n", encoding="utf-8")
+        code, out = run_cli(
+            capsys, "score", "--metric", "bleu", "--max-ngram", "2",
+            "--hyp", str(hyp), "--ref", str(ref),
+        )
+        assert code == 0
+        assert "pairs=2" in out
+        assert tsv_scores(out)["BLEU"] == 100.00
+
+    def test_max_ngram_help_names_the_metrics_it_sets(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["score", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "BLEU and EBLEU only; NIST always uses order 5" in help_text
+
     def test_unknown_metric_is_usage_error(self, identical_files):
         hyp, ref = identical_files
         with pytest.raises(SystemExit) as exc:
@@ -325,6 +344,13 @@ class TestCorrelateCommand:
         path = tmp_path / "table.tsv"
         path.write_bytes(b"\xef\xbb\xbfBLEU\tTER\n1\t3\n2\t2\n3\t1\n")
         assert read_score_table(path).metric_names == ("BLEU", "TER")
+
+    def test_unicode_line_separator_stays_in_its_row(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("BLEU\u2028TER\n1\x853\n2\t2\n3\t1\n", encoding="utf-8")
+        table = read_score_table(path)
+        assert table.metric_names == ("BLEU", "TER")
+        assert table.rows == ((1.0, 3.0), (2.0, 2.0), (3.0, 1.0))
 
     def test_duplicate_metric_name_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "dup.tsv"

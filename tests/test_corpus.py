@@ -85,6 +85,28 @@ class TestLoadParallelCorpus:
         corpus = load_parallel_corpus(hyp, [ref])
         assert [p.hypothesis for p in corpus] == [("a", "b"), ("c", "d")]
 
+    @pytest.mark.parametrize(
+        "separator", ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e", "\r"]
+    )
+    def test_lines_break_at_lf_only(self, tmp_path, separator):
+        # str.splitlines() also breaks at these; a file of two LF lines
+        # must stay two pairs, with the separator read as whitespace
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text(f"the cat{separator}sat\nhello world\n", encoding="utf-8", newline="")
+        ref.write_text(f"the cat sat\nhello{separator}world\n", encoding="utf-8", newline="")
+        corpus = load_parallel_corpus(hyp, [ref])
+        assert [p.hypothesis for p in corpus] == [("the", "cat", "sat"), ("hello", "world")]
+        assert [p.references[0] for p in corpus] == [("the", "cat", "sat"), ("hello", "world")]
+
+    def test_last_line_without_newline(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_bytes(b"a b\r\nc d")
+        ref.write_bytes(b"a b\nc d\n")
+        corpus = load_parallel_corpus(hyp, [ref])
+        assert [p.hypothesis for p in corpus] == [("a", "b"), ("c", "d")]
+
     def test_utf8_bom_is_not_part_of_the_first_token(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
         ref = tmp_path / "ref.txt"

@@ -18,6 +18,7 @@ from mteval import (
 )
 from mteval.errors import EmptyCorpusError
 from mteval.refmetrics import (
+    _advance,
     _edit_distance,
     _length_penalty,
     _position_alignment,
@@ -29,6 +30,7 @@ from helpers import (
     block_moved_pair,
     corpus_of,
     oracle_nist_score,
+    oracle_shifted_edit_count,
     random_corpus,
     small_corpora,
 )
@@ -186,10 +188,10 @@ def bit_parallel_distance(hyp, ref):
     return _edit_distance(hyp, _reference_masks(ref), len(ref))
 
 
-def _sequences_over(vocab_size):
+def _sequences_over(vocab_size, max_len=140):
     # explicit lengths so that word boundaries at 64 and 128 bits are crossed
-    words = st.sampled_from("abc"[:vocab_size])
-    return st.integers(0, 140).flatmap(
+    words = st.sampled_from("abcd"[:vocab_size])
+    return st.integers(0, max_len).flatmap(
         lambda n: st.lists(words, min_size=n, max_size=n)
     )
 
@@ -234,6 +236,87 @@ class TestTerEditDistance:
 
     def test_shifted_edit_count_pinned(self):
         assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
+
+
+def _moves(n, m):
+    """Every move (i, j, L) on lengths n and m, matching the reference or not."""
+    for i in range(n):
+        for length in range(1, n - i + 1):
+            for j in range(m):
+                yield i, j, length
+
+
+def _moved(current, i, j, length):
+    """The candidate of (i, j, L), built the way the shift search once built it."""
+    block = current[i : i + length]
+    rest = current[:i] + current[i + length :]
+    pos = min(j, len(rest))
+    return rest[:pos] + block + rest[pos:], pos
+
+
+class TestShiftSearch:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(_sequences_over(k, 70), _sequences_over(k, 70))
+        )
+    )
+    def test_equals_building_every_candidate(self, pair):
+        hyp, ref = pair
+        assert _shifted_edit_count(hyp, ref) == oracle_shifted_edit_count(
+            hyp, ref, bit_parallel_distance
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_building_every_candidate_on_long_pairs(self, seed):
+        vocab = [f"w{v}" for v in range(40)]
+        hyp, ref = block_moved_pair(random.Random(7100 + seed), vocab, 80 + 70 * seed // 19)
+        assert _shifted_edit_count(hyp, ref) == oracle_shifted_edit_count(
+            hyp, ref, bit_parallel_distance
+        )
+
+    def check_resumed_moves(self, current, ref, moves):
+        """A candidate's distance resumes from ``current``'s stored column
+        at its first changed word, and its gain is at most twice the
+        smaller of the block length and the distance it moves."""
+        masks = _reference_masks(ref)
+        full, last = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
+        columns = [(full, 0, len(ref))]
+        distance = _advance(current, masks, full, last, columns[0], columns)
+        assert len(columns) == len(current) + 1
+        assert distance == dp_edit_distance(current, ref)
+        for i, j, length in moves:
+            candidate, pos = _moved(current, i, j, length)
+            p, q = min(i, pos), max(i, pos) + length
+            assert candidate[:p] == current[:p] and candidate[q:] == current[q:]
+            expected = _edit_distance(candidate, masks, len(ref))
+            assert _advance(candidate[p:], masks, full, last, columns[p]) == expected
+            assert distance - expected <= 2 * min(length, abs(pos - i))
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(_sequences_over(k, 12), _sequences_over(k, 12))
+        )
+    )
+    def test_every_move_resumes_exactly(self, pair):
+        current, ref = pair
+        if ref:
+            self.check_resumed_moves(current, ref, _moves(len(current), len(ref)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_moves_resume_exactly_across_the_word_boundary(self, data):
+        # references of 60-70 tokens put the top bit on either side of 64
+        words = st.sampled_from("abc")
+        current = data.draw(st.lists(words, min_size=1, max_size=70).map(tuple))
+        ref = data.draw(st.lists(words, min_size=60, max_size=70).map(tuple))
+        moves = []
+        for _ in range(20):
+            i = data.draw(st.integers(0, len(current) - 1))
+            j = data.draw(st.integers(0, len(ref) - 1))
+            moves.append((i, j, data.draw(st.integers(1, len(current) - i))))
+        self.check_resumed_moves(current, ref, moves)
 
 
 # --- METEOR ------------------------------------------------------------------

@@ -73,7 +73,7 @@ class _UsageError(Exception):
 def _read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Header names and row cells of a score table; comments skipped.
 
-    Lines end at LF or CRLF only, as in corpus files. A leading byte
+    Lines end as in corpus files (``corpus.read_lines``). A leading byte
     order mark is dropped, and a metric name that appears twice in the
     header raises :class:`TableFormatError`.
     """

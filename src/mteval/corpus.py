@@ -1,7 +1,7 @@
 """Corpus loading, tokenization, and derived lexical resources.
 
 Hypothesis and reference files are UTF-8 plain text, one sentence per
-line (LF or CRLF). A synonym lexicon file holds one synonym set per
+line (LF, CRLF or CR). A synonym lexicon file holds one synonym set per
 line, comma separated; blank lines and lines starting with ``#`` are
 skipped. A byte order mark at the start of any of these files is
 dropped. All loaded objects are immutable and safe to share between
@@ -100,13 +100,13 @@ class ParallelCorpus:
 def read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 text file, a leading byte order mark dropped.
 
-    Lines end at LF or CRLF only. ``str.splitlines`` would also break at
-    a lone CR, U+0085, U+2028, U+2029, form feed, vertical tab and
+    Lines end at LF, CRLF or a lone CR only. ``str.splitlines`` would
+    also break at U+0085, U+2028, U+2029, form feed, vertical tab and
     U+001C-U+001E, which would misalign line-paired files; here those
     stay in their line, where tokenization reads them as whitespace.
     """
-    with open(path, encoding="utf-8-sig", newline="\n") as fh:
-        return [line.removesuffix("\n").removesuffix("\r") for line in fh]
+    with open(path, encoding="utf-8-sig") as fh:
+        return [line.removesuffix("\n") for line in fh]
 
 
 def load_parallel_corpus(

@@ -3,14 +3,17 @@
 
 Loads the two per-direction score tables shipped under tests/data,
 merges them, and prints Pearson and Spearman matrices plus the lambda
-association of EBLEU with every other metric. The EBLEU pairings are
-compared against the published coefficients with their deltas.
+association of EBLEU with every other metric. Every published
+coefficient (tests/data/published_correlations.json, which the
+acceptance tests read too) is printed next to the computed one with
+their delta.
 
 Run from the repository root:
 
     python scripts/run_correlation_study.py
 """
 
+import json
 from pathlib import Path
 
 from mteval import (
@@ -18,34 +21,12 @@ from mteval import (
     discretize,
     goodman_kruskal_lambda,
     pearson,
+    read_score_table,
     spearman,
 )
-from mteval.cli import read_score_table
 from mteval.stats import ContingencyTable, ScoreTable
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
-
-PUBLISHED_PEARSON_PL_EN = {
-    "BLEU": 0.9732,
-    "NIST": 0.9675,
-    "TER": -0.9746,
-    "METEOR": 0.8981,
-    "RIBES": 0.7570,
-}
-PUBLISHED_PEARSON_MERGED = {
-    "BLEU": 0.9657,
-    "NIST": 0.9762,
-    "TER": -0.9666,
-    "METEOR": 0.9615,
-    "RIBES": 0.8105,
-}
-PUBLISHED_SPEARMAN_MERGED = {
-    "BLEU": 0.950,
-    "NIST": 0.943,
-    "TER": -0.954,
-    "METEOR": 0.895,
-    "RIBES": 0.655,
-}
 
 
 def print_matrix(title: str, table: ScoreTable, kind: str) -> None:
@@ -57,15 +38,20 @@ def print_matrix(title: str, table: ScoreTable, kind: str) -> None:
         print(name + "\t" + "\t".join(f"{cell.coefficient:+.4f}" for cell in row))
 
 
-def compare(header: str, got: dict[str, float], published: dict[str, float]) -> None:
+def compare(
+    header: str, table: ScoreTable, correlate, base: str, published: dict[str, float]
+) -> None:
     print(f"\n{header}")
     print(f"{'metric':8s} {'computed':>9s} {'published':>9s} {'delta':>7s}")
     for metric, reference in published.items():
-        value = got[metric]
+        value = correlate(table.column(base), table.column(metric)).coefficient
         print(f"{metric:8s} {value:+9.4f} {reference:+9.4f} {abs(value - reference):7.4f}")
 
 
 def main() -> None:
+    published = json.loads(
+        (DATA / "published_correlations.json").read_text(encoding="utf-8")
+    )
     pl_en = read_score_table(DATA / "pl_en_scores.tsv")
     en_pl = read_score_table(DATA / "en_pl_scores.tsv")
     merged = ScoreTable(
@@ -76,34 +62,29 @@ def main() -> None:
           f"{len(merged.metric_names)} metrics")
 
     print_matrix("Pearson, Polish to English runs", pl_en, "pearson")
-    ebleu = pl_en.column("EBLEU")
     compare(
         "EBLEU pairings vs published per-direction coefficients",
-        {m: pearson(ebleu, pl_en.column(m)).coefficient for m in PUBLISHED_PEARSON_PL_EN},
-        PUBLISHED_PEARSON_PL_EN,
+        pl_en, pearson, "EBLEU", published["pearson_pl_en"]["EBLEU"],
     )
 
     print_matrix("Pearson, both directions merged", merged, "pearson")
-    ebleu = merged.column("EBLEU")
     compare(
         "EBLEU pairings vs published merged coefficients\n"
         "(the published RIBES cell is not derivable from these tables)",
-        {m: pearson(ebleu, merged.column(m)).coefficient for m in PUBLISHED_PEARSON_MERGED},
-        PUBLISHED_PEARSON_MERGED,
+        merged, pearson, "EBLEU", published["pearson_merged"]["EBLEU"],
     )
 
     print_matrix("Spearman, both directions merged", merged, "spearman")
-    spearman_got = {}
+    ebleu = merged.column("EBLEU")
     print("\ntwo-tailed significance of the EBLEU pairings")
-    for metric in PUBLISHED_SPEARMAN_MERGED:
+    for metric in published["spearman_merged"]["EBLEU"]:
         result = spearman(ebleu, merged.column(metric))
-        spearman_got[metric] = result.coefficient
         print(f"  EBLEU x {metric:8s} p = {result.two_tailed_p:.2e} (n = {result.n})")
-    compare(
-        "EBLEU pairings vs published merged rank coefficients",
-        spearman_got,
-        PUBLISHED_SPEARMAN_MERGED,
-    )
+    for base, coefficients in published["spearman_merged"].items():
+        compare(
+            f"{base} pairings vs published merged rank coefficients",
+            merged, spearman, base, coefficients,
+        )
 
     bins = 4
     print(f"\nlambda association, EBLEU as the predicted variable ({bins} bins)")

@@ -57,6 +57,7 @@ from .stats import (
     discretize,
     goodman_kruskal_lambda,
     pearson,
+    read_score_table,
     spearman,
 )
 
@@ -100,6 +101,7 @@ __all__ = [
     "modified_precision",
     "nist_score",
     "pearson",
+    "read_score_table",
     "ribes_score",
     "spearman",
     "synonym_substitute",

@@ -28,7 +28,6 @@ from .corpus import (
     TokenizerConfig,
     load_parallel_corpus,
     load_synonym_lexicon,
-    read_lines,
 )
 from .ebleu import EbleuConfig, ebleu_score
 from .errors import DegenerateTableError, MTEvalError, TableFormatError
@@ -45,6 +44,8 @@ from .stats import (
     correlation_matrix,
     discretize,
     goodman_kruskal_lambda,
+    read_raw_table,
+    read_score_table,
 )
 
 METRIC_LABELS = {
@@ -64,52 +65,6 @@ _UNSCALED = {"nist"}
 
 class _UsageError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# table files
-
-
-def _read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header names and row cells of a score table; comments skipped.
-
-    Lines end as in corpus files (``corpus.read_lines``). A leading byte
-    order mark is dropped, and a metric name that appears twice in the
-    header raises :class:`TableFormatError`.
-    """
-    content = [
-        ln for ln in read_lines(path) if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if len(content) < 2:
-        raise TableFormatError(f"{path}: need a header row and at least one data row")
-    header = content[0].split()
-    duplicates = sorted({name for name in header if header.count(name) > 1})
-    if duplicates:
-        raise TableFormatError(
-            f"{path}: metric name {duplicates[0]!r} appears more than once in the header"
-        )
-    rows = [ln.split() for ln in content[1:]]
-    for idx, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise TableFormatError(
-                f"{path}: row {idx} has {len(row)} cells, header has {len(header)}"
-            )
-        for cell in row:
-            try:
-                value = float(cell)
-            except ValueError:
-                raise TableFormatError(f"{path}: non-numeric cell {cell!r}") from None
-            if not math.isfinite(value):
-                raise TableFormatError(
-                    f"{path}: row {idx} has non-finite cell {cell!r}"
-                )
-    return header, rows
-
-
-def read_score_table(path: str | Path) -> ScoreTable:
-    header, rows = _read_raw_table(path)
-    data = tuple(tuple(float(cell) for cell in row) for row in rows)
-    return ScoreTable(metric_names=tuple(header), rows=data)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -394,7 +349,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    tables = [_read_raw_table(path) for path in args.inputs]
+    tables = [read_raw_table(path) for path in args.inputs]
     header = tables[0][0]
     for path, (other_header, _) in zip(args.inputs, tables):
         if other_header != header:

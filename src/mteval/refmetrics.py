@@ -8,6 +8,7 @@ is a sum or mean.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,6 +94,14 @@ def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
 
 _MAX_SHIFT_PHRASE = 10
 _MAX_SHIFT_DISTANCE = 50
+
+
+def _positions(ref: TokenSeq) -> dict[str, list[int]]:
+    """Each word of ``ref`` mapped to its positions in ascending order."""
+    positions: dict[str, list[int]] = {}
+    for j, word in enumerate(ref):
+        positions.setdefault(word, []).append(j)
+    return positions
 
 
 def _reference_masks(ref: Sequence[str]) -> dict[str, int]:
@@ -183,9 +192,7 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     if ref_len == 0:
         return len(hyp)
     masks = _reference_masks(ref)
-    positions: dict[str, list[int]] = {}
-    for j, word in enumerate(ref):
-        positions.setdefault(word, []).append(j)
+    positions = _positions(ref)
     full = (1 << ref_len) - 1
     last = 1 << (ref_len - 1)
     current: tuple[str, ...] = tuple(hyp)
@@ -285,27 +292,28 @@ class MeteorResult:
 def _align_unigrams(
     hyp: TokenSeq, ref: TokenSeq, lexicon: SynonymLexicon
 ) -> list[tuple[int, int]]:
-    """Two-stage one-to-one alignment: exact words first, then synonyms."""
-    taken = [False] * len(ref)
-    aligned: dict[int, int] = {}
+    """Two-stage one-to-one alignment: exact words first, then synonyms.
+
+    Left to right, each hypothesis word takes the leftmost free reference
+    position of its word; then each word left over takes the leftmost
+    free position of any of its synonyms. Every take of a word, in either
+    stage, is that word's leftmost free position, so it is the head of
+    the word's ascending list of free positions, and the leftmost free
+    position over a synonym set is the smallest of its words' heads.
+    """
+    free = _positions(ref)
+    aligned = [free[word].pop(0) if free.get(word) else None for word in hyp]
     for i, word in enumerate(hyp):
-        for j, ref_word in enumerate(ref):
-            if not taken[j] and ref_word == word:
-                aligned[i] = j
-                taken[j] = True
-                break
-    for i, word in enumerate(hyp):
-        if i in aligned:
+        if aligned[i] is not None:
             continue
-        synonyms = lexicon.synonyms(word)
-        if not synonyms:
-            continue
-        for j, ref_word in enumerate(ref):
-            if not taken[j] and ref_word in synonyms:
-                aligned[i] = j
-                taken[j] = True
-                break
-    return sorted(aligned.items())
+        best = None
+        for synonym in lexicon.synonyms(word):
+            slots = free.get(synonym)
+            if slots and (best is None or slots[0] < best[0]):
+                best = slots
+        if best is not None:
+            aligned[i] = best.pop(0)
+    return [(i, j) for i, j in enumerate(aligned) if j is not None]
 
 
 def _chunk_count(alignment: list[tuple[int, int]]) -> int:
@@ -331,9 +339,11 @@ def meteor_score(corpus: ParallelCorpus, lexicon: SynonymLexicon) -> MeteorResul
     """Harmonic precision/recall with a fragmentation penalty.
 
     Unigrams align in stages (exact, then synonym) against the
-    best-scoring reference of each pair. With pooled precision P, recall
-    R, matches M and chunks C the score is (10PR / (R + 9P)) *
-    (1 - 0.5 * C / M), and 0 when nothing matches.
+    best-scoring reference of each pair, each word taking the leftmost
+    free position it may match: the head of some word's ascending list
+    of free positions (see ``_align_unigrams``), found without a scan.
+    With pooled precision P, recall R, matches M and chunks C the score
+    is (10PR / (R + 9P)) * (1 - 0.5 * C / M), and 0 when nothing matches.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
@@ -397,22 +407,23 @@ def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
     """Sum of |normalized position differences| and the match count.
 
     Each hypothesis token takes the nearest not-yet-consumed reference
-    position holding the same word; unmatched tokens contribute zero.
+    position holding the same word, searched in that word's list of free
+    positions only; unmatched tokens contribute zero.
     """
-    positions: dict[str, list[int]] = {}
-    for j, word in enumerate(ref):
-        positions.setdefault(word, []).append(j)
-    consumed = [False] * len(ref)
+    free = _positions(ref)
     hyp_n, ref_n = len(hyp), len(ref)
     total_diff = 0.0
     matches = 0
     for i, word in enumerate(hyp):
-        free = [j for j in positions.get(word, ()) if not consumed[j]]
-        if not free:
+        slots = free.get(word)
+        if not slots:
             continue
         hyp_pos = (i + 1) / hyp_n
-        j = min(free, key=lambda j: (abs(hyp_pos - (j + 1) / ref_n), j))
-        consumed[j] = True
+        if len(slots) == 1:
+            j = slots.pop()
+        else:
+            j = min(slots, key=lambda j: (abs(hyp_pos - (j + 1) / ref_n), j))
+            slots.remove(j)
         matches += 1
         total_diff += abs(hyp_pos - (j + 1) / ref_n)
     return total_diff, matches
@@ -426,10 +437,11 @@ def _closest_reference(pair: EvalPair) -> TokenSeq:
 def lepor_score(corpus: ParallelCorpus, cfg: LeporConfig = LeporConfig()) -> float:
     """Length penalty times position-difference penalty times harmonic(aR, bP).
 
-    Matching is against the closest-length reference of each pair. The
-    position penalty is exp(-NPD) where NPD is the total normalized
-    position difference per hypothesis token. Zero when either unigram
-    precision or recall is zero.
+    Matching is against the closest-length reference of each pair, each
+    token taking the nearest free position of its word from that word's
+    own list of free positions. The position penalty is exp(-NPD) where
+    NPD is the total normalized position difference per hypothesis
+    token. Zero when either unigram precision or recall is zero.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
@@ -474,40 +486,24 @@ class RibesConfig:
 def _order_alignment(hyp: TokenSeq, ref: TokenSeq) -> list[int]:
     """Aligned reference positions in hypothesis order, one-to-one.
 
-    Words occurring exactly once in both sentences align directly;
-    remaining words take the leftmost unconsumed position of the same
-    word.
+    Each hypothesis word takes the leftmost free position of the same
+    word, as in METEOR's exact stage; a word found once in both sentences
+    gets its only position this way, as no other token competes for it.
     """
-    hyp_counts = Counter(hyp)
-    ref_counts = Counter(ref)
-    positions: dict[str, list[int]] = {}
-    for j, word in enumerate(ref):
-        positions.setdefault(word, []).append(j)
-    taken = [False] * len(ref)
-    aligned: dict[int, int] = {}
-    for i, word in enumerate(hyp):
-        if hyp_counts[word] == 1 and ref_counts[word] == 1:
-            j = positions[word][0]
-            aligned[i] = j
-            taken[j] = True
-    for i, word in enumerate(hyp):
-        if i in aligned:
-            continue
-        for j in positions.get(word, ()):
-            if not taken[j]:
-                aligned[i] = j
-                taken[j] = True
-                break
-    return [j for _, j in sorted(aligned.items())]
+    free = _positions(ref)
+    return [free[word].pop(0) for word in hyp if free.get(word)]
 
 
 def _kendall_tau(seq: Sequence[int]) -> float:
+    """Tau of distinct values against their order (Knight 1966): the earlier
+    values below each value are those left of its place in the sorted prefix."""
     n = len(seq)
     concordant = 0
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            if seq[a] < seq[b]:
-                concordant += 1
+    prefix: list[int] = []
+    for value in seq:
+        k = bisect_left(prefix, value)
+        concordant += k
+        prefix.insert(k, value)
     pairs = n * (n - 1) // 2
     return (2 * concordant - pairs) / pairs
 
@@ -525,11 +521,13 @@ def _spearman_rho(seq: Sequence[int]) -> float:
 def ribes_score(corpus: ParallelCorpus, cfg: RibesConfig = RibesConfig()) -> float:
     """Normalized rank correlation of word order, scaled by precision^alpha.
 
-    Per pair the correlation over aligned reference positions is mapped
-    to [0, 1] via (coefficient + 1) / 2 and multiplied by unigram
-    precision raised to ``alpha``; the best reference wins and pairs
-    with fewer than two aligned words score zero. The corpus score is
-    the mean over pairs.
+    Each word aligns to the leftmost free reference position of the same
+    word, the head of that word's ascending list of free positions (see
+    ``_order_alignment``). Per pair the correlation over aligned
+    reference positions is mapped to [0, 1] via (coefficient + 1) / 2 and
+    multiplied by unigram precision raised to ``alpha``; the best
+    reference wins and pairs with fewer than two aligned words score
+    zero. The corpus score is the mean over pairs.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")

@@ -1,21 +1,24 @@
 """Correlation statistics over metric score tables.
 
-Product-moment correlation, rank correlation with tie handling, and the
-asymmetric Goodman-Kruskal lambda association measure for discretized
-scores.
+Score-table files and their reader, product-moment correlation, rank
+correlation with tie handling, and the asymmetric Goodman-Kruskal lambda
+association measure for discretized scores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
+from .corpus import read_lines
 from .errors import (
     DegenerateTableError,
     InsufficientDistinctValuesError,
     LengthMismatchError,
     NonFiniteValueError,
+    TableFormatError,
     ZeroVarianceError,
 )
 
@@ -48,6 +51,49 @@ class ScoreTable:
 
     def column_at(self, j: int) -> list[float]:
         return [row[j] for row in self.rows]
+
+
+def read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Header names and row cells of a score table; comments skipped.
+
+    Lines end as in corpus files (``corpus.read_lines``). A leading byte
+    order mark is dropped, and a metric name that appears twice in the
+    header raises :class:`TableFormatError`.
+    """
+    content = [
+        ln for ln in read_lines(path) if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if len(content) < 2:
+        raise TableFormatError(f"{path}: need a header row and at least one data row")
+    header = content[0].split()
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise TableFormatError(
+            f"{path}: metric name {duplicates[0]!r} appears more than once in the header"
+        )
+    rows = [ln.split() for ln in content[1:]]
+    for idx, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise TableFormatError(
+                f"{path}: row {idx} has {len(row)} cells, header has {len(header)}"
+            )
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise TableFormatError(f"{path}: non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise TableFormatError(
+                    f"{path}: row {idx} has non-finite cell {cell!r}"
+                )
+    return header, rows
+
+
+def read_score_table(path: str | Path) -> ScoreTable:
+    """A score table file as a :class:`ScoreTable` (see ``read_raw_table``)."""
+    header, rows = read_raw_table(path)
+    data = tuple(tuple(float(cell) for cell in row) for row in rows)
+    return ScoreTable(metric_names=tuple(header), rows=data)
 
 
 def _check_vectors(x: Sequence[float], y: Sequence[float]) -> int:

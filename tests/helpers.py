@@ -229,3 +229,88 @@ def oracle_shifted_edit_count(hyp, ref, edit_distance):
         current = best_seq
         distance -= best_gain
     return edits + distance
+
+
+# --- Oracles: METEOR's, LEPOR's and RIBES's word alignment as it stood when
+# each hypothesis word scanned the reference. Copied unchanged (apart from
+# names) from ``mteval.refmetrics._align_unigrams``, ``_position_alignment``,
+# ``_order_alignment`` and ``_kendall_tau``.
+
+
+def oracle_align_unigrams(hyp, ref, lexicon):
+    """Two-stage one-to-one alignment: exact words first, then synonyms."""
+    taken = [False] * len(ref)
+    aligned = {}
+    for i, word in enumerate(hyp):
+        for j, ref_word in enumerate(ref):
+            if not taken[j] and ref_word == word:
+                aligned[i] = j
+                taken[j] = True
+                break
+    for i, word in enumerate(hyp):
+        if i in aligned:
+            continue
+        synonyms = lexicon.synonyms(word)
+        if not synonyms:
+            continue
+        for j, ref_word in enumerate(ref):
+            if not taken[j] and ref_word in synonyms:
+                aligned[i] = j
+                taken[j] = True
+                break
+    return sorted(aligned.items())
+
+
+def oracle_position_alignment(hyp, ref):
+    positions = {}
+    for j, word in enumerate(ref):
+        positions.setdefault(word, []).append(j)
+    consumed = [False] * len(ref)
+    hyp_n, ref_n = len(hyp), len(ref)
+    total_diff = 0.0
+    matches = 0
+    for i, word in enumerate(hyp):
+        free = [j for j in positions.get(word, ()) if not consumed[j]]
+        if not free:
+            continue
+        hyp_pos = (i + 1) / hyp_n
+        j = min(free, key=lambda j: (abs(hyp_pos - (j + 1) / ref_n), j))
+        consumed[j] = True
+        matches += 1
+        total_diff += abs(hyp_pos - (j + 1) / ref_n)
+    return total_diff, matches
+
+
+def oracle_order_alignment(hyp, ref):
+    hyp_counts = Counter(hyp)
+    ref_counts = Counter(ref)
+    positions = {}
+    for j, word in enumerate(ref):
+        positions.setdefault(word, []).append(j)
+    taken = [False] * len(ref)
+    aligned = {}
+    for i, word in enumerate(hyp):
+        if hyp_counts[word] == 1 and ref_counts[word] == 1:
+            j = positions[word][0]
+            aligned[i] = j
+            taken[j] = True
+    for i, word in enumerate(hyp):
+        if i in aligned:
+            continue
+        for j in positions.get(word, ()):
+            if not taken[j]:
+                aligned[i] = j
+                taken[j] = True
+                break
+    return [j for _, j in sorted(aligned.items())]
+
+
+def oracle_kendall_tau(seq):
+    n = len(seq)
+    concordant = 0
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            if seq[a] < seq[b]:
+                concordant += 1
+    pairs = n * (n - 1) // 2
+    return (2 * concordant - pairs) / pairs

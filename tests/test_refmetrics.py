@@ -1,6 +1,7 @@
 import math
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,20 +17,28 @@ from mteval import (
     ribes_score,
     ter_score,
 )
+from mteval import refmetrics
 from mteval.errors import EmptyCorpusError
 from mteval.refmetrics import (
     _advance,
+    _align_unigrams,
     _edit_distance,
+    _kendall_tau,
     _length_penalty,
+    _order_alignment,
     _position_alignment,
     _reference_masks,
     _shifted_edit_count,
 )
-from mteval import ParallelCorpus
+from mteval import EvalPair, ParallelCorpus
 from helpers import (
     block_moved_pair,
     corpus_of,
+    oracle_align_unigrams,
+    oracle_kendall_tau,
     oracle_nist_score,
+    oracle_order_alignment,
+    oracle_position_alignment,
     oracle_shifted_edit_count,
     random_corpus,
     small_corpora,
@@ -453,6 +462,107 @@ class TestRibes:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             ribes_score(ParallelCorpus(pairs=(), ref_count=1))
+
+
+# --- word alignment against the old reference scans ---------------------------
+
+
+def alignment_scores(corpus, lexicon):
+    """METEOR, LEPOR and both RIBES variants of ``corpus``."""
+    return (
+        meteor_score(corpus, lexicon),
+        lepor_score(corpus),
+        ribes_score(corpus),
+        ribes_score(corpus, RibesConfig(correlation_kind="spearman")),
+    )
+
+
+def oracle_alignment_scores(corpus, lexicon):
+    """The same scores with the old scanning alignments in place."""
+    with mock.patch.multiple(
+        refmetrics,
+        _align_unigrams=oracle_align_unigrams,
+        _order_alignment=oracle_order_alignment,
+        _position_alignment=oracle_position_alignment,
+        _kendall_tau=oracle_kendall_tau,
+    ):
+        return alignment_scores(corpus, lexicon)
+
+
+@st.composite
+def lexicons(draw):
+    """Synonym sets over the corpus letters a-d and an absent word e,
+    neither symmetric nor irreflexive: a word may be its own synonym, and
+    sets overlap."""
+    words = st.sampled_from("abcde")
+    return SynonymLexicon(
+        entries=draw(st.dictionaries(words, st.frozensets(words, max_size=4)))
+    )
+
+
+def check_alignments(hyp, ref, lexicon):
+    assert _align_unigrams(hyp, ref, lexicon) == oracle_align_unigrams(hyp, ref, lexicon)
+    assert _position_alignment(hyp, ref) == oracle_position_alignment(hyp, ref)
+    aligned = _order_alignment(hyp, ref)
+    assert aligned == oracle_order_alignment(hyp, ref)
+    if len(aligned) >= 2:
+        assert _kendall_tau(aligned) == oracle_kendall_tau(aligned)
+
+
+# An empty hypothesis, an empty reference, one-token lines and a
+# 2,000-token pair over a two-word vocabulary.
+_LONG = random.Random(5150)
+_EDGE_PAIRS = {
+    "empty-hypothesis": ((), ("a", "b")),
+    "empty-reference": (("a", "b"), ()),
+    "both-empty": ((), ()),
+    "one-token": (("a",), ("a",)),
+    "one-token-synonym": (("a",), ("b",)),
+    "one-token-unmatched": (("a",), ("c",)),
+    "long-two-word": (
+        tuple(_LONG.choice("ab") for _ in range(2000)),
+        tuple(_LONG.choice("ab") for _ in range(2000)),
+    ),
+}
+_AB_SYNONYMS = SynonymLexicon(entries={"a": frozenset("b"), "b": frozenset("a")})
+
+
+class TestAlignmentOracles:
+    @settings(deadline=None, max_examples=300)
+    @given(small_corpora(alphabet="abcd", max_len=12), lexicons())
+    def test_alignments_equal_scanning_the_reference(self, corpus, lexicon):
+        for pair in corpus.pairs:
+            for ref in pair.references:
+                check_alignments(pair.hypothesis, ref, lexicon)
+
+    @settings(deadline=None, max_examples=200)
+    @given(small_corpora(alphabet="abcd", max_len=12), lexicons())
+    def test_scores_equal_scanning_the_reference(self, corpus, lexicon):
+        assert alignment_scores(corpus, lexicon) == oracle_alignment_scores(
+            corpus, lexicon
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-50, 50), unique=True, min_size=2, max_size=60))
+    def test_kendall_tau_counts_every_pair(self, values):
+        assert _kendall_tau(values) == oracle_kendall_tau(values)
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_PAIRS))
+    @pytest.mark.parametrize("lexicon", [EMPTY, _AB_SYNONYMS], ids=["no-synonyms", "ab-synonyms"])
+    def test_edge_pairs(self, name, lexicon):
+        hyp, ref = _EDGE_PAIRS[name]
+        check_alignments(hyp, ref, lexicon)
+        corpus = ParallelCorpus(pairs=(EvalPair(hyp, (ref,)),), ref_count=1)
+        assert alignment_scores(corpus, lexicon) == oracle_alignment_scores(
+            corpus, lexicon
+        )
+
+    def test_edge_pairs_as_one_corpus(self):
+        pairs = tuple(EvalPair(hyp, (ref,)) for hyp, ref in _EDGE_PAIRS.values())
+        corpus = ParallelCorpus(pairs=pairs, ref_count=1)
+        assert alignment_scores(corpus, _AB_SYNONYMS) == oracle_alignment_scores(
+            corpus, _AB_SYNONYMS
+        )
 
 
 # --- cross-metric ranges -----------------------------------------------------

@@ -5,6 +5,12 @@ files, ``correlate`` computes correlation matrices over a score table,
 and ``report`` concatenates score tables into one table for
 ``correlate``.
 
+``score`` takes its metrics from one table, ``METRICS``: each entry
+holds the column label, the tsv scale, whether the metric needs the
+synonym lexicon, and how to run it. BLEU and EBLEU return their own
+per-sentence scores; the per-sentence score of NIST, TER, METEOR, LEPOR
+and RIBES is the metric run on a one-pair corpus.
+
 Exit codes: 0 success, 1 data error, 2 usage error. Output is fully
 deterministic; identical inputs produce byte-identical output. In tsv
 mode scores are printed times 100 with two decimals, except NIST which
@@ -20,6 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bleu import BleuConfig, bleu_score
 from .corpus import (
@@ -48,20 +55,6 @@ from .stats import (
     read_score_table,
 )
 
-METRIC_LABELS = {
-    "ebleu": "EBLEU",
-    "bleu": "BLEU",
-    "nist": "NIST",
-    "ter": "TER",
-    "meteor": "METEOR",
-    "lepor": "LEPOR",
-    "ribes": "RIBES",
-}
-
-# NIST is unbounded and reported on its own scale; everything else is a
-# [0, 1] style score shown as a percentage.
-_UNSCALED = {"nist"}
-
 
 class _UsageError(Exception):
     pass
@@ -83,29 +76,62 @@ def _json_score(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _format_cell(name: str, value: float) -> str:
-    scale = 1.0 if name in _UNSCALED else 100.0
-    return f"{value * scale:.2f}"
+class Metric(NamedTuple):
+    """How ``score`` runs one metric and shows its result.
+
+    ``run(corpus, lexicon, args)`` returns ``(score, per_sentence or None,
+    details or None)``. It calls its scorer by this module's global name,
+    so the scorer is looked up when the metric runs, not when the table
+    is built. A metric whose ``run`` gives no per-sentence list is scored
+    per sentence by that same ``run`` on one-pair corpora.
+    """
+
+    label: str
+    scale: int  # tsv cells show the score times this
+    needs_lexicon: bool
+    run: Callable[
+        [ParallelCorpus, SynonymLexicon, argparse.Namespace],
+        tuple[float, list[float] | None, dict | None],
+    ]
 
 
-def _per_sentence_scores(
-    name: str, corpus: ParallelCorpus, lexicon: SynonymLexicon
-) -> list[float]:
-    """The metric formula restricted to each pair in turn."""
-    scores = []
-    for pair in corpus.pairs:
-        sub = ParallelCorpus(pairs=(pair,), ref_count=corpus.ref_count)
-        if name == "nist":
-            scores.append(nist_score(sub))
-        elif name == "ter":
-            scores.append(ter_score(sub))
-        elif name == "meteor":
-            scores.append(meteor_score(sub, lexicon).score)
-        elif name == "lepor":
-            scores.append(lepor_score(sub))
-        elif name == "ribes":
-            scores.append(ribes_score(sub))
-    return scores
+def _run_bleu(corpus, lexicon, args):
+    result = bleu_score(
+        corpus, BleuConfig(max_order=args.max_ngram, smoothing_epsilon=args.epsilon)
+    )
+    return result.corpus_score, result.per_sentence, result.details
+
+
+def _run_ebleu(corpus, lexicon, args):
+    cfg = EbleuConfig(
+        max_order=args.max_ngram,
+        synonym_score=args.synonym_score,
+        rare_words_percent=args.rare_words_percent,
+        rare_words_score=args.rare_words_score,
+        smoothing_epsilon=args.epsilon,
+    )
+    result = ebleu_score(corpus, lexicon, cfg)
+    return result.corpus_score, result.per_sentence, result.details
+
+
+def _run_meteor(corpus, lexicon, args):
+    # A shallow copy of the flat result, in field order; ``asdict`` would
+    # deep-copy it, at 15 times the cost, on every one-pair call.
+    details = dict(vars(meteor_score(corpus, lexicon)))
+    return details.pop("score"), None, details
+
+
+# NIST is unbounded and reported on its own scale; everything else is a
+# [0, 1] style score shown as a percentage.
+METRICS = {
+    "ebleu": Metric("EBLEU", 100, True, _run_ebleu),
+    "bleu": Metric("BLEU", 100, False, _run_bleu),
+    "nist": Metric("NIST", 1, False, lambda c, *_: (nist_score(c), None, None)),
+    "ter": Metric("TER", 100, False, lambda c, *_: (ter_score(c), None, None)),
+    "meteor": Metric("METEOR", 100, True, _run_meteor),
+    "lepor": Metric("LEPOR", 100, False, lambda c, *_: (lepor_score(c), None, None)),
+    "ribes": Metric("RIBES", 100, False, lambda c, *_: (ribes_score(c), None, None)),
+}
 
 
 def _run_metric(
@@ -113,55 +139,13 @@ def _run_metric(
     corpus: ParallelCorpus,
     lexicon: SynonymLexicon,
     args: argparse.Namespace,
-) -> dict:
-    if name == "bleu":
-        result = bleu_score(
-            corpus,
-            BleuConfig(max_order=args.max_ngram, smoothing_epsilon=args.epsilon),
-        )
-        return {
-            "score": result.corpus_score,
-            "per_sentence": result.per_sentence,
-            "details": result.details,
-        }
-    if name == "ebleu":
-        cfg = EbleuConfig(
-            max_order=args.max_ngram,
-            synonym_score=args.synonym_score,
-            rare_words_percent=args.rare_words_percent,
-            rare_words_score=args.rare_words_score,
-            smoothing_epsilon=args.epsilon,
-        )
-        result = ebleu_score(corpus, lexicon, cfg)
-        return {
-            "score": result.corpus_score,
-            "per_sentence": result.per_sentence,
-            "details": result.details,
-        }
-    if name == "meteor":
-        res = meteor_score(corpus, lexicon)
-        score = res.score
-        details = {
-            "precision": res.precision,
-            "recall": res.recall,
-            "matched_unigrams": res.matched_unigrams,
-            "chunk_count": res.chunk_count,
-            "penalty": res.penalty,
-        }
-    elif name == "nist":
-        score, details = nist_score(corpus), None
-    elif name == "ter":
-        score, details = ter_score(corpus), None
-    elif name == "lepor":
-        score, details = lepor_score(corpus), None
-    elif name == "ribes":
-        score, details = ribes_score(corpus), None
-    else:
-        raise _UsageError(f"unknown metric {name!r}")
-    per_sentence = (
-        _per_sentence_scores(name, corpus, lexicon) if args.per_sentence else None
-    )
-    return {"score": score, "per_sentence": per_sentence, "details": details}
+) -> tuple[float, list[float] | None, dict | None]:
+    run = METRICS[name].run
+    score, per_sentence, details = run(corpus, lexicon, args)
+    if args.per_sentence and per_sentence is None:
+        one_pair = (ParallelCorpus((pair,), corpus.ref_count) for pair in corpus.pairs)
+        per_sentence = [run(sub, lexicon, args)[0] for sub in one_pair]
+    return score, per_sentence, details
 
 
 def _config_echo(args: argparse.Namespace, metrics: list[str]) -> dict:
@@ -190,8 +174,9 @@ def _echo_str(value) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     metrics = list(dict.fromkeys(args.metric))
-    if any(m in ("ebleu", "meteor") for m in metrics) and not args.lexicon:
-        raise _UsageError("--lexicon is required when scoring ebleu or meteor")
+    needing = [m for m, metric in METRICS.items() if metric.needs_lexicon]
+    if not args.lexicon and any(m in needing for m in metrics):
+        raise _UsageError("--lexicon is required when scoring " + " or ".join(needing))
     tok_cfg = TokenizerConfig(
         lowercase=args.lowercase, split_punctuation=args.split_punct
     )
@@ -216,41 +201,33 @@ def cmd_score(args: argparse.Namespace) -> int:
             "corpus": stats,
             "metrics": {
                 name: {
-                    "score": _json_score(results[name]["score"]),
+                    "score": _json_score(score),
                     **(
-                        {
-                            "per_sentence": [
-                                _json_score(v) for v in results[name]["per_sentence"]
-                            ]
-                        }
+                        {"per_sentence": [_json_score(v) for v in per_sentence]}
                         if args.per_sentence
                         else {}
                     ),
-                    **(
-                        {"details": results[name]["details"]}
-                        if results[name]["details"] is not None
-                        else {}
-                    ),
+                    **({"details": details} if details is not None else {}),
                 }
-                for name in metrics
+                for name, (score, per_sentence, details) in results.items()
             },
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
+        def cells(values) -> str:
+            return "\t".join(
+                f"{v * METRICS[m].scale:.2f}" for m, v in zip(metrics, values)
+            )
+
         lines = [
             "# " + " ".join(f"{k}={v}" for k, v in stats.items()),
             "# " + " ".join(f"{k}={_echo_str(v)}" for k, v in config.items()),
-            "\t".join(METRIC_LABELS[m] for m in metrics),
-            "\t".join(_format_cell(m, results[m]["score"]) for m in metrics),
+            "\t".join(METRICS[m].label for m in metrics),
+            cells(score for score, _, _ in results.values()),
         ]
         if args.per_sentence:
             lines.append("# per-sentence")
-            for i in range(len(corpus)):
-                lines.append(
-                    "\t".join(
-                        _format_cell(m, results[m]["per_sentence"][i]) for m in metrics
-                    )
-                )
+            lines += map(cells, zip(*(scores for _, scores, _ in results.values())))
         text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
     return 0
@@ -323,7 +300,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
                 "values": values,
                 "variances": variances,
             }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines: list[str] = []
         for kind in kinds:
@@ -387,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric",
         action="append",
         required=True,
-        choices=sorted(METRIC_LABELS),
+        choices=sorted(METRICS),
         help="metric to run, repeatable",
     )
     score.add_argument("--lexicon", metavar="PATH", help="synonym lexicon file")

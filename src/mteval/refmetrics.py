@@ -406,12 +406,26 @@ def _length_penalty(hyp_total: int, ref_total: int) -> float:
 def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
     """Sum of |normalized position differences| and the match count.
 
-    Each hypothesis token takes the nearest not-yet-consumed reference
-    position holding the same word, searched in that word's list of free
-    positions only; unmatched tokens contribute zero.
+    Each hypothesis token takes the free reference position of its word
+    with the smallest key ``(|hyp_pos - (j+1)/ref_n|, j)``; unmatched
+    tokens contribute zero. That position is found by bisecting the
+    word's ascending list of free positions at ``hyp_pos`` and comparing
+    only the two neighbours of the insertion point. The float keys allow
+    this. Each quotient ``x = (j+1)/ref_n`` is correctly rounded, so
+    distinct ``j`` give values at least ``1/ref_n - 2**-53`` apart and
+    ``x`` strictly increases with ``j``. The rounded ``|hyp_pos - x|``
+    changes by that gap less at most ``2**-53``, so for any ``ref_n``
+    below ``2**51`` it strictly decreases while ``x < hyp_pos`` and
+    strictly increases from there on. The smallest key left of the
+    insertion point is therefore its left neighbour, and right of it its
+    right neighbour; a tie between the two goes to the smaller ``j``.
     """
     free = _positions(ref)
     hyp_n, ref_n = len(hyp), len(ref)
+
+    def ref_pos(j: int) -> float:
+        return (j + 1) / ref_n
+
     total_diff = 0.0
     matches = 0
     for i, word in enumerate(hyp):
@@ -419,13 +433,16 @@ def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
         if not slots:
             continue
         hyp_pos = (i + 1) / hyp_n
-        if len(slots) == 1:
-            j = slots.pop()
-        else:
-            j = min(slots, key=lambda j: (abs(hyp_pos - (j + 1) / ref_n), j))
-            slots.remove(j)
+        k = 0
+        if len(slots) > 1:
+            k = bisect_left(slots, hyp_pos, key=ref_pos)
+            if k == len(slots) or (
+                k > 0 and hyp_pos - ref_pos(slots[k - 1]) <= ref_pos(slots[k]) - hyp_pos
+            ):
+                k -= 1
+        j = slots.pop(k)
         matches += 1
-        total_diff += abs(hyp_pos - (j + 1) / ref_n)
+        total_diff += abs(hyp_pos - ref_pos(j))
     return total_diff, matches
 
 

@@ -44,6 +44,17 @@ def random_corpus(
     return corpus_of(*rows)
 
 
+# A 2,000-token line of distinct words, and the same line with the five
+# words at 105-109 moved in front of those at 100-104.
+_LONG_WORDS = [f"w{i}" for i in range(2000)]
+LONG_LINE = " ".join(_LONG_WORDS)
+LONG_MOVED_LINE = " ".join(
+    _LONG_WORDS[:100] + _LONG_WORDS[105:110] + _LONG_WORDS[100:105] + _LONG_WORDS[110:]
+)
+# Empty lines on either side and one-token lines.
+EDGE_LINES = [("", "a b"), ("a b", ""), ("", ""), ("a", "a"), ("a", "b")]
+
+
 @st.composite
 def small_corpora(draw, alphabet: str = "abc", max_pairs: int = 4, max_len: int = 12):
     """Corpora of 1-``max_pairs`` pairs and 1-3 references per pair over a
@@ -276,6 +287,33 @@ def oracle_position_alignment(hyp, ref):
         hyp_pos = (i + 1) / hyp_n
         j = min(free, key=lambda j: (abs(hyp_pos - (j + 1) / ref_n), j))
         consumed[j] = True
+        matches += 1
+        total_diff += abs(hyp_pos - (j + 1) / ref_n)
+    return total_diff, matches
+
+
+# --- Oracle: LEPOR's alignment as it stood when each token ran ``min`` over
+# its word's free positions. Copied unchanged (apart from the name) from
+# ``mteval.refmetrics._position_alignment``.
+
+
+def oracle_min_free_position_alignment(hyp, ref):
+    free = {}
+    for j, word in enumerate(ref):
+        free.setdefault(word, []).append(j)
+    hyp_n, ref_n = len(hyp), len(ref)
+    total_diff = 0.0
+    matches = 0
+    for i, word in enumerate(hyp):
+        slots = free.get(word)
+        if not slots:
+            continue
+        hyp_pos = (i + 1) / hyp_n
+        if len(slots) == 1:
+            j = slots.pop()
+        else:
+            j = min(slots, key=lambda j: (abs(hyp_pos - (j + 1) / ref_n), j))
+            slots.remove(j)
         matches += 1
         total_diff += abs(hyp_pos - (j + 1) / ref_n)
     return total_diff, matches

@@ -13,7 +13,7 @@ from mteval import (
     effective_reference_length,
 )
 from mteval.errors import EmptyCorpusError
-from helpers import corpus_of, random_corpus
+from helpers import EDGE_LINES, LONG_LINE, LONG_MOVED_LINE, corpus_of, random_corpus
 
 VOCAB = list("abcdefg")
 
@@ -114,6 +114,26 @@ class TestBleuScore:
         score = bleu_score(corpus, BleuConfig(max_order=2))
         assert 0.0 <= score.corpus_score <= 1.0
 
+
+
+class TestEdgeLines:
+    # An empty line matches nothing and a one-token line has no n-gram above
+    # order 1, so without smoothing BLEU-4 reads zero on every one of them.
+    @pytest.mark.parametrize("line, bleu1", zip(EDGE_LINES, [0.0, 0.0, 0.0, 1.0, 0.0]))
+    def test_empty_and_one_token_lines(self, line, bleu1):
+        corpus = corpus_of(line)
+        for cfg, expected in ((BleuConfig(), 0.0), (BleuConfig(max_order=1), bleu1)):
+            result = bleu_score(corpus, cfg)
+            assert (result.corpus_score, result.per_sentence) == (expected, [expected])
+
+    def test_long_pair(self):
+        assert bleu_score(corpus_of((LONG_LINE, LONG_LINE))).corpus_score == 1.0
+        moved = bleu_score(corpus_of((LONG_MOVED_LINE, LONG_LINE))).corpus_score
+        # each of the three boundaries of the moved block breaks n-1 n-grams
+        log_precisions = [
+            math.log((2001 - n - 3 * (n - 1)) / (2001 - n)) for n in range(1, 5)
+        ]
+        assert moved == pytest.approx(math.exp(sum(log_precisions) / 4), rel=1e-12)
 
 class TestBleuConfig:
     def test_uniform_default_weights(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mteval
+from mteval import cli
 from mteval.cli import main, read_score_table
 from mteval.errors import TableFormatError
 
@@ -45,6 +46,20 @@ def strict_json(output: str):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     return json.loads(output, parse_constant=reject)
+
+
+ALL_METRICS = ("ebleu", "bleu", "nist", "ter", "meteor", "lepor", "ribes")
+
+
+@pytest.fixture
+def two_pair_files(tmp_path):
+    hyp = tmp_path / "hyp2.txt"
+    ref = tmp_path / "ref2.txt"
+    lex = tmp_path / "syn2.txt"
+    hyp.write_text("this is a exam\nthe cat sat on mat the\n", encoding="utf-8")
+    ref.write_text("this is a quiz\nthe cat sat on the mat\n", encoding="utf-8")
+    lex.write_text("exam, test, quiz, examination\n", encoding="utf-8")
+    return hyp, ref, lex
 
 
 def tsv_scores(output: str) -> dict[str, float]:
@@ -131,23 +146,31 @@ class TestScoreCommand:
         assert payload["metrics"]["lepor"]["score"] == pytest.approx(1.0)
         assert payload["corpus"]["pairs"] == 1
 
-    def test_tsv_is_json_times_100_except_nist(self, capsys, exam_files):
-        hyp, ref, lex = exam_files
+    def test_tsv_is_json_times_100_except_nist(self, capsys, two_pair_files):
+        hyp, ref, lex = two_pair_files
         args = (
             "score",
-            "--metric", "bleu", "--metric", "nist", "--metric", "meteor",
+            *(arg for name in ALL_METRICS for arg in ("--metric", name)),
             "--hyp", str(hyp), "--ref", str(ref), "--lexicon", str(lex),
-            "--max-ngram", "1",
+            "--max-ngram", "2", "--per-sentence",
         )
         code, tsv_out = run_cli(capsys, *args)
         assert code == 0
         code, json_out = run_cli(capsys, *args, "--format", "json")
         assert code == 0
-        raw = {k: v["score"] for k, v in json.loads(json_out)["metrics"].items()}
-        shown = tsv_scores(tsv_out)
-        assert shown["BLEU"] == round(100 * raw["bleu"], 2)
-        assert shown["METEOR"] == round(100 * raw["meteor"], 2)
-        assert shown["NIST"] == round(raw["nist"], 2)
+        lines = tsv_out.splitlines()
+        marker = lines.index("# per-sentence")
+        header, corpus_row = [ln for ln in lines[:marker] if not ln.startswith("#")]
+        assert header.split("\t") == [name.upper() for name in ALL_METRICS]
+        shown = [row.split("\t") for row in [corpus_row, *lines[marker + 1 :]]]
+        assert len(shown) == 3
+        raw = json.loads(json_out)["metrics"]
+        for col, name in enumerate(ALL_METRICS):
+            scale = 1 if name == "nist" else 100
+            expected = [raw[name]["score"], *raw[name]["per_sentence"]]
+            assert [float(row[col]) for row in shown] == [
+                round(scale * value, 2) for value in expected
+            ]
 
     def test_per_sentence_rows(self, capsys, tmp_path):
         hyp = tmp_path / "hyp.txt"
@@ -261,12 +284,46 @@ class TestScoreCommand:
             main(["score", "--metric", "bogus", "--hyp", str(hyp), "--ref", str(ref)])
         assert exc.value.code == 2
 
-    def test_ebleu_without_lexicon_is_usage_error(self, capsys, identical_files):
+    @pytest.mark.parametrize("metric", ["ebleu", "meteor"])
+    def test_ebleu_without_lexicon_is_usage_error(
+        self, capsys, identical_files, metric
+    ):
         hyp, ref = identical_files
         code = main(
-            ["score", "--metric", "ebleu", "--hyp", str(hyp), "--ref", str(ref)]
+            ["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref)]
         )
         assert code == 2
+        assert "--lexicon is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("per_sentence", [False, True])
+    def test_scorers_are_looked_up_when_called(
+        self, monkeypatch, tmp_path, two_pair_files, per_sentence
+    ):
+        # The benchmark's trace swaps these module attributes for timing
+        # wrappers, so every call must go through them, and NIST, TER,
+        # METEOR, LEPOR and RIBES must score each pair by a one-pair call.
+        calls = {}
+        for name in ALL_METRICS:
+            scorer = getattr(cli, f"{name}_score")
+
+            def counting(corpus, *rest, scorer=scorer, name=name):
+                calls.setdefault(name, []).append(len(corpus))
+                return scorer(corpus, *rest)
+
+            monkeypatch.setattr(cli, f"{name}_score", counting)
+        hyp, ref, lex = two_pair_files
+        code = main(
+            ["score", *(arg for name in ALL_METRICS for arg in ("--metric", name)),
+             "--hyp", str(hyp), "--ref", str(ref), "--lexicon", str(lex),
+             "--out", str(tmp_path / "out.tsv")]
+            + (["--per-sentence"] if per_sentence else [])
+        )
+        assert code == 0
+        one_pair_calls = [1, 1] if per_sentence else []
+        assert calls == {
+            name: [2] + ([] if name in ("bleu", "ebleu") else one_pair_calls)
+            for name in ALL_METRICS
+        }
 
     def test_bad_config_value_is_usage_error(self, capsys, identical_files):
         hyp, ref = identical_files
@@ -403,13 +460,15 @@ def test_module_entry_point(tmp_path):
     ref = tmp_path / "ref.txt"
     hyp.write_text("a b\n", encoding="utf-8")
     ref.write_text("a b\n", encoding="utf-8")
+    src = Path(mteval.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "mteval", "score", "--metric", "bleu",
          "--max-ngram", "2", "--hyp", str(hyp), "--ref", str(ref)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "100.00" in proc.stdout
 
 

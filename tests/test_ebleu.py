@@ -22,6 +22,9 @@ from mteval import (
 from mteval.ebleu import _order_stats
 from mteval.errors import EmptyCorpusError, OrderMismatchError
 from helpers import (
+    EDGE_LINES,
+    LONG_LINE,
+    LONG_MOVED_LINE,
     corpus_of,
     oracle_ebleu_order_stats,
     pair_of,
@@ -375,3 +378,22 @@ class TestEbleuScore:
             assert 0.0 <= c <= 1.0
         for s in score.per_sentence:
             assert 0.0 <= s <= 1.0
+
+
+class TestEdgeLines:
+    # As BLEU, with the one-token synonym scoring the synonym weight.
+    @pytest.mark.parametrize("line, ebleu1", zip(EDGE_LINES, [0.0, 0.0, 0.0, 1.0, 0.9]))
+    def test_empty_and_one_token_lines(self, line, ebleu1):
+        corpus = corpus_of(line)
+        for max_order, expected in ((4, 0.0), (1, ebleu1)):
+            cfg = EbleuConfig(max_order=max_order, rare_words_score=1.0)
+            result = ebleu_score(corpus, PAIRED_LEXICON, cfg)
+            assert (result.corpus_score, result.per_sentence) == (expected, [expected])
+
+    def test_long_pair(self):
+        same = corpus_of((LONG_LINE, LONG_LINE))
+        assert ebleu_score(same, PAIRED_LEXICON).corpus_score == 1.0
+        moved = corpus_of((LONG_MOVED_LINE, LONG_LINE))
+        cfg = EbleuConfig()
+        rare = build_rare_word_set(moved.all_references(), cfg.rare_words_percent)
+        assert_order_stats_match_oracle(moved, PAIRED_LEXICON, rare, cfg)

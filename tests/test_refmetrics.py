@@ -32,10 +32,14 @@ from mteval.refmetrics import (
 )
 from mteval import EvalPair, ParallelCorpus
 from helpers import (
+    EDGE_LINES,
+    LONG_LINE,
+    LONG_MOVED_LINE,
     block_moved_pair,
     corpus_of,
     oracle_align_unigrams,
     oracle_kendall_tau,
+    oracle_min_free_position_alignment,
     oracle_nist_score,
     oracle_order_alignment,
     oracle_position_alignment,
@@ -150,6 +154,19 @@ class TestNist:
         corpus = random_corpus(rng, list("abcdefgh"), max_pairs=40, max_len=30)
         assert nist_score(corpus) == oracle_nist_score(corpus)
 
+    # A lone reference token carries no information: log2(1/1) = 0.
+    @pytest.mark.parametrize("line", EDGE_LINES)
+    def test_empty_and_one_token_lines(self, line):
+        corpus = corpus_of(line)
+        assert nist_score(corpus) == oracle_nist_score(corpus) == 0.0
+
+    def test_long_pair(self):
+        same = corpus_of((LONG_LINE, LONG_LINE))
+        # every unigram weighs log2(2000/1); higher orders weigh zero
+        assert nist_score(same) == pytest.approx(math.log2(2000), rel=1e-12)
+        for corpus in (same, corpus_of((LONG_MOVED_LINE, LONG_LINE))):
+            assert nist_score(corpus) == oracle_nist_score(corpus)
+
 
 # --- TER ---------------------------------------------------------------------
 
@@ -180,6 +197,21 @@ class TestTer:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             ter_score(ParallelCorpus(pairs=(), ref_count=1))
+
+    # Deleting or inserting every word costs one edit per word, and an
+    # empty hypothesis against an empty reference needs none; a non-empty
+    # hypothesis against empty references is undefined.
+    @pytest.mark.parametrize(
+        "line, ter", zip(EDGE_LINES, [1.0, math.inf, 0.0, 0.0, 1.0])
+    )
+    def test_empty_and_one_token_lines(self, line, ter):
+        assert ter_score(corpus_of(line)) == ter
+
+    # Distinct words, not a small repeated vocabulary: on those the shift
+    # search has no useful bound on its running time.
+    def test_long_pair(self):
+        assert ter_score(corpus_of((LONG_LINE, LONG_LINE))) == 0.0
+        assert ter_score(corpus_of((LONG_MOVED_LINE, LONG_LINE))) == 1 / 2000
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -502,6 +534,7 @@ def lexicons(draw):
 
 def check_alignments(hyp, ref, lexicon):
     assert _align_unigrams(hyp, ref, lexicon) == oracle_align_unigrams(hyp, ref, lexicon)
+    assert _position_alignment(hyp, ref) == oracle_min_free_position_alignment(hyp, ref)
     assert _position_alignment(hyp, ref) == oracle_position_alignment(hyp, ref)
     aligned = _order_alignment(hyp, ref)
     assert aligned == oracle_order_alignment(hyp, ref)
@@ -524,6 +557,7 @@ _EDGE_PAIRS = {
         tuple(_LONG.choice("ab") for _ in range(2000)),
     ),
 }
+_TWO_WORD_LINE = st.lists(st.sampled_from("ab"), max_size=80).map(tuple)
 _AB_SYNONYMS = SynonymLexicon(entries={"a": frozenset("b"), "b": frozenset("a")})
 
 
@@ -540,6 +574,15 @@ class TestAlignmentOracles:
     def test_scores_equal_scanning_the_reference(self, corpus, lexicon):
         assert alignment_scores(corpus, lexicon) == oracle_alignment_scores(
             corpus, lexicon
+        )
+
+    @settings(deadline=None, max_examples=300)
+    @given(_TWO_WORD_LINE, _TWO_WORD_LINE)
+    def test_nearest_free_position_on_long_two_word_lines(self, hyp, ref):
+        # Lines of different lengths over two words put many free positions
+        # at equal distances on both sides of a token.
+        assert _position_alignment(hyp, ref) == oracle_min_free_position_alignment(
+            hyp, ref
         )
 
     @settings(deadline=None, max_examples=200)

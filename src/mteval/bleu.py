@@ -23,8 +23,8 @@ class BleuConfig:
     """Maximum n-gram order, per-order weights, and optional smoothing.
 
     ``weights`` defaults to uniform 1/N. A positive ``smoothing_epsilon``
-    replaces a zero pooled precision with ``epsilon / hypothesis n-gram
-    total`` instead of zeroing the whole score.
+    floors a zero pooled precision at ``epsilon / t``, t the hypothesis
+    n-gram total, but an order with no n-grams (t = 0) still zeroes the score.
     """
 
     max_order: int = 4

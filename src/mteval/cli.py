@@ -237,85 +237,55 @@ def cmd_score(args: argparse.Namespace) -> int:
 # correlate
 
 
-def _triangular(matrix) -> list[list[float]]:
-    return [[cell.coefficient for cell in row] for row in matrix]
-
-
-def _triangular_p(matrix) -> list[list[float | None]]:
-    return [[cell.two_tailed_p for cell in row] for row in matrix]
+def _lambda_cell(row_cats: list[int], col_cats: list[int], bins: int):
+    try:
+        table = ContingencyTable.from_categories(row_cats, col_cats, bins)
+        return goodman_kruskal_lambda(table)
+    except DegenerateTableError:
+        return None, None
 
 
 def _lambda_matrices(
     table: ScoreTable, bins: int
 ) -> tuple[list[list[float | None]], list[list[float | None]]]:
-    """lambda(column metric | row metric) for every ordered pair."""
-    categories = [
-        discretize(table.column_at(j), bins) for j in range(len(table.metric_names))
-    ]
-    values: list[list[float | None]] = []
-    variances: list[list[float | None]] = []
-    for row_cats in categories:
-        value_row: list[float | None] = []
-        variance_row: list[float | None] = []
-        for col_cats in categories:
-            contingency = ContingencyTable.from_categories(row_cats, col_cats, bins)
-            try:
-                lam, var = goodman_kruskal_lambda(contingency)
-            except DegenerateTableError:
-                lam, var = None, None
-            value_row.append(lam)
-            variance_row.append(var)
-        values.append(value_row)
-        variances.append(variance_row)
-    return values, variances
-
-
-def _matrix_block(title: str, names: tuple[str, ...], rows) -> list[str]:
-    lines = [f"# {title}", "\t" + "\t".join(names)]
-    for name, row in zip(names, rows):
-        cells = ["nan" if v is None else f"{v:.4f}" for v in row]
-        lines.append(name + "\t" + "\t".join(cells))
-    return lines
+    """lambda(column metric | row metric) and its variance for every ordered pair."""
+    categories = [discretize(table.column(name), bins) for name in table.metric_names]
+    cells = [[_lambda_cell(r, c, bins) for c in categories] for r in categories]
+    values = [[lam for lam, _ in row] for row in cells]
+    return values, [[var for _, var in row] for row in cells]
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     table = read_score_table(args.table)
+    names = table.metric_names
     kinds = ["pearson", "spearman"] if args.kind == "both" else [args.kind]
     matrices = {kind: correlation_matrix(table, kind) for kind in kinds}
+    # (json key, tsv title, rows), in output order
+    blocks = [
+        (kind, kind, [[cell.coefficient for cell in row] for row in matrix])
+        for kind, matrix in matrices.items()
+    ]
+    if "spearman" in matrices:
+        p_rows = [[cell.two_tailed_p for cell in row] for row in matrices["spearman"]]
+        blocks.append(("spearman_p", "spearman-p", p_rows))
+    if args.gk_lambda:
+        values, variances = _lambda_matrices(table, args.bins)
 
     if args.format == "json":
-        payload: dict = {
-            "table": args.table,
-            "metrics": list(table.metric_names),
-            "rows": len(table.rows),
-        }
-        for kind in kinds:
-            payload[kind] = _triangular(matrices[kind])
-        if "spearman" in kinds:
-            payload["spearman_p"] = _triangular_p(matrices["spearman"])
+        payload = dict(table=args.table, metrics=list(names), rows=len(table.rows))
+        payload.update((key, rows) for key, _, rows in blocks)
         if args.gk_lambda:
-            values, variances = _lambda_matrices(table, args.bins)
-            payload["lambda"] = {
-                "bins": args.bins,
-                "values": values,
-                "variances": variances,
-            }
+            payload["lambda"] = dict(bins=args.bins, values=values, variances=variances)
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        lines: list[str] = []
-        for kind in kinds:
-            lines += _matrix_block(
-                kind, table.metric_names, _triangular(matrices[kind])
-            )
-        if "spearman" in kinds:
-            lines += _matrix_block(
-                "spearman-p", table.metric_names, _triangular_p(matrices["spearman"])
-            )
         if args.gk_lambda:
-            values, _ = _lambda_matrices(table, args.bins)
-            lines += _matrix_block(
-                f"lambda bins={args.bins}", table.metric_names, values
-            )
+            blocks.append(("lambda", f"lambda bins={args.bins}", values))
+        lines: list[str] = []
+        for _, title, rows in blocks:
+            lines += [f"# {title}", "\t" + "\t".join(names)]
+            for name, row in zip(names, rows):
+                cells = ["nan" if v is None else f"{v:.4f}" for v in row]
+                lines.append(name + "\t" + "\t".join(cells))
         text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
     return 0

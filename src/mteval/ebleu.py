@@ -13,8 +13,10 @@ Three enhancements on top of plain n-gram precision:
   ``len_score = min(0, 1 - ref_length / hyp_length)`` penalizes short
   output.
 
-With an empty lexicon and a neutral rare-word bonus the corpus score
-equals uniform-weight BLEU.
+With an empty lexicon, a neutral rare-word bonus and no smoothing, the
+corpus score equals uniform-weight BLEU. Smoothing parts them: EBLEU
+floors a zero order score at epsilon, BLEU at epsilon / t (t the
+hypothesis n-gram total) and not at all where t = 0.
 """
 
 from __future__ import annotations

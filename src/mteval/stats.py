@@ -1,8 +1,10 @@
 """Correlation statistics over metric score tables.
 
 Score-table files and their reader, product-moment correlation, rank
-correlation with tie handling, and the asymmetric Goodman-Kruskal lambda
-association measure for discretized scores.
+correlation with tie handling and its two-tailed Student-t significance
+(a regularized incomplete beta by Lentz's continued fraction: Numerical
+Recipes 6.4, Abramowitz & Stegun 26.5.8 and 26.7.1), and the asymmetric
+Goodman-Kruskal lambda association measure for discretized scores.
 """
 
 from __future__ import annotations
@@ -140,17 +142,63 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _two_tailed_p(coefficient: float, n: int) -> float:
-    # lazy: loading scipy dominates CLI start-up and only this p-value needs it
-    from scipy.stats import t as student_t
+def _log_gamma_ratio(z: float, h: float) -> float:
+    """lgamma(z + h) - lgamma(z); for large z through Stirling's series
+    (Abramowitz & Stegun 6.1.41), as the two lgamma values would cancel."""
+    if z < 50.0:
+        return math.lgamma(z + h) - math.lgamma(z)
+    w, v = 1.0 / (z + h), 1.0 / z
+    series = (w - v) / 12.0 - (w**3 - v**3) / 360.0 + (w**5 - v**5) / 1260.0
+    return (z - 0.5) * math.log1p(h / z) + h * math.log(z + h) - h + series
 
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), given x and y = 1 - x.
+
+    The continued fraction of Abramowitz & Stegun 26.5.8, evaluated by
+    Lentz's method with a zero denominator replaced by a tiny one (Press
+    et al., Numerical Recipes, 6.4). It converges fast for x below
+    (a+1)/(a+b+2); above that, I_x(a, b) = 1 - I_y(b, a). Each logarithm
+    is taken of whichever of x and y keeps its digits.
+    """
+    if x == 0.0:
+        return 0.0
+    if x >= (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(b, a, y, x)
+    f, c, d = 1.0, 1.0, 0.0
+    # fewer than 200 terms for every nu up to 1e8, on either side of the switch
+    for j in range(1, 1000):
+        m = j // 2
+        if j % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / ((1.0 + term * d) or 1e-300)
+        c = (1.0 + term / c) or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) < 3e-16:
+            break
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    log_front = _log_gamma_ratio(max(a, b), min(a, b)) - math.lgamma(min(a, b))
+    return math.exp(log_front + a * log_x + b * log_y) / (a * f)
+
+
+def _two_tailed_p(coefficient: float, n: int) -> float:
+    """P(|T| >= |t|) for t = r*sqrt(nu/(1-r^2)) under Student's t, nu = n-2.
+
+    That is I_x(nu/2, 1/2) at x = nu/(nu + t^2) (Abramowitz & Stegun
+    26.7.1), by Lentz's continued fraction (Numerical Recipes 6.4); x and
+    1 - x = t^2/(nu + t^2) are both formed directly.
+    """
     if n <= 2:
         return 1.0
     denom = 1.0 - coefficient * coefficient
     if denom <= 0.0:
         return 0.0
-    t_stat = coefficient * math.sqrt((n - 2) / denom)
-    return float(2.0 * student_t.sf(abs(t_stat), n - 2))
+    nu = n - 2
+    t2 = coefficient * coefficient * nu / denom
+    return _incomplete_beta(nu / 2.0, 0.5, nu / (nu + t2), t2 / (nu + t2))
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

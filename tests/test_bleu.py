@@ -126,6 +126,12 @@ class TestEdgeLines:
             result = bleu_score(corpus, cfg)
             assert (result.corpus_score, result.per_sentence) == (expected, [expected])
 
+    def test_smoothing_leaves_an_order_without_ngrams_at_zero(self):
+        # "a" has no bigram (t = 0), and smoothing floors only at epsilon / t
+        corpus = corpus_of(("a", "a"), ("b c d e f", "b c d e f"))
+        result = bleu_score(corpus, BleuConfig(smoothing_epsilon=0.1))
+        assert result.per_sentence == [0.0, 1.0]
+
     def test_long_pair(self):
         assert bleu_score(corpus_of((LONG_LINE, LONG_LINE))).corpus_score == 1.0
         moved = bleu_score(corpus_of((LONG_MOVED_LINE, LONG_LINE))).corpus_score

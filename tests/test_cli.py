@@ -472,17 +472,44 @@ def test_module_entry_point(tmp_path):
     assert "100.00" in proc.stdout
 
 
-def test_import_does_not_load_scipy():
+SCIPY_FREE_CHILD = """\
+import runpy, sys
+sys.modules["scipy"] = sys.modules["numpy"] = None  # any import of them fails
+import mteval.cli
+code = 0
+{run}
+print(sorted(name for name, module in sys.modules.items()
+             if module is not None and name.split(".")[0] in ("scipy", "numpy")))
+sys.exit(code)
+"""
+
+
+def test_import_does_not_load_scipy(tmp_path, exam_files, pl_en_table_path):
+    """The import, ``score``, ``correlate`` and the correlation study all run
+    with scipy and numpy blocked, and load no module of either."""
+    hyp, ref, lex = exam_files
+    score = ["score", "--hyp", str(hyp), "--ref", str(ref), "--lexicon", str(lex),
+             "--per-sentence", "--out", str(tmp_path / "scores.tsv")]
+    score += [arg for metric in ALL_METRICS for arg in ("--metric", metric)]
+    correlate = ["correlate", "--table", str(pl_en_table_path), "--kind", "both",
+                 "--lambda", "--bins", "4", "--format", "json",
+                 "--out", str(tmp_path / "correlations.json")]
+    study = Path(__file__).resolve().parents[1] / "scripts" / "run_correlation_study.py"
     src = Path(mteval.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mteval.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for run in (
+        "pass",
+        f"code = mteval.cli.main({score!r})",
+        f"code = mteval.cli.main({correlate!r})",
+        f"runpy.run_path({str(study)!r}, run_name='__main__')",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_CHILD.format(run=run)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, (run, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "[]", run
 
 
 def test_read_score_table_rejects_header_only(tmp_path):

@@ -390,6 +390,15 @@ class TestEdgeLines:
             result = ebleu_score(corpus, PAIRED_LEXICON, cfg)
             assert (result.corpus_score, result.per_sentence) == (expected, [expected])
 
+    def test_smoothing_floors_an_order_without_ngrams(self):
+        # unlike BLEU, which leaves this line at 0.0: orders 2-4 of "a" are
+        # floored at epsilon, so the score is (1 * 0.1**3) ** (1/4)
+        corpus = corpus_of(("a", "a"), ("b c d e f", "b c d e f"))
+        cfg = EbleuConfig(smoothing_epsilon=0.1, rare_words_score=1.0)
+        result = ebleu_score(corpus, SynonymLexicon.empty(), cfg)
+        assert result.per_sentence[0] == pytest.approx(0.1**0.75, rel=1e-12)
+        assert result.per_sentence[1] == 1.0
+
     def test_long_pair(self):
         same = corpus_of((LONG_LINE, LONG_LINE))
         assert ebleu_score(same, PAIRED_LEXICON).corpus_score == 1.0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mteval import (
@@ -21,8 +21,10 @@ from mteval.errors import (
     InsufficientDistinctValuesError,
     LengthMismatchError,
     NonFiniteValueError,
+    TableFormatError,
     ZeroVarianceError,
 )
+from mteval.stats import _two_tailed_p
 
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 VECTORS = st.lists(FLOATS, min_size=3, max_size=30)
@@ -149,6 +151,26 @@ class TestSpearman:
             assert got.coefficient == pytest.approx(oracle.statistic, abs=1e-10)
             assert got.two_tailed_p == pytest.approx(oracle.pvalue, abs=1e-8)
 
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_p_value_matches_closed_forms(self, nu):
+        # The Student-t tail has closed forms for nu = 1 and nu = 2. As r
+        # approaches 1, p falls far below what an absolute tolerance sees.
+        grid = [1e-9, 0.001, 0.1, 0.3, 0.5, 0.7, 0.9]
+        grid += [1.0 - 10.0**-k for k in range(1, 16)]
+        for r in grid + [-r for r in grid]:
+            t = abs(r) * math.sqrt(nu / (1.0 - r * r))
+            if nu == 1:
+                expected = 2.0 / math.pi * math.atan2(1.0, t)
+            else:
+                s = math.sqrt(2.0 + t * t)
+                expected = 2.0 / (s * (s + t))
+            assert _two_tailed_p(r, nu + 2) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_p_value_edge_cases(self):
+        assert _two_tailed_p(0.0, 10) == 1.0
+        assert _two_tailed_p(0.4, 2) == 1.0
+        assert _two_tailed_p(1.0, 10) == _two_tailed_p(-1.0, 10) == 0.0
+
     def test_perfect_correlation_p_is_zero(self):
         assert spearman([1, 2, 3, 4], [1, 2, 3, 4]).two_tailed_p == 0.0
 
@@ -266,3 +288,77 @@ class TestCorrelationMatrix:
     def test_ragged_table_rejected(self):
         with pytest.raises(ValueError):
             ScoreTable(metric_names=("a", "b"), rows=((1.0,),))
+
+
+# Score-table files drawn from their structure: header names (one may be
+# duplicated), rows of finite numbers or of bad cells, ragged or not,
+# interleaved comment and blank lines, mixed separators and line ends, and
+# an optional byte order mark.
+NAME = st.text(alphabet="abXY_1é", min_size=1, max_size=4)
+GOOD_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: (repr(v), v)),
+    st.integers(-999, 999).map(lambda v: (str(v), float(v))),
+)
+BAD_CELL = st.sampled_from(
+    ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "x", "1.2.3", "--", "0x10"]
+).map(lambda cell: (cell, None))
+FILLER = st.sampled_from(["", "   ", "\t", "#", "# comment", "  # 1 2 3"])
+
+
+@st.composite
+def table_files(draw) -> tuple[str, ScoreTable | None]:
+    """File text and the table it holds, or None where it holds no valid table."""
+    names = draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
+    valid = True
+    if draw(st.booleans()) and draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(names)))
+        valid = False
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        defect = draw(st.sampled_from(["none", "none", "none", "ragged", "bad cell"]))
+        width = len(names)
+        if defect == "ragged":
+            width = draw(st.sampled_from([width + 1, max(1, width - 1)]))
+        cells = draw(st.lists(GOOD_CELL, min_size=width, max_size=width))
+        if defect == "bad cell":
+            cells[draw(st.integers(0, width - 1))] = draw(BAD_CELL)
+        valid &= width == len(names) and all(v is not None for _, v in cells)
+        rows.append(cells)
+    valid &= bool(rows)
+    lines = [names] + [[text for text, _ in row] for row in rows]
+    lines = [
+        draw(st.sampled_from(["", " ", "\t"]))
+        + draw(st.sampled_from(["\t", " ", "  ", " \t "])).join(line)
+        for line in lines
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(FILLER))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    table = ScoreTable(
+        metric_names=tuple(names),
+        rows=tuple(tuple(v for _, v in row) for row in rows),
+    ) if valid else None
+    return text, table
+
+
+class TestScoreTableReader:
+    @settings(
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=table_files())
+    def test_drawn_tables_read_back_or_raise_table_format_error(self, tmp_path, drawn):
+        text, expected = drawn
+        path = tmp_path / "table.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        if expected is None:
+            with pytest.raises(TableFormatError):
+                read_score_table(path)
+        else:
+            assert read_score_table(path) == expected

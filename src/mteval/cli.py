@@ -249,7 +249,8 @@ def _lambda_matrices(
     table: ScoreTable, bins: int
 ) -> tuple[list[list[float | None]], list[list[float | None]]]:
     """lambda(column metric | row metric) and its variance for every ordered pair."""
-    categories = [discretize(table.column(name), bins) for name in table.metric_names]
+    columns = map(table.column_at, range(len(table.metric_names)))
+    categories = [discretize(column, bins) for column in columns]
     cells = [[_lambda_cell(r, c, bins) for c in categories] for r in categories]
     values = [[lam for lam, _ in row] for row in cells]
     return values, [[var for _, var in row] for row in cells]
@@ -260,28 +261,26 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     names = table.metric_names
     kinds = ["pearson", "spearman"] if args.kind == "both" else [args.kind]
     matrices = {kind: correlation_matrix(table, kind) for kind in kinds}
-    # (json key, tsv title, rows), in output order
-    blocks = [
-        (kind, kind, [[cell.coefficient for cell in row] for row in matrix])
-        for kind, matrix in matrices.items()
-    ]
+    # (json key, json value, tsv title, tsv rows), in output order
+    blocks = []
+    for kind, matrix in matrices.items():
+        rows = [[cell.coefficient for cell in row] for row in matrix]
+        blocks.append((kind, rows, kind, rows))
     if "spearman" in matrices:
         p_rows = [[cell.two_tailed_p for cell in row] for row in matrices["spearman"]]
-        blocks.append(("spearman_p", "spearman-p", p_rows))
+        blocks.append(("spearman_p", p_rows, "spearman-p", p_rows))
     if args.gk_lambda:
         values, variances = _lambda_matrices(table, args.bins)
+        lam = dict(bins=args.bins, values=values, variances=variances)
+        blocks.append(("lambda", lam, f"lambda bins={args.bins}", values))
 
     if args.format == "json":
         payload = dict(table=args.table, metrics=list(names), rows=len(table.rows))
-        payload.update((key, rows) for key, _, rows in blocks)
-        if args.gk_lambda:
-            payload["lambda"] = dict(bins=args.bins, values=values, variances=variances)
+        payload.update((key, value) for key, value, _, _ in blocks)
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        if args.gk_lambda:
-            blocks.append(("lambda", f"lambda bins={args.bins}", values))
         lines: list[str] = []
-        for _, title, rows in blocks:
+        for _, _, title, rows in blocks:
             lines += [f"# {title}", "\t" + "\t".join(names)]
             for name, row in zip(names, rows):
                 cells = ["nan" if v is None else f"{v:.4f}" for v in row]

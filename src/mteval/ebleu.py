@@ -14,9 +14,8 @@ Three enhancements on top of plain n-gram precision:
   output.
 
 With an empty lexicon, a neutral rare-word bonus and no smoothing, the
-corpus score equals uniform-weight BLEU. Smoothing parts them: EBLEU
-floors a zero order score at epsilon, BLEU at epsilon / t (t the
-hypothesis n-gram total) and not at all where t = 0.
+corpus score equals uniform-weight BLEU. Smoothing floors a zero order
+score at epsilon; BLEU floors a zero precision at epsilon / t, or not at t = 0.
 """
 
 from __future__ import annotations

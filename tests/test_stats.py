@@ -166,6 +166,20 @@ class TestSpearman:
                 expected = 2.0 / (s * (s + t))
             assert _two_tailed_p(r, nu + 2) == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_p_value_where_x_falls_on_the_switch(self):
+        # r = 0.5 at n = 9 gives x = 3/4 and 1 - x = 1/4 exactly, the
+        # switch points of both I_x(7/2, 1/2) and I_{1-x}(1/2, 7/2).
+        got = spearman(range(1, 10), [6, 3, 2, 4, 5, 1, 9, 8, 7])
+        assert got.coefficient == 0.5
+        oracle = 2.0 * scipy.stats.t.sf(math.sqrt(7.0 / 3.0), 7)
+        assert got.two_tailed_p == pytest.approx(oracle, rel=1e-12)
+        # r^2 = 3/(n+3) puts x on the switch for every n in exact arithmetic
+        for n in range(3, 200):
+            r = math.sqrt(3.0 / (n + 3))
+            t = r * math.sqrt((n - 2) / (1.0 - r * r))
+            oracle = 2.0 * scipy.stats.t.sf(t, n - 2)
+            assert _two_tailed_p(r, n) == pytest.approx(oracle, rel=1e-11)
+
     def test_p_value_edge_cases(self):
         assert _two_tailed_p(0.0, 10) == 1.0
         assert _two_tailed_p(0.4, 2) == 1.0

@@ -7,9 +7,9 @@ and ``report`` concatenates score tables into one table for
 
 ``score`` takes its metrics from one table, ``METRICS``: each entry
 holds the column label, the tsv scale, whether the metric needs the
-synonym lexicon, and how to run it. BLEU and EBLEU return their own
-per-sentence scores; the per-sentence score of NIST, TER, METEOR, LEPOR
-and RIBES is the metric run on a one-pair corpus.
+synonym lexicon, and how to run it. Each metric runs once per ``score``
+invocation; with ``--per-sentence`` its per-sentence scores come from
+that same corpus pass.
 
 Exit codes: 0 success, 1 data error, 2 usage error. Output is fully
 deterministic; identical inputs produce byte-identical output. In tsv
@@ -79,30 +79,38 @@ def _json_score(value: float) -> float | None:
 class Metric(NamedTuple):
     """How ``score`` runs one metric and shows its result.
 
-    ``run(corpus, lexicon, args)`` returns ``(score, per_sentence or None,
-    details or None)``. It calls its scorer by this module's global name,
-    so the scorer is looked up when the metric runs, not when the table
-    is built. A metric whose ``run`` gives no per-sentence list is scored
-    per sentence by that same ``run`` on one-pair corpora.
+    ``run(corpus, lexicon, args, per_sentence)`` returns ``(score,
+    details or None)``; when ``per_sentence`` is a list, it appends each
+    pair's score to it, in corpus order, from the same corpus pass. It
+    calls its scorer once, by this module's global name, so the scorer
+    is looked up when the metric runs, not when the table is built.
     """
 
     label: str
     scale: int  # tsv cells show the score times this
     needs_lexicon: bool
     run: Callable[
-        [ParallelCorpus, SynonymLexicon, argparse.Namespace],
-        tuple[float, list[float] | None, dict | None],
+        [ParallelCorpus, SynonymLexicon, argparse.Namespace, list[float] | None],
+        tuple[float, dict | None],
     ]
 
 
-def _run_bleu(corpus, lexicon, args):
+def _bleu_style(result, per_sentence):
+    """``(score, details)`` of a BLEU or EBLEU result, its per-sentence
+    scores appended to ``per_sentence`` when that is a list."""
+    if per_sentence is not None:
+        per_sentence += result.per_sentence
+    return result.corpus_score, result.details
+
+
+def _run_bleu(corpus, lexicon, args, per_sentence):
     result = bleu_score(
         corpus, BleuConfig(max_order=args.max_ngram, smoothing_epsilon=args.epsilon)
     )
-    return result.corpus_score, result.per_sentence, result.details
+    return _bleu_style(result, per_sentence)
 
 
-def _run_ebleu(corpus, lexicon, args):
+def _run_ebleu(corpus, lexicon, args, per_sentence):
     cfg = EbleuConfig(
         max_order=args.max_ngram,
         synonym_score=args.synonym_score,
@@ -111,14 +119,13 @@ def _run_ebleu(corpus, lexicon, args):
         smoothing_epsilon=args.epsilon,
     )
     result = ebleu_score(corpus, lexicon, cfg)
-    return result.corpus_score, result.per_sentence, result.details
+    return _bleu_style(result, per_sentence)
 
 
-def _run_meteor(corpus, lexicon, args):
-    # A shallow copy of the flat result, in field order; ``asdict`` would
-    # deep-copy it, at 15 times the cost, on every one-pair call.
-    details = dict(vars(meteor_score(corpus, lexicon)))
-    return details.pop("score"), None, details
+def _run_meteor(corpus, lexicon, args, per_sentence):
+    # A shallow copy of the flat result, in field order.
+    details = dict(vars(meteor_score(corpus, lexicon, per_sentence=per_sentence)))
+    return details.pop("score"), details
 
 
 # NIST is unbounded and reported on its own scale; everything else is a
@@ -126,11 +133,19 @@ def _run_meteor(corpus, lexicon, args):
 METRICS = {
     "ebleu": Metric("EBLEU", 100, True, _run_ebleu),
     "bleu": Metric("BLEU", 100, False, _run_bleu),
-    "nist": Metric("NIST", 1, False, lambda c, *_: (nist_score(c), None, None)),
-    "ter": Metric("TER", 100, False, lambda c, *_: (ter_score(c), None, None)),
+    "nist": Metric(
+        "NIST", 1, False, lambda c, _, __, s: (nist_score(c, per_sentence=s), None)
+    ),
+    "ter": Metric(
+        "TER", 100, False, lambda c, _, __, s: (ter_score(c, per_sentence=s), None)
+    ),
     "meteor": Metric("METEOR", 100, True, _run_meteor),
-    "lepor": Metric("LEPOR", 100, False, lambda c, *_: (lepor_score(c), None, None)),
-    "ribes": Metric("RIBES", 100, False, lambda c, *_: (ribes_score(c), None, None)),
+    "lepor": Metric(
+        "LEPOR", 100, False, lambda c, _, __, s: (lepor_score(c, per_sentence=s), None)
+    ),
+    "ribes": Metric(
+        "RIBES", 100, False, lambda c, _, __, s: (ribes_score(c, per_sentence=s), None)
+    ),
 }
 
 
@@ -140,11 +155,8 @@ def _run_metric(
     lexicon: SynonymLexicon,
     args: argparse.Namespace,
 ) -> tuple[float, list[float] | None, dict | None]:
-    run = METRICS[name].run
-    score, per_sentence, details = run(corpus, lexicon, args)
-    if args.per_sentence and per_sentence is None:
-        one_pair = (ParallelCorpus((pair,), corpus.ref_count) for pair in corpus.pairs)
-        per_sentence = [run(sub, lexicon, args)[0] for sub in one_pair]
+    per_sentence = [] if args.per_sentence else None
+    score, details = METRICS[name].run(corpus, lexicon, args, per_sentence)
     return score, per_sentence, details
 
 

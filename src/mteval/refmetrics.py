@@ -2,7 +2,8 @@
 
 Faithful reimplementations of the published formulas, not bug-for-bug
 ports of the original tools. Scoring is pure per pair; corpus reduction
-is a sum or mean.
+is a sum or mean. Given a ``per_sentence`` list, each scorer also
+appends every pair's own score to it from the same pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,62 @@ from .ngram import NGram, max_ref_counts, window_counts, windows
 # NIST
 
 
-def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
+def _average_length(references: Sequence[TokenSeq]) -> float:
+    return sum(len(ref) for ref in references) / len(references)
+
+
+def _nist_information(
+    matches: list[list[tuple[NGram, int]]], references: Sequence[TokenSeq]
+) -> list[float]:
+    """Matched information per order of ``matches`` against ``references``.
+
+    ``matches[n]`` holds (n-gram, clipped count) pairs in scoring order.
+    Reference counts are pooled for the matched n-grams only, and each
+    match adds ``m * log2(count(prefix) / count(n-gram))`` in that order.
+    """
+    max_order = len(matches) - 1
+    # The prefix w1..wn-1 of a matched n-gram occurs in the same
+    # hypothesis and reference, so it is a matched (n-1)-gram itself and
+    # every count the information weights divide by is pooled.
+    needed = {gram for order in matches for gram, _ in order}
+    ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
+    total_ref_tokens = 0
+    for ref in references:
+        total_ref_tokens += len(ref)
+        for n in range(1, max_order + 1):
+            ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
+
+    matched_info = [0.0] * (max_order + 1)
+    for n in range(1, max_order + 1):
+        counts = ref_counts[n]
+        prefix_counts = ref_counts[n - 1]
+        for gram, m in matches[n]:
+            numer = total_ref_tokens if n == 1 else prefix_counts[gram[:-1]]
+            matched_info[n] += m * math.log2(numer / counts[gram])
+    return matched_info
+
+
+def _nist_formula(
+    matched_info: list[float], hyp_totals: list[int], hyp_len: int, avg_ref_len: float
+) -> float:
+    if hyp_len == 0 or avg_ref_len == 0.0:
+        return 0.0
+    score = sum(
+        info / total
+        for info, total in zip(matched_info[1:], hyp_totals[1:])
+        if total > 0
+    )
+    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+    ratio = min(hyp_len / avg_ref_len, 1.0)
+    return score * math.exp(beta * math.log(ratio) ** 2)
+
+
+def nist_score(
+    corpus: ParallelCorpus,
+    max_order: int = 5,
+    *,
+    per_sentence: list[float] | None = None,
+) -> float:
     """Information-weighted n-gram co-occurrence score.
 
     A matched n-gram w1..wn carries log2(count(w1..wn-1) / count(w1..wn))
@@ -35,10 +91,16 @@ def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
 
     Two passes. The first clips each pair's hypothesis n-grams against
     its references and records every match as (n-gram, clipped count)
-    in scoring order. The second pools reference counts for the matched
-    n-grams only, then sums the information of the recorded matches in
-    that same order, so scores are those of pooling every reference
-    n-gram, bit for bit.
+    in scoring order. The second (``_nist_information``) pools reference
+    counts for the matched n-grams only, then sums the information of
+    the recorded matches in that same order, so scores are those of
+    pooling every reference n-gram, bit for bit.
+
+    When ``per_sentence`` is a list, each pair's score is appended to it
+    in corpus order. A pair's information weights are its own, pooled
+    over its own references only, so the second pass also runs once per
+    pair, on the matches the first pass has just recorded for it; each
+    value equals ``nist_score`` of the one-pair corpus, bit for bit.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
@@ -47,46 +109,27 @@ def nist_score(corpus: ParallelCorpus, max_order: int = 5) -> float:
     hyp_len = 0
     avg_ref_len = 0.0
     for pair in corpus.pairs:
+        starts = [len(order) for order in matches]
+        totals = [max(0, len(pair.hypothesis) - n + 1) for n in range(max_order + 1)]
+        ref_len = _average_length(pair.references)
         hyp_len += len(pair.hypothesis)
-        avg_ref_len += sum(len(ref) for ref in pair.references) / len(pair.references)
+        avg_ref_len += ref_len
         for n in range(1, max_order + 1):
-            hyp_totals[n] += max(0, len(pair.hypothesis) - n + 1)
+            hyp_totals[n] += totals[n]
             best = max_ref_counts(pair.references, n).get
             record = matches[n].append
             for gram, count in window_counts(pair.hypothesis, n).items():
                 m = min(count, best(gram, 0))
                 if m:
                     record((gram, m))
-
-    # The prefix w1..wn-1 of a matched n-gram occurs in the same
-    # hypothesis and reference, so it is a matched (n-1)-gram itself and
-    # every count the information weights divide by is pooled.
-    needed = {gram for order in matches for gram, _ in order}
-    ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
-    total_ref_tokens = 0
-    for ref in corpus.all_references():
-        total_ref_tokens += len(ref)
-        for n in range(1, max_order + 1):
-            ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
-
-    matched_info = [0.0] * (max_order + 1)
-    for n in range(1, max_order + 1):
-        counts = ref_counts[n]
-        prefix_counts = ref_counts[n - 1]
-        for gram, m in matches[n]:
-            numer = total_ref_tokens if n == 1 else prefix_counts[gram[:-1]]
-            matched_info[n] += m * math.log2(numer / counts[gram])
-
-    if hyp_len == 0 or avg_ref_len == 0.0:
-        return 0.0
-    score = sum(
-        matched_info[n] / hyp_totals[n]
-        for n in range(1, max_order + 1)
-        if hyp_totals[n] > 0
-    )
-    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
-    ratio = min(hyp_len / avg_ref_len, 1.0)
-    return score * math.exp(beta * math.log(ratio) ** 2)
+        if per_sentence is not None:
+            own = [order[start:] for order, start in zip(matches, starts)]
+            info = _nist_information(own, pair.references)
+            per_sentence.append(
+                _nist_formula(info, totals, len(pair.hypothesis), ref_len)
+            )
+    info = _nist_information(matches, corpus.all_references())
+    return _nist_formula(info, hyp_totals, hyp_len, avg_ref_len)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +207,79 @@ def _edit_distance(seq: Sequence[str], masks: dict[str, int], ref_len: int) -> i
     return _advance(seq, masks, full, 1 << (ref_len - 1), (full, 0, ref_len))
 
 
+def _bag_distance(hyp: TokenSeq, positions: dict[str, list[int]], ref_len: int) -> int:
+    """max(|H - R|, |R - H|) over the word multisets of ``hyp`` and a
+    reference of ``ref_len`` words with these ``positions``: no sequence
+    with the words of ``hyp`` is fewer edits than this from it."""
+    unmatched = {word: len(slots) for word, slots in positions.items()}
+    surplus = 0
+    for word in hyp:
+        left = unmatched.get(word, 0)
+        if left:
+            unmatched[word] = left - 1
+        else:
+            surplus += 1
+    return max(surplus, surplus + ref_len - len(hyp))
+
+
+def _best_shift(
+    current: tuple[str, ...],
+    ref: TokenSeq,
+    positions: dict[str, list[int]],
+    masks: dict[str, int],
+    columns: list[tuple[int, int, int]],
+    limit: int,
+) -> tuple[int, int, int] | None:
+    """The first candidate shift ``(i, length, pos)`` of ``current`` with
+    the largest gain, or None when no candidate lowers the distance.
+
+    ``columns`` holds the column state before each token of ``current``
+    and then after its last, so the distance is ``columns[-1][2]``. No
+    gain can exceed ``limit``, so the scan stops at the first candidate
+    that reaches it: any later one could at most tie, and ties lose.
+    """
+    ref_len = len(ref)
+    full = (1 << ref_len) - 1
+    last = 1 << (ref_len - 1)
+    distance = columns[-1][2]
+    n = len(current)
+    best_gain = 0
+    best = None
+    for i, word in enumerate(current):
+        for j in positions.get(word, ()):
+            if i == j or abs(i - j) > _MAX_SHIFT_DISTANCE:
+                continue
+            run = 1
+            while (
+                i + run < n
+                and j + run < ref_len
+                and current[i + run] == ref[j + run]
+                and run < _MAX_SHIFT_PHRASE
+            ):
+                run += 1
+            for length in range(1, run + 1):
+                pos = min(j, n - length)
+                if 2 * min(length, abs(pos - i)) <= best_gain:
+                    continue
+                block = current[i : i + length]
+                if pos < i:
+                    p, q = pos, i + length
+                    window = block + current[pos:i]
+                else:
+                    p, q = i, pos + length
+                    window = current[i + length : q] + block
+                if window == current[p:q]:
+                    continue
+                gain = distance - _advance(
+                    window + current[q:], masks, full, last, columns[p]
+                )
+                if gain > best_gain:
+                    best_gain, best = gain, (i, length, pos)
+                    if gain == limit:
+                        return best
+    return best
+
+
 def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     """Greedy best-first phrase shifts (one edit each) plus edit distance.
 
@@ -183,69 +299,48 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     the distance by at most ``2 * min(L, |pos - i|)``; a candidate whose
     bound does not exceed the best gain is skipped unevaluated, and so is
     one whose window equals ``current[p:q]`` (a move inside a run of
-    repeated words, which leaves ``current`` as it is). These steps are
-    exact, and a candidate that repeats an earlier sequence has that
-    sequence's gain and so never wins; the chosen shifts are those of
-    building and scoring every distinct candidate in full.
+    repeated words, which leaves ``current`` as it is). A shift keeps the
+    multiset of words, so no candidate is closer to ``ref`` than the bag
+    distance: the search stops once the distance reaches it, and a scan
+    stops at the first candidate that reaches it (``_best_shift``). These
+    steps are exact, and a candidate that repeats an earlier sequence has
+    that sequence's gain and so never wins; the chosen shifts are those
+    of building and scoring every distinct candidate in full.
     """
     ref_len = len(ref)
     if ref_len == 0:
         return len(hyp)
     masks = _reference_masks(ref)
     positions = _positions(ref)
+    floor = _bag_distance(hyp, positions, ref_len)
     full = (1 << ref_len) - 1
     last = 1 << (ref_len - 1)
     current: tuple[str, ...] = tuple(hyp)
-    n = len(current)
-    columns = [(full, 0, ref_len)]
-    distance = _advance(current, masks, full, last, columns[0], columns)
     edits = 0
-    while distance > 0:
-        best_gain = 0
-        best = None
-        for i, word in enumerate(current):
-            for j in positions.get(word, ()):
-                if i == j or abs(i - j) > _MAX_SHIFT_DISTANCE:
-                    continue
-                run = 1
-                while (
-                    i + run < n
-                    and j + run < ref_len
-                    and current[i + run] == ref[j + run]
-                    and run < _MAX_SHIFT_PHRASE
-                ):
-                    run += 1
-                for length in range(1, run + 1):
-                    pos = min(j, n - length)
-                    if 2 * min(length, abs(pos - i)) <= best_gain:
-                        continue
-                    block = current[i : i + length]
-                    if pos < i:
-                        p, q = pos, i + length
-                        window = block + current[pos:i]
-                    else:
-                        p, q = i, pos + length
-                        window = current[i + length : q] + block
-                    if window == current[p:q]:
-                        continue
-                    gain = distance - _advance(
-                        window + current[q:], masks, full, last, columns[p]
-                    )
-                    if gain > best_gain:
-                        best_gain, best = gain, (i, length, pos)
+    while True:
+        columns = [(full, 0, ref_len)]
+        distance = _advance(current, masks, full, last, columns[0], columns)
+        if distance == floor:
+            break
+        best = _best_shift(current, ref, positions, masks, columns, distance - floor)
         if best is None:
             break
         i, length, pos = best
         rest = current[:i] + current[i + length :]
         current = rest[:pos] + current[i : i + length] + rest[pos:]
         edits += 1
-        distance -= best_gain
-        columns = [(full, 0, ref_len)]
-        _advance(current, masks, full, last, columns[0], columns)
     return edits + distance
 
 
-def ter_score(corpus: ParallelCorpus) -> float:
+def _edit_rate(edits: int, ref_len: float) -> float:
+    if ref_len == 0.0:
+        return 0.0 if edits == 0 else math.inf
+    return edits / ref_len
+
+
+def ter_score(
+    corpus: ParallelCorpus, *, per_sentence: list[float] | None = None
+) -> float:
     """Translation edit rate: edits per average reference word, lower is better.
 
     Per pair, the edit count is minimized over the references; insert,
@@ -254,25 +349,32 @@ def ter_score(corpus: ParallelCorpus) -> float:
     in word edit distance. That distance comes from the bit-parallel
     algorithm of Myers (1999) in Hyyrö's (2003) edit distance form. Each
     candidate's distance resumes from the current sequence's stored
-    column at its first changed word, and a candidate is skipped when the
-    size of its move bounds its gain to no more than the best so far.
-    All of it is exact: scores equal those of scoring every candidate
-    sequence in full with the textbook O(n*m) dynamic program.
+    column at its first changed word, a candidate is skipped when the
+    size of its move bounds its gain to no more than the best so far,
+    and the search ends when the distance reaches the bag distance of
+    the two word multisets, which no shift can go below. All of it is
+    exact: scores equal those of scoring every candidate sequence in
+    full with the textbook O(n*m) dynamic program.
+
+    When ``per_sentence`` is a list, each pair's edit count over its
+    average reference length is appended to it in corpus order, under
+    the corpus score's rule for a zero length; each value equals
+    ``ter_score`` of the one-pair corpus, ``inf`` included.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
     total_edits = 0
     total_ref_len = 0.0
     for pair in corpus.pairs:
-        total_edits += min(
+        edits = min(
             _shifted_edit_count(pair.hypothesis, ref) for ref in pair.references
         )
-        total_ref_len += sum(len(ref) for ref in pair.references) / len(
-            pair.references
-        )
-    if total_ref_len == 0.0:
-        return 0.0 if total_edits == 0 else math.inf
-    return total_edits / total_ref_len
+        ref_len = _average_length(pair.references)
+        if per_sentence is not None:
+            per_sentence.append(_edit_rate(edits, ref_len))
+        total_edits += edits
+        total_ref_len += ref_len
+    return _edit_rate(total_edits, total_ref_len)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +437,12 @@ def _meteor_formula(matches: int, chunks: int, hyp_len: int, ref_len: int) -> fl
     return (10.0 * p * r / (r + 9.0 * p)) * (1.0 - 0.5 * chunks / matches)
 
 
-def meteor_score(corpus: ParallelCorpus, lexicon: SynonymLexicon) -> MeteorResult:
+def meteor_score(
+    corpus: ParallelCorpus,
+    lexicon: SynonymLexicon,
+    *,
+    per_sentence: list[float] | None = None,
+) -> MeteorResult:
     """Harmonic precision/recall with a fragmentation penalty.
 
     Unigrams align in stages (exact, then synonym) against the
@@ -344,6 +451,11 @@ def meteor_score(corpus: ParallelCorpus, lexicon: SynonymLexicon) -> MeteorResul
     of free positions (see ``_align_unigrams``), found without a scan.
     With pooled precision P, recall R, matches M and chunks C the score
     is (10PR / (R + 9P)) * (1 - 0.5 * C / M), and 0 when nothing matches.
+
+    When ``per_sentence`` is a list, each pair's score, the same formula
+    on that pair's own matches, chunks and lengths against its best
+    reference, is appended to it in corpus order; each value equals
+    ``meteor_score(...).score`` of the one-pair corpus, bit for bit.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
@@ -361,6 +473,8 @@ def meteor_score(corpus: ParallelCorpus, lexicon: SynonymLexicon) -> MeteorResul
             if best is None or s > best[0]:
                 best = (s, m, c, len(ref))
         assert best is not None
+        if per_sentence is not None:
+            per_sentence.append(best[0])
         matches += best[1]
         chunks += best[2]
         hyp_len += len(pair.hypothesis)
@@ -451,7 +565,24 @@ def _closest_reference(pair: EvalPair) -> TokenSeq:
     return min(pair.references, key=lambda ref: (abs(len(ref) - hyp_len), len(ref)))
 
 
-def lepor_score(corpus: ParallelCorpus, cfg: LeporConfig = LeporConfig()) -> float:
+def _lepor_formula(
+    total_diff: float, matches: int, hyp_total: int, ref_total: int, cfg: LeporConfig
+) -> float:
+    if matches == 0 or hyp_total == 0 or ref_total == 0:
+        return 0.0
+    precision = matches / hyp_total
+    recall = matches / ref_total
+    npd = total_diff / hyp_total
+    harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
+    return _length_penalty(hyp_total, ref_total) * math.exp(-npd) * harmonic
+
+
+def lepor_score(
+    corpus: ParallelCorpus,
+    cfg: LeporConfig = LeporConfig(),
+    *,
+    per_sentence: list[float] | None = None,
+) -> float:
     """Length penalty times position-difference penalty times harmonic(aR, bP).
 
     Matching is against the closest-length reference of each pair, each
@@ -459,6 +590,11 @@ def lepor_score(corpus: ParallelCorpus, cfg: LeporConfig = LeporConfig()) -> flo
     own list of free positions. The position penalty is exp(-NPD) where
     NPD is the total normalized position difference per hypothesis
     token. Zero when either unigram precision or recall is zero.
+
+    When ``per_sentence`` is a list, each pair's score, the same formula
+    on that pair's own position difference, matches and lengths, is
+    appended to it in corpus order; each value equals ``lepor_score`` of
+    the one-pair corpus, bit for bit.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
@@ -469,17 +605,15 @@ def lepor_score(corpus: ParallelCorpus, cfg: LeporConfig = LeporConfig()) -> flo
     for pair in corpus.pairs:
         ref = _closest_reference(pair)
         diff, m = _position_alignment(pair.hypothesis, ref)
+        if per_sentence is not None:
+            per_sentence.append(
+                _lepor_formula(diff, m, len(pair.hypothesis), len(ref), cfg)
+            )
         total_diff += diff
         matches += m
         hyp_total += len(pair.hypothesis)
         ref_total += len(ref)
-    if matches == 0 or hyp_total == 0 or ref_total == 0:
-        return 0.0
-    precision = matches / hyp_total
-    recall = matches / ref_total
-    npd = total_diff / hyp_total
-    harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
-    return _length_penalty(hyp_total, ref_total) * math.exp(-npd) * harmonic
+    return _lepor_formula(total_diff, matches, hyp_total, ref_total, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +669,12 @@ def _spearman_rho(seq: Sequence[int]) -> float:
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
-def ribes_score(corpus: ParallelCorpus, cfg: RibesConfig = RibesConfig()) -> float:
+def ribes_score(
+    corpus: ParallelCorpus,
+    cfg: RibesConfig = RibesConfig(),
+    *,
+    per_sentence: list[float] | None = None,
+) -> float:
     """Normalized rank correlation of word order, scaled by precision^alpha.
 
     Each word aligns to the leftmost free reference position of the same
@@ -545,6 +684,10 @@ def ribes_score(corpus: ParallelCorpus, cfg: RibesConfig = RibesConfig()) -> flo
     multiplied by unigram precision raised to ``alpha``; the best
     reference wins and pairs with fewer than two aligned words score
     zero. The corpus score is the mean over pairs.
+
+    When ``per_sentence`` is a list, each pair's best score is appended
+    to it in corpus order; each value equals ``ribes_score`` of the
+    one-pair corpus, a mean over one pair, bit for bit.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
@@ -559,5 +702,7 @@ def ribes_score(corpus: ParallelCorpus, cfg: RibesConfig = RibesConfig()) -> flo
             normalized = (correlate(aligned) + 1.0) / 2.0
             precision = len(aligned) / len(pair.hypothesis)
             best = max(best, normalized * precision**cfg.alpha)
+        if per_sentence is not None:
+            per_sentence.append(best)
         total += best
     return total / len(corpus.pairs)

@@ -300,30 +300,30 @@ class TestScoreCommand:
         self, monkeypatch, tmp_path, two_pair_files, per_sentence
     ):
         # The benchmark's trace swaps these module attributes for timing
-        # wrappers, so every call must go through them, and NIST, TER,
-        # METEOR, LEPOR and RIBES must score each pair by a one-pair call.
+        # wrappers, so every call must go through them. Each scorer runs
+        # once, on the whole corpus, and fills the per-sentence scores
+        # from that same pass.
         calls = {}
         for name in ALL_METRICS:
             scorer = getattr(cli, f"{name}_score")
 
-            def counting(corpus, *rest, scorer=scorer, name=name):
+            def counting(corpus, *rest, scorer=scorer, name=name, **kwargs):
                 calls.setdefault(name, []).append(len(corpus))
-                return scorer(corpus, *rest)
+                return scorer(corpus, *rest, **kwargs)
 
             monkeypatch.setattr(cli, f"{name}_score", counting)
         hyp, ref, lex = two_pair_files
         code = main(
             ["score", *(arg for name in ALL_METRICS for arg in ("--metric", name)),
              "--hyp", str(hyp), "--ref", str(ref), "--lexicon", str(lex),
-             "--out", str(tmp_path / "out.tsv")]
+             "--format", "json", "--out", str(tmp_path / "out.json")]
             + (["--per-sentence"] if per_sentence else [])
         )
         assert code == 0
-        one_pair_calls = [1, 1] if per_sentence else []
-        assert calls == {
-            name: [2] + ([] if name in ("bleu", "ebleu") else one_pair_calls)
-            for name in ALL_METRICS
-        }
+        assert calls == {name: [2] for name in ALL_METRICS}
+        metrics = json.loads((tmp_path / "out.json").read_text())["metrics"]
+        for name in ALL_METRICS:
+            assert len(metrics[name].get("per_sentence", [])) == (2 if per_sentence else 0)
 
     def test_bad_config_value_is_usage_error(self, capsys, identical_files):
         hyp, ref = identical_files

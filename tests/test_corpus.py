@@ -1,7 +1,8 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mteval import (
@@ -120,6 +121,122 @@ class TestLoadParallelCorpus:
         hyp.write_text("a\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_parallel_corpus(hyp, [])
+
+
+# Line ends as the readers take them, and what lines may hold besides
+# words: separators that str.splitlines() would break at but that are
+# whitespace inside a line, and a byte order mark, which is a character
+# like any other except at the very start of a file.
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+IN_LINE_SPACE = st.sampled_from([" ", "\t", "  ", "\x85", "\u2028", "\u2029", "\f"])
+WORD = st.sampled_from(["a", "b", "cd", "\ufeffa", "b\ufeff"])
+
+
+def lines_of(text: str) -> list[str]:
+    """The lines of a file's text: one leading BOM dropped, broken at LF,
+    CRLF and CR only, with no empty line after a final line end."""
+    lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+@st.composite
+def file_text(draw, lines: list[str]) -> str:
+    """``lines`` joined by drawn line ends, the last one maybe missing, and
+    a drawn leading BOM."""
+    ends = [draw(LINE_END) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return ("\ufeff" if draw(st.booleans()) else "") + "".join(
+        line + end for line, end in zip(lines, ends)
+    )
+
+
+@st.composite
+def corpus_line(draw) -> str:
+    """Words with drawn in-line whitespace between, before and after them."""
+    words = draw(st.lists(WORD, max_size=4))
+    gaps = [draw(IN_LINE_SPACE) for _ in words]
+    edges = draw(st.lists(IN_LINE_SPACE, max_size=2))
+    return "".join(edges) + "".join(gap + word for gap, word in zip(gaps, words))
+
+
+@st.composite
+def corpus_files(draw) -> tuple[str, list[str]]:
+    """Hypothesis file text and 1-3 reference file texts, usually of one
+    line count."""
+    count = draw(st.integers(0, 5))
+    counts = [count] * draw(st.integers(2, 4))
+    if draw(st.integers(0, 4)) == 0:
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(0, 5))
+    texts = [
+        draw(file_text(draw(st.lists(corpus_line(), min_size=n, max_size=n))))
+        for n in counts
+    ]
+    return texts[0], texts[1:]
+
+
+@st.composite
+def lexicon_line(draw) -> str:
+    """A blank or comment line, or a synonym line over three words, which
+    may repeat a word, list one word twice only ("a, a") or hold one word."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["", " ", "\t", "\x85", "#", "# a, b", "  #a,b"]))
+    words = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=4))
+    separator = st.sampled_from([",", ", ", " ,", "\t,\t"])
+    return words[0] + "".join(draw(separator) + word for word in words[1:])
+
+
+class TestParserFuzz:
+    @settings(
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=corpus_files())
+    def test_drawn_corpora_read_back_or_raise_line_count_mismatch(self, tmp_path, drawn):
+        hyp_text, ref_texts = drawn
+        paths = []
+        for k, text in enumerate([hyp_text, *ref_texts]):
+            paths.append(tmp_path / f"file{k}.txt")
+            paths[-1].write_bytes(text.encode("utf-8"))
+        expected = [
+            [tuple(line.split()) for line in lines_of(text)]
+            for text in [hyp_text, *ref_texts]
+        ]
+        if any(len(lines) != len(expected[0]) for lines in expected):
+            with pytest.raises(LineCountMismatchError):
+                load_parallel_corpus(paths[0], paths[1:])
+            return
+        corpus = load_parallel_corpus(paths[0], paths[1:])
+        assert corpus.ref_count == len(ref_texts)
+        assert [pair.hypothesis for pair in corpus] == expected[0]
+        assert [pair.references for pair in corpus] == list(zip(*expected[1:]))
+
+    @settings(
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(lines=st.lists(lexicon_line(), max_size=6), data=st.data())
+    def test_drawn_lexicons_read_back_or_raise_malformed_line(self, tmp_path, lines, data):
+        text = data.draw(file_text(lines))
+        path = tmp_path / "syn.txt"
+        path.write_bytes(text.encode("utf-8"))
+        entries: dict[str, set[str]] = {}
+        valid = True
+        for line in lines_of(text):
+            if not line.strip() or line.strip().startswith("#"):
+                continue
+            words = [field.strip() for field in line.split(",")]
+            valid &= len(set(words)) >= 2
+            for word in words:
+                entries.setdefault(word, set()).update(set(words) - {word})
+        if not valid:
+            with pytest.raises(MalformedLineError):
+                load_synonym_lexicon(path)
+            return
+        lexicon = load_synonym_lexicon(path)
+        assert lexicon.entries == {w: frozenset(s) for w, s in entries.items()}
 
 
 class TestSynonymLexicon:

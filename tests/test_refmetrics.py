@@ -1,6 +1,6 @@
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from unittest import mock
 
 import pytest
@@ -20,13 +20,16 @@ from mteval import (
 from mteval import refmetrics
 from mteval.errors import EmptyCorpusError
 from mteval.refmetrics import (
+    MeteorResult,
     _advance,
     _align_unigrams,
+    _bag_distance,
     _edit_distance,
     _kendall_tau,
     _length_penalty,
     _order_alignment,
     _position_alignment,
+    _positions,
     _reference_masks,
     _shifted_edit_count,
 )
@@ -307,6 +310,37 @@ class TestShiftSearch:
         assert _shifted_edit_count(hyp, ref) == oracle_shifted_edit_count(
             hyp, ref, bit_parallel_distance
         )
+
+    # Over one or two words the bag distance is often reached, so both
+    # stops at the floor run.
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda k: st.tuples(_sequences_over(k, 24), _sequences_over(k, 24))
+        )
+    )
+    def test_equals_building_every_candidate_on_two_words(self, pair):
+        hyp, ref = pair
+        assert _shifted_edit_count(hyp, ref) == oracle_shifted_edit_count(
+            hyp, ref, bit_parallel_distance
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(_sequences_over(k, 10), _sequences_over(k, 10))
+        )
+    )
+    def test_bag_distance_bounds_every_shifted_sequence(self, pair):
+        hyp, ref = pair
+        floor = _bag_distance(hyp, _positions(ref), len(ref))
+        assert floor == max(
+            sum((Counter(hyp) - Counter(ref)).values()),
+            sum((Counter(ref) - Counter(hyp)).values()),
+        )
+        assert floor <= dp_edit_distance(hyp, ref)
+        for moved in all_block_moves(hyp):
+            assert floor <= dp_edit_distance(moved, ref)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_building_every_candidate_on_long_pairs(self, seed):
@@ -606,6 +640,54 @@ class TestAlignmentOracles:
         assert alignment_scores(corpus, _AB_SYNONYMS) == oracle_alignment_scores(
             corpus, _AB_SYNONYMS
         )
+
+
+# --- per-sentence scores from the corpus pass --------------------------------
+
+_SMALL_LEXICON = SynonymLexicon(
+    entries={"a": frozenset("bd"), "b": frozenset("a"), "c": frozenset("c")}
+)
+# name -> scorer(corpus, **kwargs), each one that takes a ``per_sentence`` sink
+_SINK_SCORERS = {
+    **{
+        f"nist-{n}": (lambda c, n=n, **kw: nist_score(c, n, **kw))
+        for n in range(1, 6)
+    },
+    "ter": ter_score,
+    "meteor": lambda c, **kw: meteor_score(c, _SMALL_LEXICON, **kw),
+    "lepor": lambda c, **kw: lepor_score(c, LeporConfig(alpha=2.5, beta=0.5), **kw),
+    "ribes-kendall": ribes_score,
+    "ribes-spearman": lambda c, **kw: ribes_score(
+        c, RibesConfig(alpha=0.5, correlation_kind="spearman"), **kw
+    ),
+}
+
+
+def _value(result):
+    return result.score if isinstance(result, MeteorResult) else result
+
+
+class TestPerSentenceSink:
+    @pytest.mark.parametrize("name", sorted(_SINK_SCORERS))
+    @settings(deadline=None, max_examples=60)
+    @given(corpus=small_corpora())
+    def test_sink_equals_scoring_one_pair_corpora(self, name, corpus):
+        # bit for bit, TER's inf included, and the corpus score unchanged
+        scorer = _SINK_SCORERS[name]
+        sink = []
+        assert scorer(corpus, per_sentence=sink) == scorer(corpus)
+        assert sink == [
+            _value(scorer(ParallelCorpus((pair,), corpus.ref_count)))
+            for pair in corpus.pairs
+        ]
+
+    # empty and one-token lines in one corpus, TER's inf among them
+    @pytest.mark.parametrize("name", sorted(_SINK_SCORERS))
+    def test_sink_on_edge_lines_as_one_corpus(self, name):
+        scorer = _SINK_SCORERS[name]
+        sink = []
+        scorer(corpus_of(*EDGE_LINES), per_sentence=sink)
+        assert sink == [_value(scorer(corpus_of(line))) for line in EDGE_LINES]
 
 
 # --- cross-metric ranges -----------------------------------------------------

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import EvalPair, ParallelCorpus
-from .errors import EmptyCorpusError
+from .corpus import EvalPair, ParallelCorpus, reduce_pairs
 from .ngram import extract_ngrams, max_ref_counts
 
 
@@ -34,15 +33,16 @@ class BleuConfig:
     def __post_init__(self) -> None:
         if self.max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {self.max_order}")
-        if self.smoothing_epsilon < 0.0:
-            raise ValueError("smoothing_epsilon must be non-negative")
+        # Chained range checks: NaN fails every comparison, so it is rejected.
+        if not 0.0 <= self.smoothing_epsilon < math.inf:
+            raise ValueError("smoothing_epsilon must be finite and non-negative")
         if self.weights is not None:
             if len(self.weights) != self.max_order:
                 raise ValueError(
                     f"need {self.max_order} weights, got {len(self.weights)}"
                 )
-            if any(w <= 0.0 for w in self.weights):
-                raise ValueError("weights must be positive")
+            if not all(0.0 < w < math.inf for w in self.weights):
+                raise ValueError("weights must be finite and positive")
             if abs(math.fsum(self.weights) - 1.0) > 1e-9:
                 raise ValueError("weights must sum to one")
 
@@ -97,29 +97,26 @@ def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
     return stats
 
 
-def _combine(
-    matched: Sequence[int],
-    totals: Sequence[int],
-    weights: Sequence[float],
-    bp: float,
-    epsilon: float,
-) -> tuple[float, list[float]]:
-    """Weighted log-average of the per-order precisions, scaled by ``bp``."""
-    precisions = []
-    log_sum = 0.0
-    dead = False
-    for m, t, w in zip(matched, totals, weights):
-        p = m / t if t else 0.0
-        precisions.append(p)
-        if p == 0.0:
-            if epsilon > 0.0 and t > 0:
-                p = min(1.0, epsilon / t)
-            else:
-                dead = True
-                continue
-        log_sum += w * math.log(p)
-    score = 0.0 if dead else bp * math.exp(log_sum)
-    return score, precisions
+def pool_order_stats(
+    stats: Sequence[tuple], max_order: int
+) -> tuple[list, list[int], int, int]:
+    """Pooled ``(matched, totals, hyp_len, ref_len)`` of BLEU-style pair
+    statistics ``(per-order (matched, total), hyp_len, ref_len)``.
+
+    Each sum starts from integer 0 and adds in corpus order, so one
+    pair's statistics pool to themselves, bit for bit, floats included.
+    """
+    matched = [0] * max_order
+    totals = [0] * max_order
+    hyp_len = 0
+    ref_len = 0
+    for orders, c, r in stats:
+        for i, (m, t) in enumerate(orders):
+            matched[i] += m
+            totals[i] += t
+        hyp_len += c
+        ref_len += r
+    return matched, totals, hyp_len, ref_len
 
 
 def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> MetricScore:
@@ -127,52 +124,44 @@ def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> Metric
 
     The effective reference length of each pair is the reference length
     closest to its hypothesis length (ties to shorter), summed over the
-    corpus. Per-sentence entries apply the same formula restricted to a
-    single pair.
+    corpus. A per-sentence score is the corpus reduction of that pair's
+    statistics.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
     weights = cfg.resolved_weights()
-    per_pair = []
-    matched = [0] * cfg.max_order
-    totals = [0] * cfg.max_order
-    hyp_len = 0
-    ref_len = 0
-    for pair in corpus.pairs:
+
+    def pair_stats(pair):
         stats = _pair_order_stats(pair, cfg.max_order)
         c = len(pair.hypothesis)
         r = effective_reference_length(c, [len(ref) for ref in pair.references])
-        per_pair.append((stats, c, r))
-        for i, (m, t) in enumerate(stats):
-            matched[i] += m
-            totals[i] += t
-        hyp_len += c
-        ref_len += r
+        return stats, c, r
 
-    bp = brevity_penalty(hyp_len, ref_len)
-    corpus_score, precisions = _combine(
-        matched, totals, weights, bp, cfg.smoothing_epsilon
-    )
-    per_sentence = [
-        _combine(
-            [m for m, _ in stats],
-            [t for _, t in stats],
-            weights,
-            brevity_penalty(c, r),
-            cfg.smoothing_epsilon,
-        )[0]
-        for stats, c, r in per_pair
-    ]
-    return MetricScore(
-        metric_name="bleu",
-        corpus_score=corpus_score,
-        per_sentence=per_sentence,
-        details={
+    def reduce(stats):
+        matched, totals, hyp_len, ref_len = pool_order_stats(stats, cfg.max_order)
+        bp = brevity_penalty(hyp_len, ref_len)
+        # Weighted log-average of the per-order precisions, scaled by bp.
+        precisions = []
+        log_sum = 0.0
+        dead = False
+        for m, t, w in zip(matched, totals, weights):
+            p = m / t if t else 0.0
+            precisions.append(p)
+            if p == 0.0:
+                if cfg.smoothing_epsilon > 0.0 and t > 0:
+                    p = min(1.0, cfg.smoothing_epsilon / t)
+                else:
+                    dead = True
+                    continue
+            log_sum += w * math.log(p)
+        score = 0.0 if dead else bp * math.exp(log_sum)
+        return score, {
             "precisions": precisions,
             "brevity_penalty": bp,
             "hyp_length": hyp_len,
             "ref_length": ref_len,
             "matched": matched,
             "totals": totals,
-        },
-    )
+        }
+
+    per_sentence: list[float] = []
+    score, details = reduce_pairs(corpus, pair_stats, reduce, per_sentence)
+    return MetricScore("bleu", score, per_sentence, details)

@@ -5,7 +5,8 @@ line (LF, CRLF or CR). A synonym lexicon file holds one synonym set per
 line, comma separated; blank lines and lines starting with ``#`` are
 skipped. A byte order mark at the start of any of these files is
 dropped. All loaded objects are immutable and safe to share between
-concurrent scorers.
+concurrent scorers. ``reduce_pairs`` is the scoring loop every metric
+runs over a corpus.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidPercentError, LineCountMismatchError, MalformedLineError
+from .errors import (
+    EmptyCorpusError,
+    InvalidPercentError,
+    LineCountMismatchError,
+    MalformedLineError,
+)
 
 TokenSeq = tuple[str, ...]
 """An ordered sequence of normalized tokens for one sentence."""
@@ -95,6 +101,28 @@ class ParallelCorpus:
 
     def reference_token_count(self) -> int:
         return sum(len(ref) for ref in self.all_references())
+
+
+def reduce_pairs(
+    corpus: ParallelCorpus,
+    pair_stats: Callable[[EvalPair], Any],
+    reduce: Callable[[list], tuple[float, Any]],
+    per_sentence: list[float] | None = None,
+) -> tuple[float, Any]:
+    """``reduce`` of every pair's ``pair_stats``, in corpus order.
+
+    The one scoring loop of every metric: each pair's statistics are
+    collected once, and ``reduce(stats)`` turns a list of them into
+    ``(score, details)``. When ``per_sentence`` is a list, each pair's
+    score, ``reduce([s])[0]`` of its own statistics, is appended to it
+    in corpus order. Raises :class:`EmptyCorpusError` on an empty corpus.
+    """
+    if not corpus.pairs:
+        raise EmptyCorpusError("cannot score an empty corpus")
+    stats = [pair_stats(pair) for pair in corpus.pairs]
+    if per_sentence is not None:
+        per_sentence.extend(reduce([s])[0] for s in stats)
+    return reduce(stats)
 
 
 def read_lines(path: str | Path) -> list[str]:

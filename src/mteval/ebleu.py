@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bleu import MetricScore, effective_reference_length
+from .bleu import MetricScore, effective_reference_length, pool_order_stats
 from .corpus import (
     EvalPair,
     ParallelCorpus,
@@ -33,8 +33,9 @@ from .corpus import (
     SynonymLexicon,
     TokenSeq,
     build_rare_word_set,
+    reduce_pairs,
 )
-from .errors import EmptyCorpusError, OrderMismatchError
+from .errors import OrderMismatchError
 from .ngram import max_ref_counts, windows
 
 
@@ -53,10 +54,11 @@ class EbleuConfig:
             raise ValueError("synonym_score must be in [0, 1]")
         if not 0.0 < self.rare_words_percent <= 1.0:
             raise ValueError("rare_words_percent must be in (0, 1]")
-        if self.rare_words_score < 1.0:
-            raise ValueError("rare_words_score must be >= 1")
-        if self.smoothing_epsilon < 0.0:
-            raise ValueError("smoothing_epsilon must be non-negative")
+        # Chained range checks: NaN fails every comparison, so it is rejected.
+        if not 1.0 <= self.rare_words_score < math.inf:
+            raise ValueError("rare_words_score must be finite and >= 1")
+        if not 0.0 <= self.smoothing_epsilon < math.inf:
+            raise ValueError("smoothing_epsilon must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -191,21 +193,6 @@ def ebleu_cumulative(order_scores: Sequence[float], len_score: float) -> list[fl
     return out
 
 
-def _cumulative_score(
-    order_scores: Sequence[float],
-    hyp_length: int,
-    ref_length: float,
-    cfg: EbleuConfig,
-) -> tuple[float, list[float], float]:
-    if hyp_length == 0:
-        return 0.0, [0.0] * len(order_scores), 0.0
-    len_score = ebleu_length_score(ref_length, hyp_length)
-    eps = cfg.smoothing_epsilon
-    floored = [min(1.0, max(b, eps)) if eps > 0.0 else b for b in order_scores]
-    cumulative = ebleu_cumulative(floored, len_score)
-    return cumulative[-1], cumulative, len_score
-
-
 def ebleu_score(
     corpus: ParallelCorpus,
     lexicon: SynonymLexicon,
@@ -217,21 +204,17 @@ def ebleu_score(
 
     The rare-word set is built from the corpus references at
     ``cfg.rare_words_percent`` unless one is passed in. Reference length
-    uses the same closest-length rule as BLEU. Per-sentence entries
-    apply the identical computation to a single pair.
+    uses the same closest-length rule as BLEU. A per-sentence score is
+    the corpus reduction of that pair's statistics, which are weighed
+    with the corpus's rare-word set; it equals ``ebleu_score`` of the
+    one-pair corpus when that set is passed as ``rare_words``.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
     if rare_words is None:
         rare_words = build_rare_word_set(
             corpus.all_references(), cfg.rare_words_percent
         )
-    per_pair = []
-    matched = [0.0] * cfg.max_order
-    totals = [0] * cfg.max_order
-    hyp_len = 0
-    ref_len = 0
-    for pair in corpus.pairs:
+
+    def pair_stats(pair):
         trace = synonym_substitute(pair, lexicon)
         stats = [
             _order_stats(trace, pair, n, rare_words, cfg)
@@ -239,33 +222,31 @@ def ebleu_score(
         ]
         c = len(pair.hypothesis)
         r = effective_reference_length(c, [len(ref) for ref in pair.references])
-        per_pair.append((stats, c, r))
-        for i, (m, t) in enumerate(stats):
-            matched[i] += m
-            totals[i] += t
-        hyp_len += c
-        ref_len += r
+        return stats, c, r
 
-    order_scores = [
-        min(1.0, m / t) if t else 0.0 for m, t in zip(matched, totals)
-    ]
-    corpus_score, cumulative, len_score = _cumulative_score(
-        order_scores, hyp_len, ref_len, cfg
-    )
-    per_sentence = []
-    for stats, c, r in per_pair:
-        pair_orders = [min(1.0, m / t) if t else 0.0 for m, t in stats]
-        per_sentence.append(_cumulative_score(pair_orders, c, r, cfg)[0])
-    return MetricScore(
-        metric_name="ebleu",
-        corpus_score=corpus_score,
-        per_sentence=per_sentence,
-        details={
+    def reduce(stats):
+        matched, totals, hyp_len, ref_len = pool_order_stats(stats, cfg.max_order)
+        order_scores = [
+            min(1.0, m / t) if t else 0.0 for m, t in zip(matched, totals)
+        ]
+        if hyp_len == 0:
+            cumulative, len_score = [0.0] * cfg.max_order, 0.0
+        else:
+            len_score = ebleu_length_score(ref_len, hyp_len)
+            eps = cfg.smoothing_epsilon
+            floored = [
+                min(1.0, max(b, eps)) if eps > 0.0 else b for b in order_scores
+            ]
+            cumulative = ebleu_cumulative(floored, len_score)
+        return cumulative[-1], {
             "order_scores": order_scores,
             "cumulative_scores": cumulative,
             "length_score": len_score,
             "hyp_length": hyp_len,
             "ref_length": ref_len,
             "rare_word_count": len(rare_words.words),
-        },
-    )
+        }
+
+    per_sentence: list[float] = []
+    score, details = reduce_pairs(corpus, pair_stats, reduce, per_sentence)
+    return MetricScore("ebleu", score, per_sentence, details)

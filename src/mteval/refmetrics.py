@@ -1,9 +1,11 @@
 """Reference metrics: NIST, TER, METEOR, LEPOR, and RIBES.
 
 Faithful reimplementations of the published formulas, not bug-for-bug
-ports of the original tools. Scoring is pure per pair; corpus reduction
-is a sum or mean. Given a ``per_sentence`` list, each scorer also
-appends every pair's own score to it from the same pass.
+ports of the original tools. Each scorer is one ``pair_stats``, a pure
+function of one pair, and one ``reduce`` of a list of pair statistics
+to ``(score, details)``, run by ``corpus.reduce_pairs``. Given a
+``per_sentence`` list, each scorer also appends every pair's own score
+to it from the same pass: the reduction of that pair's statistics alone.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import EvalPair, ParallelCorpus, SynonymLexicon, TokenSeq
-from .errors import EmptyCorpusError
-from .ngram import NGram, max_ref_counts, window_counts, windows
+from .corpus import (
+    EvalPair,
+    ParallelCorpus,
+    SynonymLexicon,
+    TokenSeq,
+    reduce_pairs,
+)
+from .ngram import max_ref_counts, window_counts, windows
 
 
 # ---------------------------------------------------------------------------
@@ -25,52 +32,6 @@ from .ngram import NGram, max_ref_counts, window_counts, windows
 
 def _average_length(references: Sequence[TokenSeq]) -> float:
     return sum(len(ref) for ref in references) / len(references)
-
-
-def _nist_information(
-    matches: list[list[tuple[NGram, int]]], references: Sequence[TokenSeq]
-) -> list[float]:
-    """Matched information per order of ``matches`` against ``references``.
-
-    ``matches[n]`` holds (n-gram, clipped count) pairs in scoring order.
-    Reference counts are pooled for the matched n-grams only, and each
-    match adds ``m * log2(count(prefix) / count(n-gram))`` in that order.
-    """
-    max_order = len(matches) - 1
-    # The prefix w1..wn-1 of a matched n-gram occurs in the same
-    # hypothesis and reference, so it is a matched (n-1)-gram itself and
-    # every count the information weights divide by is pooled.
-    needed = {gram for order in matches for gram, _ in order}
-    ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
-    total_ref_tokens = 0
-    for ref in references:
-        total_ref_tokens += len(ref)
-        for n in range(1, max_order + 1):
-            ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
-
-    matched_info = [0.0] * (max_order + 1)
-    for n in range(1, max_order + 1):
-        counts = ref_counts[n]
-        prefix_counts = ref_counts[n - 1]
-        for gram, m in matches[n]:
-            numer = total_ref_tokens if n == 1 else prefix_counts[gram[:-1]]
-            matched_info[n] += m * math.log2(numer / counts[gram])
-    return matched_info
-
-
-def _nist_formula(
-    matched_info: list[float], hyp_totals: list[int], hyp_len: int, avg_ref_len: float
-) -> float:
-    if hyp_len == 0 or avg_ref_len == 0.0:
-        return 0.0
-    score = sum(
-        info / total
-        for info, total in zip(matched_info[1:], hyp_totals[1:])
-        if total > 0
-    )
-    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
-    ratio = min(hyp_len / avg_ref_len, 1.0)
-    return score * math.exp(beta * math.log(ratio) ** 2)
 
 
 def nist_score(
@@ -89,47 +50,66 @@ def nist_score(
     length factor exp(beta * log(min(c/r, 1))^2) that reaches 0.5 when
     the hypothesis is two thirds of the average reference length.
 
-    Two passes. The first clips each pair's hypothesis n-grams against
-    its references and records every match as (n-gram, clipped count)
-    in scoring order. The second (``_nist_information``) pools reference
+    A pair's statistics are its lengths, its references, and its matches:
+    its hypothesis n-grams clipped against its references, recorded as
+    (n-gram, clipped count) in scoring order in one list, the order of a
+    match being the length of its n-gram. The reduction pools reference
     counts for the matched n-grams only, then sums the information of
-    the recorded matches in that same order, so scores are those of
-    pooling every reference n-gram, bit for bit.
-
-    When ``per_sentence`` is a list, each pair's score is appended to it
-    in corpus order. A pair's information weights are its own, pooled
-    over its own references only, so the second pass also runs once per
-    pair, on the matches the first pass has just recorded for it; each
-    value equals ``nist_score`` of the one-pair corpus, bit for bit.
+    the matches per order over the pairs in corpus order, so scores are
+    those of pooling every reference n-gram, bit for bit. A per-sentence
+    score is the corpus reduction of that pair's statistics, so its
+    information weights come from its own references.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
-    matches: list[list[tuple[NGram, int]]] = [[] for _ in range(max_order + 1)]
-    hyp_totals = [0] * (max_order + 1)
-    hyp_len = 0
-    avg_ref_len = 0.0
-    for pair in corpus.pairs:
-        starts = [len(order) for order in matches]
-        totals = [max(0, len(pair.hypothesis) - n + 1) for n in range(max_order + 1)]
-        ref_len = _average_length(pair.references)
-        hyp_len += len(pair.hypothesis)
-        avg_ref_len += ref_len
+
+    def pair_stats(pair):
+        matches = []
+        record = matches.append
         for n in range(1, max_order + 1):
-            hyp_totals[n] += totals[n]
             best = max_ref_counts(pair.references, n).get
-            record = matches[n].append
             for gram, count in window_counts(pair.hypothesis, n).items():
                 m = min(count, best(gram, 0))
                 if m:
                     record((gram, m))
-        if per_sentence is not None:
-            own = [order[start:] for order, start in zip(matches, starts)]
-            info = _nist_information(own, pair.references)
-            per_sentence.append(
-                _nist_formula(info, totals, len(pair.hypothesis), ref_len)
-            )
-    info = _nist_information(matches, corpus.all_references())
-    return _nist_formula(info, hyp_totals, hyp_len, avg_ref_len)
+        avg_ref_len = _average_length(pair.references)
+        return matches, len(pair.hypothesis), avg_ref_len, pair.references
+
+    def reduce(stats):
+        # The prefix w1..wn-1 of a matched n-gram occurs in the same
+        # hypothesis and reference, so it is a matched (n-1)-gram itself and
+        # every count the information weights divide by is pooled.
+        needed = {gram for matches, _, _, _ in stats for gram, _ in matches}
+        ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
+        total_ref_tokens = 0
+        hyp_totals = [0] * (max_order + 1)
+        hyp_len = 0
+        avg_ref_len = 0.0
+        for _, c, r, references in stats:
+            hyp_len += c
+            avg_ref_len += r
+            for n in range(1, max_order + 1):
+                hyp_totals[n] += max(0, c - n + 1)
+            for ref in references:
+                total_ref_tokens += len(ref)
+                for n in range(1, max_order + 1):
+                    ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
+        matched_info = [0.0] * (max_order + 1)
+        for matches, _, _, _ in stats:
+            for gram, m in matches:
+                n = len(gram)
+                numer = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
+                matched_info[n] += m * math.log2(numer / ref_counts[n][gram])
+        if hyp_len == 0 or avg_ref_len == 0.0:
+            return 0.0, None
+        score = sum(
+            info / total
+            for info, total in zip(matched_info[1:], hyp_totals[1:])
+            if total > 0
+        )
+        beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+        ratio = min(hyp_len / avg_ref_len, 1.0)
+        return score * math.exp(beta * math.log(ratio) ** 2), None
+
+    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +312,6 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     return edits + distance
 
 
-def _edit_rate(edits: int, ref_len: float) -> float:
-    if ref_len == 0.0:
-        return 0.0 if edits == 0 else math.inf
-    return edits / ref_len
-
-
 def ter_score(
     corpus: ParallelCorpus, *, per_sentence: list[float] | None = None
 ) -> float:
@@ -356,25 +330,29 @@ def ter_score(
     exact: scores equal those of scoring every candidate sequence in
     full with the textbook O(n*m) dynamic program.
 
-    When ``per_sentence`` is a list, each pair's edit count over its
-    average reference length is appended to it in corpus order, under
-    the corpus score's rule for a zero length; each value equals
-    ``ter_score`` of the one-pair corpus, ``inf`` included.
+    The corpus score is the summed edits over the summed average
+    reference lengths: 0 for no edits against a zero length, ``inf``
+    for some. A per-sentence score is the corpus reduction of that
+    pair's statistics.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
-    total_edits = 0
-    total_ref_len = 0.0
-    for pair in corpus.pairs:
+
+    def pair_stats(pair):
         edits = min(
             _shifted_edit_count(pair.hypothesis, ref) for ref in pair.references
         )
-        ref_len = _average_length(pair.references)
-        if per_sentence is not None:
-            per_sentence.append(_edit_rate(edits, ref_len))
-        total_edits += edits
-        total_ref_len += ref_len
-    return _edit_rate(total_edits, total_ref_len)
+        return edits, _average_length(pair.references)
+
+    def reduce(stats):
+        total_edits = 0
+        total_ref_len = 0.0
+        for edits, ref_len in stats:
+            total_edits += edits
+            total_ref_len += ref_len
+        if total_ref_len == 0.0:
+            return (0.0 if total_edits == 0 else math.inf), None
+        return total_edits / total_ref_len, None
+
+    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +407,6 @@ def _chunk_count(alignment: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def _meteor_formula(matches: int, chunks: int, hyp_len: int, ref_len: int) -> float:
-    if matches == 0 or hyp_len == 0 or ref_len == 0:
-        return 0.0
-    p = matches / hyp_len
-    r = matches / ref_len
-    return (10.0 * p * r / (r + 9.0 * p)) * (1.0 - 0.5 * chunks / matches)
-
-
 def meteor_score(
     corpus: ParallelCorpus,
     lexicon: SynonymLexicon,
@@ -452,40 +422,43 @@ def meteor_score(
     With pooled precision P, recall R, matches M and chunks C the score
     is (10PR / (R + 9P)) * (1 - 0.5 * C / M), and 0 when nothing matches.
 
-    When ``per_sentence`` is a list, each pair's score, the same formula
-    on that pair's own matches, chunks and lengths against its best
-    reference, is appended to it in corpus order; each value equals
-    ``meteor_score(...).score`` of the one-pair corpus, bit for bit.
+    A pair's statistics are its matches, chunks and lengths against the
+    reference whose own reduction scores highest, the first on a tie. A
+    per-sentence score is the corpus reduction of that pair's statistics.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
-    matches = 0
-    chunks = 0
-    hyp_len = 0
-    ref_len = 0
-    for pair in corpus.pairs:
-        best = None
+
+    def reduce(stats):
+        matches = chunks = hyp_len = ref_len = 0
+        for m, c, h, r in stats:
+            matches += m
+            chunks += c
+            hyp_len += h
+            ref_len += r
+        precision = matches / hyp_len if hyp_len else 0.0
+        recall = matches / ref_len if ref_len else 0.0
+        if matches == 0 or precision == 0.0 or recall == 0.0:
+            return 0.0, MeteorResult(precision, recall, matches, chunks, 0.0, 0.0)
+        penalty = 0.5 * chunks / matches
+        harmonic = 10.0 * precision * recall / (recall + 9.0 * precision)
+        score = harmonic * (1.0 - penalty)
+        return score, MeteorResult(precision, recall, matches, chunks, penalty, score)
+
+    def pair_stats(pair):
+        best = best_score = None
         for ref in pair.references:
             alignment = _align_unigrams(pair.hypothesis, ref, lexicon)
-            m = len(alignment)
-            c = _chunk_count(alignment)
-            s = _meteor_formula(m, c, len(pair.hypothesis), len(ref))
-            if best is None or s > best[0]:
-                best = (s, m, c, len(ref))
-        assert best is not None
-        if per_sentence is not None:
-            per_sentence.append(best[0])
-        matches += best[1]
-        chunks += best[2]
-        hyp_len += len(pair.hypothesis)
-        ref_len += best[3]
-    precision = matches / hyp_len if hyp_len else 0.0
-    recall = matches / ref_len if ref_len else 0.0
-    if matches == 0 or precision == 0.0 or recall == 0.0:
-        return MeteorResult(precision, recall, matches, chunks, 0.0, 0.0)
-    penalty = 0.5 * chunks / matches
-    score = (10.0 * precision * recall / (recall + 9.0 * precision)) * (1.0 - penalty)
-    return MeteorResult(precision, recall, matches, chunks, penalty, score)
+            stats = (
+                len(alignment),
+                _chunk_count(alignment),
+                len(pair.hypothesis),
+                len(ref),
+            )
+            score = reduce([stats])[0]
+            if best_score is None or score > best_score:
+                best, best_score = stats, score
+        return best
+
+    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +473,9 @@ class LeporConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("alpha and beta must be positive")
+        # Chained range checks: NaN fails every comparison, so it is rejected.
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and positive")
 
 
 def _length_penalty(hyp_total: int, ref_total: int) -> float:
@@ -565,18 +539,6 @@ def _closest_reference(pair: EvalPair) -> TokenSeq:
     return min(pair.references, key=lambda ref: (abs(len(ref) - hyp_len), len(ref)))
 
 
-def _lepor_formula(
-    total_diff: float, matches: int, hyp_total: int, ref_total: int, cfg: LeporConfig
-) -> float:
-    if matches == 0 or hyp_total == 0 or ref_total == 0:
-        return 0.0
-    precision = matches / hyp_total
-    recall = matches / ref_total
-    npd = total_diff / hyp_total
-    harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
-    return _length_penalty(hyp_total, ref_total) * math.exp(-npd) * harmonic
-
-
 def lepor_score(
     corpus: ParallelCorpus,
     cfg: LeporConfig = LeporConfig(),
@@ -589,31 +551,32 @@ def lepor_score(
     token taking the nearest free position of its word from that word's
     own list of free positions. The position penalty is exp(-NPD) where
     NPD is the total normalized position difference per hypothesis
-    token. Zero when either unigram precision or recall is zero.
-
-    When ``per_sentence`` is a list, each pair's score, the same formula
-    on that pair's own position difference, matches and lengths, is
-    appended to it in corpus order; each value equals ``lepor_score`` of
-    the one-pair corpus, bit for bit.
+    token. Zero when either unigram precision or recall is zero. A
+    per-sentence score is the corpus reduction of that pair's statistics.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
-    total_diff = 0.0
-    matches = 0
-    hyp_total = 0
-    ref_total = 0
-    for pair in corpus.pairs:
+
+    def pair_stats(pair):
         ref = _closest_reference(pair)
         diff, m = _position_alignment(pair.hypothesis, ref)
-        if per_sentence is not None:
-            per_sentence.append(
-                _lepor_formula(diff, m, len(pair.hypothesis), len(ref), cfg)
-            )
-        total_diff += diff
-        matches += m
-        hyp_total += len(pair.hypothesis)
-        ref_total += len(ref)
-    return _lepor_formula(total_diff, matches, hyp_total, ref_total, cfg)
+        return diff, m, len(pair.hypothesis), len(ref)
+
+    def reduce(stats):
+        total_diff = 0.0
+        matches = hyp_total = ref_total = 0
+        for diff, m, h, r in stats:
+            total_diff += diff
+            matches += m
+            hyp_total += h
+            ref_total += r
+        if matches == 0 or hyp_total == 0 or ref_total == 0:
+            return 0.0, None
+        precision = matches / hyp_total
+        recall = matches / ref_total
+        npd = total_diff / hyp_total
+        harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
+        return _length_penalty(hyp_total, ref_total) * math.exp(-npd) * harmonic, None
+
+    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,17 +646,12 @@ def ribes_score(
     reference positions is mapped to [0, 1] via (coefficient + 1) / 2 and
     multiplied by unigram precision raised to ``alpha``; the best
     reference wins and pairs with fewer than two aligned words score
-    zero. The corpus score is the mean over pairs.
-
-    When ``per_sentence`` is a list, each pair's best score is appended
-    to it in corpus order; each value equals ``ribes_score`` of the
-    one-pair corpus, a mean over one pair, bit for bit.
+    zero. The corpus score is the mean over pairs. A per-sentence score
+    is the corpus reduction of that pair's statistics.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot score an empty corpus")
     correlate = _kendall_tau if cfg.correlation_kind == "kendall" else _spearman_rho
-    total = 0.0
-    for pair in corpus.pairs:
+
+    def pair_stats(pair):
         best = 0.0
         for ref in pair.references:
             aligned = _order_alignment(pair.hypothesis, ref)
@@ -702,7 +660,12 @@ def ribes_score(
             normalized = (correlate(aligned) + 1.0) / 2.0
             precision = len(aligned) / len(pair.hypothesis)
             best = max(best, normalized * precision**cfg.alpha)
-        if per_sentence is not None:
-            per_sentence.append(best)
-        total += best
-    return total / len(corpus.pairs)
+        return best
+
+    def reduce(stats):
+        total = 0.0
+        for best in stats:
+            total += best
+        return total / len(stats), None
+
+    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]

@@ -13,7 +13,14 @@ from mteval import (
     effective_reference_length,
 )
 from mteval.errors import EmptyCorpusError
-from helpers import EDGE_LINES, LONG_LINE, LONG_MOVED_LINE, corpus_of, random_corpus
+from helpers import (
+    EDGE_LINES,
+    LONG_LINE,
+    LONG_MOVED_LINE,
+    corpus_of,
+    random_corpus,
+    small_corpora,
+)
 
 VOCAB = list("abcdefg")
 
@@ -62,13 +69,15 @@ class TestBleuScore:
         score = bleu_score(corpus, BleuConfig(max_order=2, smoothing_epsilon=0.1))
         assert 0.0 < score.corpus_score < 1.0
 
-    def test_per_sentence_matches_singleton_corpus(self):
-        corpus = corpus_of(("a b c x", "a b c d"), ("p q", "p q r"))
-        score = bleu_score(corpus, BleuConfig(max_order=2))
-        for pair, sentence_score in zip(corpus.pairs, score.per_sentence):
-            singleton = ParallelCorpus(pairs=(pair,), ref_count=1)
-            expected = bleu_score(singleton, BleuConfig(max_order=2)).corpus_score
-            assert sentence_score == pytest.approx(expected, abs=1e-12)
+    @settings(deadline=None, max_examples=60)
+    @given(small_corpora(), st.integers(1, 4), st.sampled_from([0.0, 0.1]))
+    def test_per_sentence_matches_singleton_corpus(self, corpus, max_order, epsilon):
+        # bit for bit
+        cfg = BleuConfig(max_order=max_order, smoothing_epsilon=epsilon)
+        assert bleu_score(corpus, cfg).per_sentence == [
+            bleu_score(ParallelCorpus((pair,), corpus.ref_count), cfg).corpus_score
+            for pair in corpus.pairs
+        ]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):

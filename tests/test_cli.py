@@ -333,6 +333,31 @@ class TestScoreCommand:
         )
         assert code == 2
 
+    # NaN fails every comparison, so a `<` range check alone lets it
+    # through, and an infinite epsilon or bonus clamps each order score
+    # to 1: either would print EBLEU 100.00 with exit 0.
+    @pytest.mark.parametrize(
+        "metric, flag, value",
+        [
+            ("ebleu", "--rare-words-score", "nan"),
+            ("ebleu", "--rare-words-score", "inf"),
+            ("ebleu", "--epsilon", "nan"),
+            ("ebleu", "--epsilon", "inf"),
+            ("bleu", "--epsilon", "nan"),
+            ("bleu", "--epsilon", "inf"),
+        ],
+    )
+    def test_non_finite_config_value_is_usage_error(
+        self, capsys, two_pair_files, metric, flag, value
+    ):
+        hyp, ref, lex = two_pair_files
+        code = main(
+            ["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref),
+             "--lexicon", str(lex), flag, value]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_empty_corpus_is_data_error(self, capsys, tmp_path):
         hyp = tmp_path / "hyp.txt"
         ref = tmp_path / "ref.txt"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mteval import (
     BleuConfig,
     EbleuConfig,
+    LeporConfig,
     ParallelCorpus,
     RareWordSet,
     SynonymLexicon,
@@ -216,6 +217,28 @@ class TestLengthScore:
             ebleu_length_score(5, 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (BleuConfig, "smoothing_epsilon"),
+        (EbleuConfig, "smoothing_epsilon"),
+        (EbleuConfig, "rare_words_score"),
+        (LeporConfig, "alpha"),
+        (LeporConfig, "beta"),
+    ],
+)
+def test_non_finite_config_value_rejected(config, field, value):
+    with pytest.raises(ValueError, match="finite"):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_bleu_weight_rejected(value):
+    with pytest.raises(ValueError):
+        BleuConfig(max_order=2, weights=(value, 0.5))
+
+
 class TestCumulative:
     def test_published_sequence(self):
         got = ebleu_cumulative([0.70, 0.55, 0.37, 0.28], 0.0)
@@ -294,14 +317,26 @@ class TestEbleuScore:
         score = ebleu_score(corpus, SynonymLexicon.empty(), cfg)
         assert 0.0 < score.corpus_score < 1.0
 
-    def test_per_sentence_matches_singleton_corpus(self):
-        corpus = corpus_of(("a b c x", "a b c d"), ("p q", "p q r"))
-        cfg = EbleuConfig(max_order=2, rare_words_score=1.0)
-        score = ebleu_score(corpus, PAIRED_LEXICON, cfg)
-        for pair, sentence_score in zip(corpus.pairs, score.per_sentence):
-            singleton = ParallelCorpus(pairs=(pair,), ref_count=1)
-            expected = ebleu_score(singleton, PAIRED_LEXICON, cfg).corpus_score
-            assert sentence_score == pytest.approx(expected, abs=1e-12)
+    @settings(deadline=None, max_examples=60)
+    @given(
+        small_corpora(alphabet="abcdef"), st.integers(1, 4), st.sampled_from([0.0, 0.05])
+    )
+    def test_per_sentence_matches_singleton_corpus(self, corpus, max_order, epsilon):
+        # Bit for bit when the one-pair call weighs with the corpus's
+        # rare-word set, which a bonus other than 1 makes count.
+        cfg = EbleuConfig(
+            max_order=max_order, rare_words_score=1.3, smoothing_epsilon=epsilon
+        )
+        rare = build_rare_word_set(corpus.all_references(), cfg.rare_words_percent)
+        assert ebleu_score(corpus, PAIRED_LEXICON, cfg).per_sentence == [
+            ebleu_score(
+                ParallelCorpus((pair,), corpus.ref_count),
+                PAIRED_LEXICON,
+                cfg,
+                rare_words=rare,
+            ).corpus_score
+            for pair in corpus.pairs
+        ]
 
     @pytest.mark.parametrize("regime", ["short", "long", "mixed"])
     def test_degenerates_to_uniform_bleu(self, regime):

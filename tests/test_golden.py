@@ -42,7 +42,7 @@ def test_seven_metric_golden_file(run_bench, tmp_path, monkeypatch):
     assert got == (BENCH / "golden" / "seven_metrics.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["suite-corpus", "ter-reorder"])
+@pytest.mark.parametrize("name", ["suite-corpus", "suite-sentence", "ter-reorder"])
 def test_workload_digest_of_corpus_zero(run_bench, tmp_path, monkeypatch, name):
     workload = run_bench.WORKLOADS[name]
     table = json.loads((BENCH / "golden" / "digests.json").read_text(encoding="utf-8"))

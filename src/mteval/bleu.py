@@ -2,9 +2,11 @@
 
 Per-order statistics are pooled across the corpus (clipped matches and
 hypothesis totals are summed before dividing), the standard resolution
-for corpus scoring. The score is ``bp * exp(sum_n w_n * log(p_n))`` and
-collapses to zero when any pooled precision is zero and no smoothing is
-enabled.
+for corpus scoring: each pair gives its statistics as the columns of
+``order_columns``, and ``corpus.reduce_pairs`` adds them up before the
+formula scores the totals. The score is ``bp * exp(sum_n w_n *
+log(p_n))`` and collapses to zero when any pooled precision is zero and
+no smoothing is enabled.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .ngram import extract_ngrams, max_ref_counts
 class BleuConfig:
     """Maximum n-gram order, per-order weights, and optional smoothing.
 
-    ``weights`` defaults to uniform 1/N. A positive ``smoothing_epsilon``
-    floors a zero pooled precision at ``epsilon / t``, t the hypothesis
-    n-gram total, but an order with no n-grams (t = 0) still zeroes the score.
+    ``weights`` defaults to uniform 1/N. A positive ``smoothing_epsilon``,
+    below 1, floors a zero pooled precision at ``epsilon / t``, t the
+    hypothesis n-gram total, but an order with no n-grams (t = 0) still
+    zeroes the score.
     """
 
     max_order: int = 4
@@ -34,8 +37,10 @@ class BleuConfig:
         if self.max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {self.max_order}")
         # Chained range checks: NaN fails every comparison, so it is rejected.
-        if not 0.0 <= self.smoothing_epsilon < math.inf:
-            raise ValueError("smoothing_epsilon must be finite and non-negative")
+        # An epsilon of 1 or more would floor a zero precision at 1/t or
+        # more, scoring a hypothesis that shares no word as a match.
+        if not 0.0 <= self.smoothing_epsilon < 1.0:
+            raise ValueError("smoothing_epsilon must be finite and in [0, 1)")
         if self.weights is not None:
             if len(self.weights) != self.max_order:
                 raise ValueError(
@@ -97,26 +102,13 @@ def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
     return stats
 
 
-def pool_order_stats(
-    stats: Sequence[tuple], max_order: int
-) -> tuple[list, list[int], int, int]:
-    """Pooled ``(matched, totals, hyp_len, ref_len)`` of BLEU-style pair
-    statistics ``(per-order (matched, total), hyp_len, ref_len)``.
-
-    Each sum starts from integer 0 and adds in corpus order, so one
-    pair's statistics pool to themselves, bit for bit, floats included.
-    """
-    matched = [0] * max_order
-    totals = [0] * max_order
-    hyp_len = 0
-    ref_len = 0
-    for orders, c, r in stats:
-        for i, (m, t) in enumerate(orders):
-            matched[i] += m
-            totals[i] += t
-        hyp_len += c
-        ref_len += r
-    return matched, totals, hyp_len, ref_len
+def order_columns(pair: EvalPair, orders: Sequence[tuple]) -> list:
+    """The columns ``m_1..m_N, t_1..t_N, c, r`` of a pair's BLEU-style
+    statistics, from its per-order ``(matched, total)``: ``c`` is the
+    hypothesis length and ``r`` its effective reference length."""
+    c = len(pair.hypothesis)
+    r = effective_reference_length(c, [len(ref) for ref in pair.references])
+    return [m for m, _ in orders] + [t for _, t in orders] + [c, r]
 
 
 def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> MetricScore:
@@ -124,19 +116,18 @@ def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> Metric
 
     The effective reference length of each pair is the reference length
     closest to its hypothesis length (ties to shorter), summed over the
-    corpus. A per-sentence score is the corpus reduction of that pair's
-    statistics.
+    corpus. A per-sentence score is the formula applied to that pair's
+    columns alone (see ``order_columns``).
     """
     weights = cfg.resolved_weights()
+    n = cfg.max_order
 
     def pair_stats(pair):
-        stats = _pair_order_stats(pair, cfg.max_order)
-        c = len(pair.hypothesis)
-        r = effective_reference_length(c, [len(ref) for ref in pair.references])
-        return stats, c, r
+        return order_columns(pair, _pair_order_stats(pair, n))
 
-    def reduce(stats):
-        matched, totals, hyp_len, ref_len = pool_order_stats(stats, cfg.max_order)
+    def score(columns):
+        matched, totals = columns[:n], columns[n : 2 * n]
+        hyp_len, ref_len = columns[2 * n :]
         bp = brevity_penalty(hyp_len, ref_len)
         # Weighted log-average of the per-order precisions, scaled by bp.
         precisions = []
@@ -147,13 +138,12 @@ def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> Metric
             precisions.append(p)
             if p == 0.0:
                 if cfg.smoothing_epsilon > 0.0 and t > 0:
-                    p = min(1.0, cfg.smoothing_epsilon / t)
+                    p = cfg.smoothing_epsilon / t
                 else:
                     dead = True
                     continue
             log_sum += w * math.log(p)
-        score = 0.0 if dead else bp * math.exp(log_sum)
-        return score, {
+        return 0.0 if dead else bp * math.exp(log_sum), {
             "precisions": precisions,
             "brevity_penalty": bp,
             "hyp_length": hyp_len,
@@ -163,5 +153,5 @@ def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> Metric
         }
 
     per_sentence: list[float] = []
-    score, details = reduce_pairs(corpus, pair_stats, reduce, per_sentence)
-    return MetricScore("bleu", score, per_sentence, details)
+    corpus_score, details = reduce_pairs(corpus, pair_stats, score, per_sentence)
+    return MetricScore("bleu", corpus_score, per_sentence, details)

@@ -6,7 +6,8 @@ line, comma separated; blank lines and lines starting with ``#`` are
 skipped. A byte order mark at the start of any of these files is
 dropped. All loaded objects are immutable and safe to share between
 concurrent scorers. ``reduce_pairs`` is the scoring loop every metric
-runs over a corpus.
+runs over a corpus: it pools each pair's statistic columns into running
+totals and applies the metric's score formula to the totals.
 """
 
 from __future__ import annotations
@@ -105,24 +106,40 @@ class ParallelCorpus:
 
 def reduce_pairs(
     corpus: ParallelCorpus,
-    pair_stats: Callable[[EvalPair], Any],
-    reduce: Callable[[list], tuple[float, Any]],
+    pair_stats: Callable[[EvalPair], Sequence],
+    score: Callable[[Sequence], tuple[float, Any]],
     per_sentence: list[float] | None = None,
 ) -> tuple[float, Any]:
-    """``reduce`` of every pair's ``pair_stats``, in corpus order.
+    """``score`` of the pooled ``pair_stats`` columns of every pair.
 
-    The one scoring loop of every metric: each pair's statistics are
-    collected once, and ``reduce(stats)`` turns a list of them into
-    ``(score, details)``. When ``per_sentence`` is a list, each pair's
-    score, ``reduce([s])[0]`` of its own statistics, is appended to it
-    in corpus order. Raises :class:`EmptyCorpusError` on an empty corpus.
+    The one scoring loop of every metric, and the only code that adds
+    statistics across pairs. ``pair_stats`` gives a pair's statistics as
+    a flat sequence of columns, each a number, pooled by addition, or a
+    ``list`` (not a tuple, whose ``+=`` copies), pooled by concatenation;
+    ``score(columns)`` turns one set of columns into ``(score,
+    details)``. Each running total starts from a zero of its column's
+    type and takes ``+=`` in corpus order, never ``sum()`` or
+    ``math.fsum``, which compensate float rounding. No column is
+    ``-0.0``, the one float that ``0.0 +`` changes, so a one-pair corpus
+    scores its own columns bit for bit. When ``per_sentence`` is a list,
+    each pair's score, ``score(columns)[0]`` of its own columns, is
+    appended to it in corpus order. A pair's columns are dropped once
+    added. Raises :class:`EmptyCorpusError` on an empty corpus.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot score an empty corpus")
-    stats = [pair_stats(pair) for pair in corpus.pairs]
-    if per_sentence is not None:
-        per_sentence.extend(reduce([s])[0] for s in stats)
-    return reduce(stats)
+    totals = None
+    for pair in corpus.pairs:
+        columns = pair_stats(pair)
+        if per_sentence is not None:
+            per_sentence.append(score(columns)[0])
+        if totals is None:
+            # Fresh zeros (0, 0.0, []): a list total that started as the
+            # first pair's own list would be extended in place.
+            totals = [type(column)() for column in columns]
+        for i, column in enumerate(columns):
+            totals[i] += column
+    return score(totals)
 
 
 def read_lines(path: str | Path) -> list[str]:

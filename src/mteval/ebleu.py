@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bleu import MetricScore, effective_reference_length, pool_order_stats
+from .bleu import MetricScore, order_columns
 from .corpus import (
     EvalPair,
     ParallelCorpus,
@@ -57,8 +57,9 @@ class EbleuConfig:
         # Chained range checks: NaN fails every comparison, so it is rejected.
         if not 1.0 <= self.rare_words_score < math.inf:
             raise ValueError("rare_words_score must be finite and >= 1")
-        if not 0.0 <= self.smoothing_epsilon < math.inf:
-            raise ValueError("smoothing_epsilon must be finite and non-negative")
+        # An epsilon of 1 floors every order score at 1, erasing the metric.
+        if not 0.0 <= self.smoothing_epsilon < 1.0:
+            raise ValueError("smoothing_epsilon must be finite and in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,10 @@ def ebleu_score(
 
     The rare-word set is built from the corpus references at
     ``cfg.rare_words_percent`` unless one is passed in. Reference length
-    uses the same closest-length rule as BLEU. A per-sentence score is
-    the corpus reduction of that pair's statistics, which are weighed
-    with the corpus's rare-word set; it equals ``ebleu_score`` of the
+    uses the same closest-length rule as BLEU, and a pair's statistics are
+    the same columns (``bleu.order_columns``). A per-sentence score is the
+    formula applied to that pair's columns alone, which are weighed with
+    the corpus's rare-word set; it equals ``ebleu_score`` of the
     one-pair corpus when that set is passed as ``rare_words``.
     """
     if rare_words is None:
@@ -214,29 +216,26 @@ def ebleu_score(
             corpus.all_references(), cfg.rare_words_percent
         )
 
+    n = cfg.max_order
+
     def pair_stats(pair):
         trace = synonym_substitute(pair, lexicon)
-        stats = [
-            _order_stats(trace, pair, n, rare_words, cfg)
-            for n in range(1, cfg.max_order + 1)
-        ]
-        c = len(pair.hypothesis)
-        r = effective_reference_length(c, [len(ref) for ref in pair.references])
-        return stats, c, r
+        return order_columns(
+            pair, [_order_stats(trace, pair, k, rare_words, cfg) for k in range(1, n + 1)]
+        )
 
-    def reduce(stats):
-        matched, totals, hyp_len, ref_len = pool_order_stats(stats, cfg.max_order)
+    def score(columns):
+        matched, totals = columns[:n], columns[n : 2 * n]
+        hyp_len, ref_len = columns[2 * n :]
         order_scores = [
             min(1.0, m / t) if t else 0.0 for m, t in zip(matched, totals)
         ]
         if hyp_len == 0:
-            cumulative, len_score = [0.0] * cfg.max_order, 0.0
+            cumulative, len_score = [0.0] * n, 0.0
         else:
             len_score = ebleu_length_score(ref_len, hyp_len)
             eps = cfg.smoothing_epsilon
-            floored = [
-                min(1.0, max(b, eps)) if eps > 0.0 else b for b in order_scores
-            ]
+            floored = [max(b, eps) for b in order_scores]
             cumulative = ebleu_cumulative(floored, len_score)
         return cumulative[-1], {
             "order_scores": order_scores,
@@ -248,5 +247,5 @@ def ebleu_score(
         }
 
     per_sentence: list[float] = []
-    score, details = reduce_pairs(corpus, pair_stats, reduce, per_sentence)
-    return MetricScore("ebleu", score, per_sentence, details)
+    corpus_score, details = reduce_pairs(corpus, pair_stats, score, per_sentence)
+    return MetricScore("ebleu", corpus_score, per_sentence, details)

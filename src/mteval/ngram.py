@@ -31,7 +31,13 @@ class NGramCounts:
 
 
 def windows(tokens: Sequence[str], n: int) -> Iterator[NGram]:
-    """Every contiguous window of length ``n``, left to right (none if n < 1)."""
+    """Every contiguous window of length ``n``, left to right (none if n < 1).
+
+    A sentence shorter than ``n`` has none and builds no slice, so its
+    cost does not grow with ``n``.
+    """
+    if n > len(tokens):
+        return iter(())
     return zip(*[tokens[i:] for i in range(n)])
 
 

@@ -2,10 +2,12 @@
 
 Faithful reimplementations of the published formulas, not bug-for-bug
 ports of the original tools. Each scorer is one ``pair_stats``, a pure
-function of one pair, and one ``reduce`` of a list of pair statistics
-to ``(score, details)``, run by ``corpus.reduce_pairs``. Given a
-``per_sentence`` list, each scorer also appends every pair's own score
-to it from the same pass: the reduction of that pair's statistics alone.
+function of one pair that gives its statistics as columns, and one
+``score`` formula from one set of columns to ``(score, details)``, run
+by ``corpus.reduce_pairs``, which adds up the columns of every pair.
+Given a ``per_sentence`` list, each scorer also appends every pair's own
+score to it from the same pass: the formula applied to that pair's
+columns alone.
 """
 
 from __future__ import annotations
@@ -50,15 +52,16 @@ def nist_score(
     length factor exp(beta * log(min(c/r, 1))^2) that reaches 0.5 when
     the hypothesis is two thirds of the average reference length.
 
-    A pair's statistics are its lengths, its references, and its matches:
-    its hypothesis n-grams clipped against its references, recorded as
-    (n-gram, clipped count) in scoring order in one list, the order of a
-    match being the length of its n-gram. The reduction pools reference
-    counts for the matched n-grams only, then sums the information of
-    the matches per order over the pairs in corpus order, so scores are
-    those of pooling every reference n-gram, bit for bit. A per-sentence
-    score is the corpus reduction of that pair's statistics, so its
-    information weights come from its own references.
+    A pair's columns are its matches, its references, its hypothesis
+    length, its average reference length and its hypothesis n-gram total
+    per order. Its matches are its hypothesis n-grams clipped against its
+    references, recorded as (n-gram, clipped count) in scoring order in
+    one list, the order of a match being the length of its n-gram. The
+    formula counts reference n-grams for the matched ones only, then sums
+    the information of the matches per order in corpus order, so scores
+    are those of pooling every reference n-gram, bit for bit. A
+    per-sentence score is the formula applied to that pair's columns
+    alone, so its information weights come from its own references.
     """
 
     def pair_stats(pair):
@@ -70,46 +73,37 @@ def nist_score(
                 m = min(count, best(gram, 0))
                 if m:
                     record((gram, m))
-        avg_ref_len = _average_length(pair.references)
-        return matches, len(pair.hypothesis), avg_ref_len, pair.references
+        c = len(pair.hypothesis)
+        return [matches, list(pair.references), c, _average_length(pair.references)] + [
+            max(0, c - n + 1) for n in range(1, max_order + 1)
+        ]
 
-    def reduce(stats):
+    def score(columns):
+        matches, references, hyp_len, avg_ref_len, *hyp_totals = columns
         # The prefix w1..wn-1 of a matched n-gram occurs in the same
         # hypothesis and reference, so it is a matched (n-1)-gram itself and
         # every count the information weights divide by is pooled.
-        needed = {gram for matches, _, _, _ in stats for gram, _ in matches}
+        needed = {gram for gram, _ in matches}
         ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
-        total_ref_tokens = 0
-        hyp_totals = [0] * (max_order + 1)
-        hyp_len = 0
-        avg_ref_len = 0.0
-        for _, c, r, references in stats:
-            hyp_len += c
-            avg_ref_len += r
+        for ref in references:
             for n in range(1, max_order + 1):
-                hyp_totals[n] += max(0, c - n + 1)
-            for ref in references:
-                total_ref_tokens += len(ref)
-                for n in range(1, max_order + 1):
-                    ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
+                ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
+        total_ref_tokens = sum(map(len, references))
         matched_info = [0.0] * (max_order + 1)
-        for matches, _, _, _ in stats:
-            for gram, m in matches:
-                n = len(gram)
-                numer = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
-                matched_info[n] += m * math.log2(numer / ref_counts[n][gram])
+        for gram, m in matches:
+            n = len(gram)
+            numer = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
+            matched_info[n] += m * math.log2(numer / ref_counts[n][gram])
         if hyp_len == 0 or avg_ref_len == 0.0:
             return 0.0, None
-        score = sum(
-            info / total
-            for info, total in zip(matched_info[1:], hyp_totals[1:])
-            if total > 0
+        information = sum(
+            info / total for info, total in zip(matched_info[1:], hyp_totals) if total > 0
         )
         beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
         ratio = min(hyp_len / avg_ref_len, 1.0)
-        return score * math.exp(beta * math.log(ratio) ** 2), None
+        return information * math.exp(beta * math.log(ratio) ** 2), None
 
-    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
+    return reduce_pairs(corpus, pair_stats, score, per_sentence)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +326,8 @@ def ter_score(
 
     The corpus score is the summed edits over the summed average
     reference lengths: 0 for no edits against a zero length, ``inf``
-    for some. A per-sentence score is the corpus reduction of that
-    pair's statistics.
+    for some. A pair's columns are its edits and its average reference
+    length; a per-sentence score is the formula applied to them alone.
     """
 
     def pair_stats(pair):
@@ -342,17 +336,13 @@ def ter_score(
         )
         return edits, _average_length(pair.references)
 
-    def reduce(stats):
-        total_edits = 0
-        total_ref_len = 0.0
-        for edits, ref_len in stats:
-            total_edits += edits
-            total_ref_len += ref_len
-        if total_ref_len == 0.0:
-            return (0.0 if total_edits == 0 else math.inf), None
-        return total_edits / total_ref_len, None
+    def score(columns):
+        edits, ref_len = columns
+        if ref_len == 0.0:
+            return (0.0 if edits == 0 else math.inf), None
+        return edits / ref_len, None
 
-    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
+    return reduce_pairs(corpus, pair_stats, score, per_sentence)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,43 +412,38 @@ def meteor_score(
     With pooled precision P, recall R, matches M and chunks C the score
     is (10PR / (R + 9P)) * (1 - 0.5 * C / M), and 0 when nothing matches.
 
-    A pair's statistics are its matches, chunks and lengths against the
-    reference whose own reduction scores highest, the first on a tie. A
-    per-sentence score is the corpus reduction of that pair's statistics.
+    A pair's columns are its matches, chunks and lengths against the
+    reference whose own columns score highest, the first on a tie. A
+    per-sentence score is the formula applied to that pair's columns.
     """
 
-    def reduce(stats):
-        matches = chunks = hyp_len = ref_len = 0
-        for m, c, h, r in stats:
-            matches += m
-            chunks += c
-            hyp_len += h
-            ref_len += r
+    def score(columns):
+        matches, chunks, hyp_len, ref_len = columns
         precision = matches / hyp_len if hyp_len else 0.0
         recall = matches / ref_len if ref_len else 0.0
         if matches == 0 or precision == 0.0 or recall == 0.0:
             return 0.0, MeteorResult(precision, recall, matches, chunks, 0.0, 0.0)
         penalty = 0.5 * chunks / matches
         harmonic = 10.0 * precision * recall / (recall + 9.0 * precision)
-        score = harmonic * (1.0 - penalty)
-        return score, MeteorResult(precision, recall, matches, chunks, penalty, score)
+        value = harmonic * (1.0 - penalty)
+        return value, MeteorResult(precision, recall, matches, chunks, penalty, value)
 
     def pair_stats(pair):
         best = best_score = None
         for ref in pair.references:
             alignment = _align_unigrams(pair.hypothesis, ref, lexicon)
-            stats = (
+            columns = (
                 len(alignment),
                 _chunk_count(alignment),
                 len(pair.hypothesis),
                 len(ref),
             )
-            score = reduce([stats])[0]
-            if best_score is None or score > best_score:
-                best, best_score = stats, score
+            ref_score = score(columns)[0]
+            if best_score is None or ref_score > best_score:
+                best, best_score = columns, ref_score
         return best
 
-    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[1]
+    return reduce_pairs(corpus, pair_stats, score, per_sentence)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +537,8 @@ def lepor_score(
     own list of free positions. The position penalty is exp(-NPD) where
     NPD is the total normalized position difference per hypothesis
     token. Zero when either unigram precision or recall is zero. A
-    per-sentence score is the corpus reduction of that pair's statistics.
+    pair's columns are its position difference, matches and lengths; a
+    per-sentence score is the formula applied to them alone.
     """
 
     def pair_stats(pair):
@@ -560,14 +546,8 @@ def lepor_score(
         diff, m = _position_alignment(pair.hypothesis, ref)
         return diff, m, len(pair.hypothesis), len(ref)
 
-    def reduce(stats):
-        total_diff = 0.0
-        matches = hyp_total = ref_total = 0
-        for diff, m, h, r in stats:
-            total_diff += diff
-            matches += m
-            hyp_total += h
-            ref_total += r
+    def score(columns):
+        total_diff, matches, hyp_total, ref_total = columns
         if matches == 0 or hyp_total == 0 or ref_total == 0:
             return 0.0, None
         precision = matches / hyp_total
@@ -576,7 +556,7 @@ def lepor_score(
         harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
         return _length_penalty(hyp_total, ref_total) * math.exp(-npd) * harmonic, None
 
-    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
+    return reduce_pairs(corpus, pair_stats, score, per_sentence)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +626,9 @@ def ribes_score(
     reference positions is mapped to [0, 1] via (coefficient + 1) / 2 and
     multiplied by unigram precision raised to ``alpha``; the best
     reference wins and pairs with fewer than two aligned words score
-    zero. The corpus score is the mean over pairs. A per-sentence score
-    is the corpus reduction of that pair's statistics.
+    zero. A pair's columns are its best score and a count of 1, so the
+    corpus score is the mean over pairs, and a per-sentence score, the
+    formula applied to one pair's columns, is that pair's best score.
     """
     correlate = _kendall_tau if cfg.correlation_kind == "kendall" else _spearman_rho
 
@@ -660,12 +641,10 @@ def ribes_score(
             normalized = (correlate(aligned) + 1.0) / 2.0
             precision = len(aligned) / len(pair.hypothesis)
             best = max(best, normalized * precision**cfg.alpha)
-        return best
+        return best, 1
 
-    def reduce(stats):
-        total = 0.0
-        for best in stats:
-            total += best
-        return total / len(stats), None
+    def score(columns):
+        total, count = columns
+        return total / count, None
 
-    return reduce_pairs(corpus, pair_stats, reduce, per_sentence)[0]
+    return reduce_pairs(corpus, pair_stats, score, per_sentence)[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
 from hypothesis import strategies as st
 
@@ -185,6 +185,59 @@ def oracle_ebleu_order_stats(trace, pair, n, rare, cfg):
         weights.sort(reverse=True)
         matched += sum(weights[:cap])
     return matched, total
+
+
+# --- Oracles: word-level Levenshtein distance, and the fewest edits over
+# every sequence of block moves, found by exhaustive search.
+
+
+def dp_edit_distance(a, b):
+    """Plain Levenshtein, written independently of the implementation."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        table[i][0] = i
+    for j in range(len(b) + 1):
+        table[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return table[-1][-1]
+
+
+def all_block_moves(seq):
+    n = len(seq)
+    for i in range(n):
+        for length in range(1, n - i + 1):
+            block = seq[i : i + length]
+            rest = seq[:i] + seq[i + length :]
+            for pos in range(len(rest) + 1):
+                moved = rest[:pos] + block + rest[pos:]
+                if moved != seq:
+                    yield moved
+
+
+def optimal_shift_edits(hyp, ref):
+    """Exhaustive search: min over shift sequences of shifts + edit distance."""
+    hyp, ref = tuple(hyp), tuple(ref)
+    best = dp_edit_distance(hyp, ref)
+    seen = {hyp: 0}
+    queue = deque([hyp])
+    while queue:
+        current = queue.popleft()
+        moves = seen[current]
+        if moves + 1 >= best:
+            continue
+        for moved in all_block_moves(current):
+            if moved in seen:
+                continue
+            seen[moved] = moves + 1
+            best = min(best, moves + 1 + dp_edit_distance(moved, ref))
+            queue.append(moved)
+    return best
 
 
 # --- Oracle: TER's greedy shift search as it stood when every candidate

@@ -11,7 +11,6 @@ import json
 import math
 import random
 import time
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -39,7 +38,13 @@ from mteval import (
 )
 from mteval.cli import main, read_score_table
 from mteval.refmetrics import _shifted_edit_count
-from helpers import corpus_of, pair_of, random_corpus
+from helpers import (
+    corpus_of,
+    dp_edit_distance,
+    optimal_shift_edits,
+    pair_of,
+    random_corpus,
+)
 
 VOCAB = list("abcdefgh")
 
@@ -255,53 +260,6 @@ def test_criterion_5_degeneration_to_bleu():
 
 
 # --- criterion 6 -------------------------------------------------------------
-
-
-def dp_edit_distance(a, b):
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(len(a) + 1):
-        table[i][0] = i
-    for j in range(len(b) + 1):
-        table[0][j] = j
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            table[i][j] = min(
-                table[i - 1][j] + 1,
-                table[i][j - 1] + 1,
-                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-            )
-    return table[-1][-1]
-
-
-def all_block_moves(seq):
-    n = len(seq)
-    for i in range(n):
-        for length in range(1, n - i + 1):
-            block = seq[i : i + length]
-            rest = seq[:i] + seq[i + length :]
-            for pos in range(len(rest) + 1):
-                moved = rest[:pos] + block + rest[pos:]
-                if moved != seq:
-                    yield moved
-
-
-def optimal_shift_edits(hyp, ref):
-    hyp, ref = tuple(hyp), tuple(ref)
-    best = dp_edit_distance(hyp, ref)
-    seen = {hyp: 0}
-    queue = deque([hyp])
-    while queue:
-        current = queue.popleft()
-        moves = seen[current]
-        if moves + 1 >= best:
-            continue
-        for moved in all_block_moves(current):
-            if moved in seen:
-                continue
-            seen[moved] = moves + 1
-            best = min(best, moves + 1 + dp_edit_distance(moved, ref))
-            queue.append(moved)
-    return best
 
 
 def test_criterion_6_ngram_clipping_oracle():

@@ -325,13 +325,19 @@ class TestScoreCommand:
         for name in ALL_METRICS:
             assert len(metrics[name].get("per_sentence", [])) == (2 if per_sentence else 0)
 
-    def test_bad_config_value_is_usage_error(self, capsys, identical_files):
-        hyp, ref = identical_files
-        code = main(
-            ["score", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(ref),
-             "--max-ngram", "0"]
-        )
-        assert code == 2
+    def test_bad_config_value_is_usage_error(self, capsys, two_pair_files):
+        hyp, ref, lex = two_pair_files
+        for metric, flag, value in [
+            ("bleu", "--max-ngram", "0"),
+            # An epsilon of 1 floors a zero order score at a perfect match.
+            ("bleu", "--epsilon", "1"),
+            ("ebleu", "--epsilon", "1"),
+        ]:
+            code = main(
+                ["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref),
+                 "--lexicon", str(lex), flag, value]
+            )
+            assert code == 2, (metric, flag, value)
 
     # NaN fails every comparison, so a `<` range check alone lets it
     # through, and an infinite epsilon or bonus clamps each order score

@@ -6,13 +6,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mteval import (
+    EvalPair,
+    ParallelCorpus,
     TokenizerConfig,
     build_rare_word_set,
     load_parallel_corpus,
     load_synonym_lexicon,
     tokenize,
 )
+from mteval.corpus import reduce_pairs
 from mteval.errors import (
+    EmptyCorpusError,
     InvalidPercentError,
     LineCountMismatchError,
     MalformedLineError,
@@ -46,6 +50,53 @@ class TestTokenize:
             tokens = tokenize(line, cfg)
             assert tokenize(" ".join(tokens), cfg) == tokens
             assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
+
+
+def reduce_rows(rows, score, per_sentence=None):
+    """``reduce_pairs`` over a corpus whose i-th pair has the columns ``rows[i]``."""
+    corpus = ParallelCorpus(
+        tuple(EvalPair((str(i),), (("ref",),)) for i in range(len(rows))), 1
+    )
+    return reduce_pairs(
+        corpus, lambda pair: rows[int(pair.hypothesis[0])], score, per_sentence
+    )
+
+
+def first_column(columns):
+    return columns[0], None
+
+
+class TestReducePairs:
+    def test_float_column_adds_in_corpus_order_uncompensated(self):
+        # math.fsum, or sum() from Python 3.12 on, would give 1.0; a
+        # one-pair corpus repeats its pair's float operations only with
+        # plain `+=` from zero in corpus order.
+        assert reduce_rows([[1e16], [1.0], [-1e16]], first_column) == (0.0, None)
+
+    def test_list_columns_concatenate_in_corpus_order(self):
+        rows = [[["a"], 1], [["b", "c"], 2], [[], 3]]
+        assert reduce_rows(rows, lambda columns: (columns, None))[0] == [
+            ["a", "b", "c"],
+            6,
+        ]
+
+    def test_no_pair_columns_are_mutated(self):
+        rows = [[["a"], 1.5], [["b"], 2.5]]
+        reduce_rows(rows, first_column, [])
+        assert rows == [[["a"], 1.5], [["b"], 2.5]]
+
+    def test_per_sentence_scores_each_pair_alone(self):
+        rows = [(1, ["x"]), (2, ["y", "z"]), (3, [])]
+        per_sentence = []
+        got = reduce_rows(
+            rows, lambda columns: (columns[0] + len(columns[1]), None), per_sentence
+        )
+        assert per_sentence == [2, 4, 3]
+        assert got == (9, None)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(EmptyCorpusError):
+            reduce_pairs(ParallelCorpus((), 1), lambda pair: [1], first_column)
 
 
 class TestLoadParallelCorpus:

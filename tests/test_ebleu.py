@@ -233,6 +233,15 @@ def test_non_finite_config_value_rejected(config, field, value):
         config(**{field: value})
 
 
+# At an epsilon of 1 or more, "zz yy xx ww vv uu" against "the cat sat
+# on the mat", which share no word, scored EBLEU 1.0 (and BLEU 0.955 at 5).
+@pytest.mark.parametrize("value", [1.0, 5.0])
+@pytest.mark.parametrize("config", [BleuConfig, EbleuConfig])
+def test_smoothing_epsilon_of_one_or_more_rejected(config, value):
+    with pytest.raises(ValueError, match="finite"):
+        config(smoothing_epsilon=value)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_bleu_weight_rejected(value):
     with pytest.raises(ValueError):

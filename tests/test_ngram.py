@@ -1,10 +1,12 @@
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mteval import clipped_match_count, extract_ngrams, modified_precision, tokenize
 from mteval.errors import OrderMismatchError
-from mteval.ngram import max_ref_counts, window_counts
+from mteval.ngram import max_ref_counts, window_counts, windows
 from helpers import pair_of
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
@@ -80,6 +82,27 @@ class TestWindowCounts:
 
     def test_unigrams(self):
         assert window_counts(("b", "a", "b"), 1) == {("b",): 2, ("a",): 1}
+
+    def test_order_past_the_sentence_builds_no_slices(self):
+        # One slice per order would make a large --max-ngram cost time in
+        # the order itself, on every sentence and reference.
+        class SliceCounting(Sequence):
+            slices = 0
+
+            def __init__(self, items):
+                self.items = tuple(items)
+
+            def __len__(self):
+                return len(self.items)
+
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    SliceCounting.slices += 1
+                return self.items[index]
+
+        tokens = SliceCounting("abc")
+        assert list(windows(tokens, 10**6)) == []
+        assert SliceCounting.slices <= len(tokens) + 1
 
     @given(small_vocab_sentences(1, 1), WIDE_ORDERS)
     def test_matches_brute_force_in_first_occurrence_order(self, sentences, n):

@@ -1,6 +1,6 @@
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -38,8 +38,11 @@ from helpers import (
     EDGE_LINES,
     LONG_LINE,
     LONG_MOVED_LINE,
+    all_block_moves,
     block_moved_pair,
     corpus_of,
+    dp_edit_distance,
+    optimal_shift_edits,
     oracle_align_unigrams,
     oracle_kendall_tau,
     oracle_min_free_position_alignment,
@@ -53,58 +56,6 @@ from helpers import (
 
 VOCAB = list("abcdef")
 EMPTY = SynonymLexicon.empty()
-
-
-# --- independent oracles -----------------------------------------------------
-
-
-def dp_edit_distance(a, b):
-    """Plain Levenshtein, written independently of the implementation."""
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(len(a) + 1):
-        table[i][0] = i
-    for j in range(len(b) + 1):
-        table[0][j] = j
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            table[i][j] = min(
-                table[i - 1][j] + 1,
-                table[i][j - 1] + 1,
-                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
-            )
-    return table[-1][-1]
-
-
-def all_block_moves(seq):
-    n = len(seq)
-    for i in range(n):
-        for length in range(1, n - i + 1):
-            block = seq[i : i + length]
-            rest = seq[:i] + seq[i + length :]
-            for pos in range(len(rest) + 1):
-                moved = rest[:pos] + block + rest[pos:]
-                if moved != seq:
-                    yield moved
-
-
-def optimal_shift_edits(hyp, ref):
-    """Exhaustive search: min over shift sequences of shifts + edit distance."""
-    hyp, ref = tuple(hyp), tuple(ref)
-    best = dp_edit_distance(hyp, ref)
-    seen = {hyp: 0}
-    queue = deque([hyp])
-    while queue:
-        current = queue.popleft()
-        moves = seen[current]
-        if moves + 1 >= best:
-            continue
-        for moved in all_block_moves(current):
-            if moved in seen:
-                continue
-            seen[moved] = moves + 1
-            best = min(best, moves + 1 + dp_edit_distance(moved, ref))
-            queue.append(moved)
-    return best
 
 
 # --- NIST --------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
-from .ngram import extract_ngrams, max_ref_counts
+from .ngram import clipped_counts, extract_ngrams, max_ref_counts, window_total
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,12 @@ def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
     stats = []
     for n in range(1, max_order + 1):
         hyp_counts = extract_ngrams(pair.hypothesis, n)
-        total = sum(hyp_counts.counts.values())
+        total = window_total(len(pair.hypothesis), n)
         if total == 0:
             stats.append((0, 0))
             continue
-        best = max_ref_counts(pair.references, n).get
-        clipped = sum(
-            min(count, best(gram, 0)) for gram, count in hyp_counts.counts.items()
-        )
-        stats.append((clipped, total))
+        best = max_ref_counts(pair.references, n)
+        stats.append((sum(m for _, m in clipped_counts(hyp_counts.counts, best)), total))
     return stats
 
 

@@ -36,7 +36,7 @@ from .corpus import (
     reduce_pairs,
 )
 from .errors import OrderMismatchError
-from .ngram import max_ref_counts, windows
+from .ngram import _merge_max, max_ref_counts, window_total, windows
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ def synonym_substitute(pair: EvalPair, lexicon: SynonymLexicon) -> SubstitutionT
     hypothesis words never claim the same reference word. The
     hypothesis length never changes.
     """
-    budget: Counter = Counter()
-    for ref in pair.references:
-        for word, count in Counter(ref).items():
-            if count > budget[word]:
-                budget[word] = count
+    budget = _merge_max(Counter(), map(Counter, pair.references))
     modified = list(pair.hypothesis)
     substituted: set[int] = set()
     for i, word in enumerate(modified):
@@ -121,7 +117,7 @@ def _order_stats(
     instances of an n-gram may score, dropping the lowest weights first.
     """
     hyp = trace.modified_hypothesis
-    total = max(0, len(hyp) - n + 1)
+    total = window_total(len(hyp), n)
     if total == 0:
         return 0.0, 0
     allowed = max_ref_counts(pair.references, n)
@@ -149,6 +145,11 @@ def _order_stats(
     return matched, total
 
 
+def _clamped_precision(matched: float, total: int) -> float:
+    """``matched / total`` clamped to 1, and 0 for an order with no n-grams."""
+    return min(1.0, matched / total) if total else 0.0
+
+
 def ebleu_order_score(
     trace: SubstitutionTrace,
     pair: EvalPair,
@@ -159,10 +160,7 @@ def ebleu_order_score(
     """Weighted modified precision for one order, clamped to [0, 1]."""
     if n < 1 or n > cfg.max_order:
         raise OrderMismatchError(f"order {n} outside 1..{cfg.max_order}")
-    matched, total = _order_stats(trace, pair, n, rare, cfg)
-    if total == 0:
-        return 0.0
-    return min(1.0, matched / total)
+    return _clamped_precision(*_order_stats(trace, pair, n, rare, cfg))
 
 
 def ebleu_length_score(ref_length: float, hyp_length: int) -> float:
@@ -227,9 +225,7 @@ def ebleu_score(
     def score(columns):
         matched, totals = columns[:n], columns[n : 2 * n]
         hyp_len, ref_len = columns[2 * n :]
-        order_scores = [
-            min(1.0, m / t) if t else 0.0 for m, t in zip(matched, totals)
-        ]
+        order_scores = list(map(_clamped_precision, matched, totals))
         if hyp_len == 0:
             cumulative, len_score = [0.0] * n, 0.0
         else:

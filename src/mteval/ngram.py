@@ -1,15 +1,15 @@
 """N-gram extraction, reference-clipped counting, and modified precision.
 
-The one n-gram counting path of the package. ``windows`` yields the
-order-``n`` windows of a sentence, built at C level by zipping ``n``
-shifted slices; ``window_counts`` counts them, and ``max_ref_counts``
-merges the references of a pair into the elementwise maximum that
-clipping caps against. BLEU counts the hypothesis through
-``extract_ngrams`` and the references through ``max_ref_counts``. EBLEU
-weighs the ``windows`` of its substituted hypothesis and clips them
-against ``max_ref_counts``. NIST clips each pair with ``window_counts``
-and ``max_ref_counts``, then pools the reference ``windows`` it scores.
-All functions are pure and safe for per-sentence data parallelism.
+The one n-gram counting and clipping path of the package. ``windows``
+yields the order-``n`` windows of a sentence, built at C level by
+zipping ``n`` shifted slices, and ``window_total`` counts them;
+``window_counts`` tallies them, and ``max_ref_counts`` merges a pair's
+references into the elementwise maximum that clipping caps at.
+``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
+BLEU's and NIST's matches, ``clipped_match_count`` and
+``modified_precision``. EBLEU caps its weighted windows at
+``max_ref_counts`` by a rule of its own, dropping the lowest weights
+first. All functions are pure and safe for per-sentence data parallelism.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ def windows(tokens: Sequence[str], n: int) -> Iterator[NGram]:
     if n > len(tokens):
         return iter(())
     return zip(*[tokens[i:] for i in range(n)])
+
+
+def window_total(length: int, n: int) -> int:
+    """How many order-``n`` windows a sentence of ``length`` tokens has."""
+    return max(0, length - n + 1)
 
 
 def window_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -72,9 +77,14 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
     return NGramCounts(order=n, counts=window_counts(tokens, n))
 
 
-def max_counts(counts_list: Sequence[NGramCounts]) -> Counter:
-    """Elementwise maximum over several count tables of the same order."""
-    return _merge_max(Counter(), (nc.counts for nc in counts_list))
+def clipped_counts(hyp_counts: Counter, best: Counter) -> Iterator[tuple[NGram, int]]:
+    """Each hypothesis n-gram with its count clipped at ``best``, the
+    maximum count in any reference: ``(gram, min(count, best[gram]))``
+    in first-occurrence order."""
+    get = best.get
+    for gram, count in hyp_counts.items():
+        cap = get(gram, 0)
+        yield gram, (count if count < cap else cap)  # min(), without a call per n-gram
 
 
 def clipped_match_count(
@@ -90,8 +100,8 @@ def clipped_match_count(
             raise OrderMismatchError(
                 f"cannot clip order-{hyp_counts.order} counts against order-{rc.order} counts"
             )
-    best = max_counts(ref_counts_list)
-    return sum(min(count, best[gram]) for gram, count in hyp_counts.counts.items())
+    best = _merge_max(Counter(), (rc.counts for rc in ref_counts_list))
+    return sum(m for _, m in clipped_counts(hyp_counts.counts, best))
 
 
 def modified_precision(pair: EvalPair, n: int) -> float:
@@ -100,8 +110,8 @@ def modified_precision(pair: EvalPair, n: int) -> float:
     Zero when the hypothesis has no n-grams of that order.
     """
     hyp_counts = extract_ngrams(pair.hypothesis, n)
-    total = sum(hyp_counts.counts.values())
+    total = window_total(len(pair.hypothesis), n)
     if total == 0:
         return 0.0
-    refs = [extract_ngrams(ref, n) for ref in pair.references]
-    return clipped_match_count(hyp_counts, refs) / total
+    best = max_ref_counts(pair.references, n)
+    return sum(m for _, m in clipped_counts(hyp_counts.counts, best)) / total

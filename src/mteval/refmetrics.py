@@ -16,16 +16,11 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus import (
-    EvalPair,
-    ParallelCorpus,
-    SynonymLexicon,
-    TokenSeq,
-    reduce_pairs,
-)
-from .ngram import max_ref_counts, window_counts, windows
+from .bleu import effective_reference_length
+from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
+from .ngram import clipped_counts, max_ref_counts, window_counts, window_total, windows
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +61,13 @@ def nist_score(
 
     def pair_stats(pair):
         matches = []
-        record = matches.append
         for n in range(1, max_order + 1):
-            best = max_ref_counts(pair.references, n).get
-            for gram, count in window_counts(pair.hypothesis, n).items():
-                m = min(count, best(gram, 0))
-                if m:
-                    record((gram, m))
+            best = max_ref_counts(pair.references, n)
+            clipped = clipped_counts(window_counts(pair.hypothesis, n), best)
+            matches += (match for match in clipped if match[1])
         c = len(pair.hypothesis)
         return [matches, list(pair.references), c, _average_length(pair.references)] + [
-            max(0, c - n + 1) for n in range(1, max_order + 1)
+            window_total(c, n) for n in range(1, max_order + 1)
         ]
 
     def score(columns):
@@ -121,19 +113,28 @@ def _positions(ref: TokenSeq) -> dict[str, list[int]]:
     return positions
 
 
-def _reference_masks(ref: Sequence[str]) -> dict[str, int]:
-    """Per-token match masks of ``ref``: bit j is set where ref[j] is the token."""
+class _ReferenceBits(NamedTuple):
+    """A reference as the edit-distance recurrence of ``_advance`` reads it."""
+
+    masks: dict[str, int]  # per token: bit j set where ref[j] is the token
+    full: int  # one bit per reference token
+    last: int  # the top bit of ``full``
+    start: tuple[int, int, int]  # the column state of the empty prefix
+
+
+def _reference_bits(ref: Sequence[str]) -> _ReferenceBits:
+    """The bit layout of ``ref``, built once per reference."""
+    ref_len = len(ref)
     masks: dict[str, int] = {}
     for j, word in enumerate(ref):
         masks[word] = masks.get(word, 0) | (1 << j)
-    return masks
+    full = (1 << ref_len) - 1
+    return _ReferenceBits(masks, full, full ^ (full >> 1), (full, 0, ref_len))
 
 
 def _advance(
     seq: Sequence[str],
-    masks: dict[str, int],
-    full: int,
-    last: int,
+    bits: _ReferenceBits,
     state: tuple[int, int, int],
     columns: list[tuple[int, int, int]] | None = None,
 ) -> int:
@@ -145,10 +146,11 @@ def _advance(
     a constant number of big-int operations. ``state`` is ``(vp, vn,
     distance)``: ``vp``/``vn`` mark the +1/-1 differences down a column,
     ``hp``/``hn`` those across to the next, and ``distance`` follows the
-    column's last cell. ``full`` has one bit per reference token and
-    ``last`` is its top bit. Returns the distance after the last token;
-    when ``columns`` is given, the state after each token is appended to it.
+    column's last cell. ``bits`` is the reference's ``_reference_bits``.
+    Returns the distance after the last token; when ``columns`` is given,
+    the state after each token is appended to it.
     """
+    masks, full, last, _ = bits
     vp, vn, distance = state
     for word in seq:
         eq = masks.get(word, 0)
@@ -167,18 +169,6 @@ def _advance(
         if columns is not None:
             columns.append((vp, vn, distance))
     return distance
-
-
-def _edit_distance(seq: Sequence[str], masks: dict[str, int], ref_len: int) -> int:
-    """Word-level Levenshtein distance from ``seq`` to a reference, unit costs.
-
-    ``masks`` comes from ``_reference_masks(ref)`` and ``ref_len`` is
-    ``len(ref)``; ``_advance`` runs the recurrence from the empty prefix.
-    """
-    if ref_len == 0:
-        return len(seq)
-    full = (1 << ref_len) - 1
-    return _advance(seq, masks, full, 1 << (ref_len - 1), (full, 0, ref_len))
 
 
 def _bag_distance(hyp: TokenSeq, positions: dict[str, list[int]], ref_len: int) -> int:
@@ -200,7 +190,7 @@ def _best_shift(
     current: tuple[str, ...],
     ref: TokenSeq,
     positions: dict[str, list[int]],
-    masks: dict[str, int],
+    bits: _ReferenceBits,
     columns: list[tuple[int, int, int]],
     limit: int,
 ) -> tuple[int, int, int] | None:
@@ -213,8 +203,6 @@ def _best_shift(
     that reaches it: any later one could at most tie, and ties lose.
     """
     ref_len = len(ref)
-    full = (1 << ref_len) - 1
-    last = 1 << (ref_len - 1)
     distance = columns[-1][2]
     n = len(current)
     best_gain = 0
@@ -244,9 +232,7 @@ def _best_shift(
                     window = current[i + length : q] + block
                 if window == current[p:q]:
                     continue
-                gain = distance - _advance(
-                    window + current[q:], masks, full, last, columns[p]
-                )
+                gain = distance - _advance(window + current[q:], bits, columns[p])
                 if gain > best_gain:
                     best_gain, best = gain, (i, length, pos)
                     if gain == limit:
@@ -275,8 +261,10 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     one whose window equals ``current[p:q]`` (a move inside a run of
     repeated words, which leaves ``current`` as it is). A shift keeps the
     multiset of words, so no candidate is closer to ``ref`` than the bag
-    distance: the search stops once the distance reaches it, and a scan
-    stops at the first candidate that reaches it (``_best_shift``). These
+    distance: a scan stops at the first candidate that reaches it
+    (``_best_shift``), and the search stops once the distance is at most
+    one above it. There a shift gains at most 1 and costs 1 edit, so
+    ``edits + distance`` is the same whether it is taken or not. These
     steps are exact, and a candidate that repeats an earlier sequence has
     that sequence's gain and so never wins; the chosen shifts are those
     of building and scoring every distinct candidate in full.
@@ -284,19 +272,17 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     ref_len = len(ref)
     if ref_len == 0:
         return len(hyp)
-    masks = _reference_masks(ref)
+    bits = _reference_bits(ref)
     positions = _positions(ref)
     floor = _bag_distance(hyp, positions, ref_len)
-    full = (1 << ref_len) - 1
-    last = 1 << (ref_len - 1)
     current: tuple[str, ...] = tuple(hyp)
     edits = 0
     while True:
-        columns = [(full, 0, ref_len)]
-        distance = _advance(current, masks, full, last, columns[0], columns)
-        if distance == floor:
+        columns = [bits.start]
+        distance = _advance(current, bits, bits.start, columns)
+        if distance <= floor + 1:
             break
-        best = _best_shift(current, ref, positions, masks, columns, distance - floor)
+        best = _best_shift(current, ref, positions, bits, columns, distance - floor)
         if best is None:
             break
         i, length, pos = best
@@ -319,9 +305,10 @@ def ter_score(
     candidate's distance resumes from the current sequence's stored
     column at its first changed word, a candidate is skipped when the
     size of its move bounds its gain to no more than the best so far,
-    and the search ends when the distance reaches the bag distance of
-    the two word multisets, which no shift can go below. All of it is
-    exact: scores equal those of scoring every candidate sequence in
+    and the search ends when the distance is at most one above the bag
+    distance of the two word multisets, which no shift can go below:
+    from there a shift would save no more than the edit it costs. All of
+    it is exact: scores equal those of scoring every candidate sequence in
     full with the textbook O(n*m) dynamic program.
 
     The corpus score is the summed edits over the summed average
@@ -359,6 +346,12 @@ class MeteorResult:
     score: float
 
 
+def _exact_alignment(hyp: TokenSeq, free: dict[str, list[int]]) -> list[int | None]:
+    """Each hypothesis word's leftmost free position of the same word,
+    taken from ``free`` (``_positions`` of the reference), or None."""
+    return [free[word].pop(0) if free.get(word) else None for word in hyp]
+
+
 def _align_unigrams(
     hyp: TokenSeq, ref: TokenSeq, lexicon: SynonymLexicon
 ) -> list[tuple[int, int]]:
@@ -372,7 +365,7 @@ def _align_unigrams(
     position over a synonym set is the smallest of its words' heads.
     """
     free = _positions(ref)
-    aligned = [free[word].pop(0) if free.get(word) else None for word in hyp]
+    aligned = _exact_alignment(hyp, free)
     for i, word in enumerate(hyp):
         if aligned[i] is not None:
             continue
@@ -519,11 +512,6 @@ def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
     return total_diff, matches
 
 
-def _closest_reference(pair: EvalPair) -> TokenSeq:
-    hyp_len = len(pair.hypothesis)
-    return min(pair.references, key=lambda ref: (abs(len(ref) - hyp_len), len(ref)))
-
-
 def lepor_score(
     corpus: ParallelCorpus,
     cfg: LeporConfig = LeporConfig(),
@@ -532,7 +520,8 @@ def lepor_score(
 ) -> float:
     """Length penalty times position-difference penalty times harmonic(aR, bP).
 
-    Matching is against the closest-length reference of each pair, each
+    Matching is against the closest-length reference of each pair, the
+    first of BLEU's effective reference length (ties to shorter), each
     token taking the nearest free position of its word from that word's
     own list of free positions. The position penalty is exp(-NPD) where
     NPD is the total normalized position difference per hypothesis
@@ -542,9 +531,11 @@ def lepor_score(
     """
 
     def pair_stats(pair):
-        ref = _closest_reference(pair)
+        hyp_len = len(pair.hypothesis)
+        r = effective_reference_length(hyp_len, [len(ref) for ref in pair.references])
+        ref = next(ref for ref in pair.references if len(ref) == r)
         diff, m = _position_alignment(pair.hypothesis, ref)
-        return diff, m, len(pair.hypothesis), len(ref)
+        return diff, m, hyp_len, r
 
     def score(columns):
         total_diff, matches, hyp_total, ref_total = columns
@@ -581,11 +572,10 @@ def _order_alignment(hyp: TokenSeq, ref: TokenSeq) -> list[int]:
     """Aligned reference positions in hypothesis order, one-to-one.
 
     Each hypothesis word takes the leftmost free position of the same
-    word, as in METEOR's exact stage; a word found once in both sentences
+    word, METEOR's exact stage; a word found once in both sentences
     gets its only position this way, as no other token competes for it.
     """
-    free = _positions(ref)
-    return [free[word].pop(0) for word in hyp if free.get(word)]
+    return [j for j in _exact_alignment(hyp, _positions(ref)) if j is not None]
 
 
 def _kendall_tau(seq: Sequence[int]) -> float:

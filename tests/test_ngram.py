@@ -1,13 +1,21 @@
 from collections.abc import Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mteval import clipped_match_count, extract_ngrams, modified_precision, tokenize
+from mteval import (
+    BleuConfig,
+    ParallelCorpus,
+    bleu_score,
+    clipped_match_count,
+    extract_ngrams,
+    modified_precision,
+    tokenize,
+)
 from mteval.errors import OrderMismatchError
 from mteval.ngram import max_ref_counts, window_counts, windows
-from helpers import pair_of
+from helpers import pair_of, small_corpora
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
 ORDERS = st.integers(min_value=1, max_value=4)
@@ -211,3 +219,24 @@ class TestModifiedPrecision:
     def test_stays_in_unit_interval(self, hyp, refs, n):
         p = modified_precision(pair_of(" ".join(hyp), *(" ".join(r) for r in refs)), n)
         assert 0.0 <= p <= 1.0
+
+
+class TestOneClippingRule:
+    @settings(deadline=None, max_examples=150)
+    @given(small_corpora(max_len=8), st.integers(1, 4))
+    def test_equals_bleu_matched_and_totals(self, corpus, order):
+        # One clipping path: the ngram functions and BLEU's statistics of
+        # the one-pair corpus agree exactly.
+        for pair in corpus.pairs:
+            details = bleu_score(
+                ParallelCorpus((pair,), corpus.ref_count), BleuConfig(max_order=order)
+            ).details
+            for n in range(1, order + 1):
+                matched, total = details["matched"][n - 1], details["totals"][n - 1]
+                hyp = extract_ngrams(pair.hypothesis, n)
+                refs = [extract_ngrams(ref, n) for ref in pair.references]
+                assert clipped_match_count(hyp, refs) == matched
+                assert sum(hyp.counts.values()) == total
+                precision = modified_precision(pair, n)
+                assert precision == (matched / total if total else 0.0)
+                assert precision == details["precisions"][n - 1]

@@ -4,6 +4,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,14 +25,14 @@ from mteval.refmetrics import (
     _advance,
     _align_unigrams,
     _bag_distance,
-    _edit_distance,
     _kendall_tau,
     _length_penalty,
     _order_alignment,
     _position_alignment,
     _positions,
-    _reference_masks,
+    _reference_bits,
     _shifted_edit_count,
+    _spearman_rho,
 )
 from mteval import EvalPair, ParallelCorpus
 from helpers import (
@@ -180,7 +181,11 @@ class TestTer:
 
 
 def bit_parallel_distance(hyp, ref):
-    return _edit_distance(hyp, _reference_masks(ref), len(ref))
+    """Word edit distance by ``_advance`` from the empty prefix of ``ref``."""
+    if not ref:
+        return len(hyp)
+    bits = _reference_bits(ref)
+    return _advance(hyp, bits, bits.start)
 
 
 def _sequences_over(vocab_size, max_len=140):
@@ -301,22 +306,38 @@ class TestShiftSearch:
             hyp, ref, bit_parallel_distance
         )
 
+    def test_no_scan_one_above_the_bag_distance(self):
+        # "a b" is 2 edits from "b c" and the bag distance is 1: a shift
+        # could save at most 1 edit and costs 1, so the search stops unscanned.
+        with mock.patch.object(
+            refmetrics, "_best_shift", wraps=refmetrics._best_shift
+        ) as scan:
+            assert _shifted_edit_count(("a", "b"), ("b", "c")) == 2
+        assert scan.call_count == 0
+
+    def test_every_scan_starts_two_above_the_bag_distance(self):
+        with mock.patch.object(
+            refmetrics, "_best_shift", wraps=refmetrics._best_shift
+        ) as scan:
+            assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
+        limits = [call.args[-1] for call in scan.call_args_list]
+        assert limits and min(limits) >= 2
+
     def check_resumed_moves(self, current, ref, moves):
         """A candidate's distance resumes from ``current``'s stored column
         at its first changed word, and its gain is at most twice the
         smaller of the block length and the distance it moves."""
-        masks = _reference_masks(ref)
-        full, last = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
-        columns = [(full, 0, len(ref))]
-        distance = _advance(current, masks, full, last, columns[0], columns)
+        bits = _reference_bits(ref)
+        columns = [bits.start]
+        distance = _advance(current, bits, columns[0], columns)
         assert len(columns) == len(current) + 1
         assert distance == dp_edit_distance(current, ref)
         for i, j, length in moves:
             candidate, pos = _moved(current, i, j, length)
             p, q = min(i, pos), max(i, pos) + length
             assert candidate[:p] == current[:p] and candidate[q:] == current[q:]
-            expected = _edit_distance(candidate, masks, len(ref))
-            assert _advance(candidate[p:], masks, full, last, columns[p]) == expected
+            expected = bit_parallel_distance(candidate, ref)
+            assert _advance(candidate[p:], bits, columns[p]) == expected
             assert distance - expected <= 2 * min(length, abs(pos - i))
 
     @settings(deadline=None, max_examples=100)
@@ -569,6 +590,27 @@ class TestAlignmentOracles:
         assert _position_alignment(hyp, ref) == oracle_min_free_position_alignment(
             hyp, ref
         )
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-50, 50), unique=True, min_size=2, max_size=60))
+    def test_spearman_rho_equals_scipy(self, values):
+        expected = scipy.stats.spearmanr(range(len(values)), values).statistic
+        assert _spearman_rho(values) == pytest.approx(expected, abs=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_corpora(alphabet="abcd", max_len=12))
+    def test_spearman_ribes_equals_scipy(self, corpus):
+        def scipy_rho(seq):
+            return float(scipy.stats.spearmanr(range(len(seq)), seq).statistic)
+
+        cfg = RibesConfig(alpha=0.5, correlation_kind="spearman")
+        sink = []
+        got = ribes_score(corpus, cfg, per_sentence=sink)
+        oracle_sink = []
+        with mock.patch.object(refmetrics, "_spearman_rho", scipy_rho):
+            want = ribes_score(corpus, cfg, per_sentence=oracle_sink)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert sink == pytest.approx(oracle_sink, abs=1e-12)
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(-50, 50), unique=True, min_size=2, max_size=60))

@@ -11,6 +11,7 @@ from .bleu import (
     bleu_score,
     brevity_penalty,
     effective_reference_length,
+    modified_precision,
 )
 from .corpus import (
     EvalPair,
@@ -32,12 +33,6 @@ from .ebleu import (
     ebleu_order_score,
     ebleu_score,
     synonym_substitute,
-)
-from .ngram import (
-    NGramCounts,
-    clipped_match_count,
-    extract_ngrams,
-    modified_precision,
 )
 from .refmetrics import (
     LeporConfig,
@@ -72,7 +67,6 @@ __all__ = [
     "LeporConfig",
     "MeteorResult",
     "MetricScore",
-    "NGramCounts",
     "ParallelCorpus",
     "RareWordSet",
     "RibesConfig",
@@ -84,7 +78,6 @@ __all__ = [
     "bleu_score",
     "brevity_penalty",
     "build_rare_word_set",
-    "clipped_match_count",
     "correlation_matrix",
     "discretize",
     "ebleu_cumulative",
@@ -92,7 +85,6 @@ __all__ = [
     "ebleu_order_score",
     "ebleu_score",
     "effective_reference_length",
-    "extract_ngrams",
     "goodman_kruskal_lambda",
     "lepor_score",
     "load_parallel_corpus",

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
-from .ngram import clipped_counts, extract_ngrams, max_ref_counts, window_total
+from .ngram import clipped_counts, max_ref_counts, window_total
+# bench/traced.py times BLEU's n-gram counting through this module-global name.
+from .ngram import window_counts as extract_ngrams
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,23 @@ def effective_reference_length(hyp_length: int, ref_lengths: Sequence[int]) -> i
 
 def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
     """(clipped matches, hypothesis total) per order 1..max_order for one pair."""
-    stats = []
-    for n in range(1, max_order + 1):
-        hyp_counts = extract_ngrams(pair.hypothesis, n)
-        total = window_total(len(pair.hypothesis), n)
-        if total == 0:
-            stats.append((0, 0))
-            continue
-        best = max_ref_counts(pair.references, n)
-        stats.append((sum(m for _, m in clipped_counts(hyp_counts.counts, best)), total))
-    return stats
+    best = max_ref_counts(pair.references, max_order)
+    matched = [0] * max_order
+    for gram, m in clipped_counts(extract_ngrams(pair.hypothesis, max_order), best):
+        matched[len(gram) - 1] += m
+    c = len(pair.hypothesis)
+    return [(m, window_total(c, n)) for n, m in enumerate(matched, start=1)]
+
+
+def modified_precision(pair: EvalPair, n: int) -> float:
+    """Clipped matches divided by total hypothesis n-grams of order ``n``.
+
+    Zero when the hypothesis has no n-grams of that order.
+    """
+    if n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    matched, total = _pair_order_stats(pair, n)[-1]
+    return matched / total if total else 0.0
 
 
 def order_columns(pair: EvalPair, orders: Sequence[tuple]) -> list:

@@ -104,7 +104,7 @@ def synonym_substitute(pair: EvalPair, lexicon: SynonymLexicon) -> SubstitutionT
 
 def _order_stats(
     trace: SubstitutionTrace,
-    pair: EvalPair,
+    allowed: Counter,
     n: int,
     rare: RareWordSet,
     cfg: EbleuConfig,
@@ -114,13 +114,14 @@ def _order_stats(
     Each window of the modified hypothesis carries a weight: the synonym
     discount once per substituted position inside it, and the rare-word
     bonus once if it contains any rare word. Clipping caps how many
-    instances of an n-gram may score, dropping the lowest weights first.
+    instances of an n-gram may score at its count in ``allowed``, the
+    pair's ``max_ref_counts`` table of every order up to at least ``n``,
+    dropping the lowest weights first.
     """
     hyp = trace.modified_hypothesis
     total = window_total(len(hyp), n)
     if total == 0:
         return 0.0, 0
-    allowed = max_ref_counts(pair.references, n)
     substituted = trace.substituted_positions
     rare_words = rare.words
     instances: dict[tuple, list[float]] = {}
@@ -160,7 +161,8 @@ def ebleu_order_score(
     """Weighted modified precision for one order, clamped to [0, 1]."""
     if n < 1 or n > cfg.max_order:
         raise OrderMismatchError(f"order {n} outside 1..{cfg.max_order}")
-    return _clamped_precision(*_order_stats(trace, pair, n, rare, cfg))
+    allowed = max_ref_counts(pair.references, n)
+    return _clamped_precision(*_order_stats(trace, allowed, n, rare, cfg))
 
 
 def ebleu_length_score(ref_length: float, hyp_length: int) -> float:
@@ -218,8 +220,9 @@ def ebleu_score(
 
     def pair_stats(pair):
         trace = synonym_substitute(pair, lexicon)
+        allowed = max_ref_counts(pair.references, n)
         return order_columns(
-            pair, [_order_stats(trace, pair, k, rare_words, cfg) for k in range(1, n + 1)]
+            pair, [_order_stats(trace, allowed, k, rare_words, cfg) for k in range(1, n + 1)]
         )
 
     def score(columns):

@@ -18,7 +18,7 @@ class InvalidPercentError(MTEvalError):
 
 
 class OrderMismatchError(MTEvalError):
-    """N-gram collections of different orders were combined."""
+    """An EBLEU order score was asked for an order outside 1..max_order."""
 
 
 class EmptyCorpusError(MTEvalError):

@@ -1,33 +1,27 @@
-"""N-gram extraction, reference-clipped counting, and modified precision.
+"""N-gram windows, per-sentence n-gram tables, and reference clipping.
 
 The one n-gram counting and clipping path of the package. ``windows``
 yields the order-``n`` windows of a sentence, built at C level by
-zipping ``n`` shifted slices, and ``window_total`` counts them;
-``window_counts`` tallies them, and ``max_ref_counts`` merges a pair's
-references into the elementwise maximum that clipping caps at.
+zipping ``n`` shifted slices, and ``window_total`` counts them.
+``all_windows`` chains the windows of every order from 1 to N, shorter
+orders first, and ``window_counts`` tallies them into one table per
+sentence; an n-gram's order is its length, so the orders share the
+table without a key of their own. ``max_ref_counts`` merges a pair's
+reference tables into the elementwise maximum that clipping caps at.
 ``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
-BLEU's and NIST's matches, ``clipped_match_count`` and
-``modified_precision``. EBLEU caps its weighted windows at
-``max_ref_counts`` by a rule of its own, dropping the lowest weights
-first. All functions are pure and safe for per-sentence data parallelism.
+BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU caps
+its weighted windows at ``max_ref_counts`` by a rule of its own,
+dropping the lowest weights first. All functions are pure and safe for
+per-sentence data parallelism.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import EvalPair
-from .errors import OrderMismatchError
-
 NGram = tuple[str, ...]
-
-
-@dataclass
-class NGramCounts:
-    order: int
-    counts: Counter = field(default_factory=Counter)
 
 
 def windows(tokens: Sequence[str], n: int) -> Iterator[NGram]:
@@ -46,9 +40,21 @@ def window_total(length: int, n: int) -> int:
     return max(0, length - n + 1)
 
 
-def window_counts(tokens: Sequence[str], n: int) -> Counter:
-    """Windows of length ``n`` with multiplicity, in first-occurrence order."""
-    return Counter(windows(tokens, n))
+def all_windows(tokens: Sequence[str], max_order: int) -> Iterator[NGram]:
+    """The windows of every order 1..``max_order``, shorter orders first.
+
+    Orders past the sentence length have no windows and are not visited,
+    so the cost does not grow with ``max_order``.
+    """
+    return chain.from_iterable(
+        windows(tokens, n) for n in range(1, min(max_order, len(tokens)) + 1)
+    )
+
+
+def window_counts(tokens: Sequence[str], max_order: int) -> Counter:
+    """The n-grams of every order 1..``max_order`` with multiplicity, shorter
+    orders first and each order in first-occurrence order."""
+    return Counter(all_windows(tokens, max_order))
 
 
 def _merge_max(merged: Counter, tables: Iterable[Counter]) -> Counter:
@@ -61,20 +67,14 @@ def _merge_max(merged: Counter, tables: Iterable[Counter]) -> Counter:
     return merged
 
 
-def max_ref_counts(refs: Sequence[Sequence[str]], n: int) -> Counter:
-    """Elementwise maximum of the order-``n`` window counts of ``refs``."""
+def max_ref_counts(refs: Sequence[Sequence[str]], max_order: int) -> Counter:
+    """Elementwise maximum of the ``window_counts`` tables of ``refs``."""
     if not refs:
         return Counter()
     return _merge_max(
-        window_counts(refs[0], n), (window_counts(ref, n) for ref in refs[1:])
+        window_counts(refs[0], max_order),
+        (window_counts(ref, max_order) for ref in refs[1:]),
     )
-
-
-def extract_ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
-    """Count every contiguous window of length ``n`` with multiplicity."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return NGramCounts(order=n, counts=window_counts(tokens, n))
 
 
 def clipped_counts(hyp_counts: Counter, best: Counter) -> Iterator[tuple[NGram, int]]:
@@ -85,33 +85,3 @@ def clipped_counts(hyp_counts: Counter, best: Counter) -> Iterator[tuple[NGram, 
     for gram, count in hyp_counts.items():
         cap = get(gram, 0)
         yield gram, (count if count < cap else cap)  # min(), without a call per n-gram
-
-
-def clipped_match_count(
-    hyp_counts: NGramCounts, ref_counts_list: Sequence[NGramCounts]
-) -> int:
-    """Sum of hypothesis n-gram counts clipped at the best reference count.
-
-    Each hypothesis n-gram contributes min(hypothesis count, max count
-    over the references), which prevents credit inflation by repetition.
-    """
-    for rc in ref_counts_list:
-        if rc.order != hyp_counts.order:
-            raise OrderMismatchError(
-                f"cannot clip order-{hyp_counts.order} counts against order-{rc.order} counts"
-            )
-    best = _merge_max(Counter(), (rc.counts for rc in ref_counts_list))
-    return sum(m for _, m in clipped_counts(hyp_counts.counts, best))
-
-
-def modified_precision(pair: EvalPair, n: int) -> float:
-    """Clipped matches divided by total hypothesis n-grams of order ``n``.
-
-    Zero when the hypothesis has no n-grams of that order.
-    """
-    hyp_counts = extract_ngrams(pair.hypothesis, n)
-    total = window_total(len(pair.hypothesis), n)
-    if total == 0:
-        return 0.0
-    best = max_ref_counts(pair.references, n)
-    return sum(m for _, m in clipped_counts(hyp_counts.counts, best)) / total

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .bleu import effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
-from .ngram import clipped_counts, max_ref_counts, window_counts, window_total, windows
+from .ngram import all_windows, clipped_counts, max_ref_counts, window_counts, window_total
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +57,16 @@ def nist_score(
     are those of pooling every reference n-gram, bit for bit. A
     per-sentence score is the formula applied to that pair's columns
     alone, so its information weights come from its own references.
+
+    Raises ``ValueError`` when ``max_order`` is below 1.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
 
     def pair_stats(pair):
-        matches = []
-        for n in range(1, max_order + 1):
-            best = max_ref_counts(pair.references, n)
-            clipped = clipped_counts(window_counts(pair.hypothesis, n), best)
-            matches += (match for match in clipped if match[1])
+        best = max_ref_counts(pair.references, max_order)
+        clipped = clipped_counts(window_counts(pair.hypothesis, max_order), best)
+        matches = [match for match in clipped if match[1]]
         c = len(pair.hypothesis)
         return [matches, list(pair.references), c, _average_length(pair.references)] + [
             window_total(c, n) for n in range(1, max_order + 1)
@@ -76,16 +78,15 @@ def nist_score(
         # hypothesis and reference, so it is a matched (n-1)-gram itself and
         # every count the information weights divide by is pooled.
         needed = {gram for gram, _ in matches}
-        ref_counts: list[Counter] = [Counter() for _ in range(max_order + 1)]
+        ref_counts = Counter()
         for ref in references:
-            for n in range(1, max_order + 1):
-                ref_counts[n].update(filter(needed.__contains__, windows(ref, n)))
+            ref_counts.update(filter(needed.__contains__, all_windows(ref, max_order)))
         total_ref_tokens = sum(map(len, references))
         matched_info = [0.0] * (max_order + 1)
         for gram, m in matches:
             n = len(gram)
-            numer = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
-            matched_info[n] += m * math.log2(numer / ref_counts[n][gram])
+            numer = total_ref_tokens if n == 1 else ref_counts[gram[:-1]]
+            matched_info[n] += m * math.log2(numer / ref_counts[gram])
         if hyp_len == 0 or avg_ref_len == 0.0:
             return 0.0, None
         information = sum(

@@ -22,6 +22,7 @@ from mteval import (
 )
 from mteval.ebleu import _order_stats
 from mteval.errors import EmptyCorpusError, OrderMismatchError
+from mteval.ngram import max_ref_counts
 from helpers import (
     EDGE_LINES,
     LONG_LINE,
@@ -172,8 +173,9 @@ class TestOrderScore:
 def assert_order_stats_match_oracle(corpus, lexicon, rare, cfg):
     for pair in corpus.pairs:
         trace = synonym_substitute(pair, lexicon)
+        allowed = max_ref_counts(pair.references, cfg.max_order)
         for n in range(1, cfg.max_order + 1):
-            got = _order_stats(trace, pair, n, rare, cfg)
+            got = _order_stats(trace, allowed, n, rare, cfg)
             assert got == oracle_ebleu_order_stats(trace, pair, n, rare, cfg)
 
 

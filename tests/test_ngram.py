@@ -1,3 +1,4 @@
+from collections import Counter
 from collections.abc import Sequence
 
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import strategies as st
 
 from mteval import (
     BleuConfig,
+    EbleuConfig,
     ParallelCorpus,
+    SynonymLexicon,
     bleu_score,
-    clipped_match_count,
-    extract_ngrams,
+    ebleu_score,
     modified_precision,
+    nist_score,
     tokenize,
 )
-from mteval.errors import OrderMismatchError
-from mteval.ngram import max_ref_counts, window_counts, windows
+from mteval import bleu, ebleu, ngram, refmetrics
+from mteval.ngram import clipped_counts, max_ref_counts, window_counts, window_total, windows
 from helpers import pair_of, small_corpora
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
@@ -31,6 +34,14 @@ def brute_force_ngrams(tokens, n):
     return grams
 
 
+def brute_force_all_orders(tokens, n):
+    """The brute-force windows of orders 1..n in one dict, shorter orders first."""
+    grams = {}
+    for k in range(1, n + 1):
+        grams.update(brute_force_ngrams(tokens, k))
+    return grams
+
+
 def brute_force_clipped(hyp, refs, n):
     hyp_grams = brute_force_ngrams(hyp, n)
     total = 0
@@ -42,31 +53,43 @@ def brute_force_clipped(hyp, refs, n):
     return total
 
 
+def clipped_total(hyp, refs, n):
+    """Order-``n`` clipped matches through the path the scorers run."""
+    clipped = clipped_counts(window_counts(hyp, n), max_ref_counts(refs, n))
+    return sum(m for gram, m in clipped if len(gram) == n)
+
+
 class TestExtractNgrams:
     def test_bigram_windows(self):
-        got = extract_ngrams(tokenize("the cat is here"), 2)
-        assert got.order == 2
-        assert dict(got.counts) == {
-            ("the", "cat"): 1,
-            ("cat", "is"): 1,
-            ("is", "here"): 1,
-        }
+        got = window_counts(tokenize("the cat is here"), 2)
+        assert list(got.items()) == [
+            (("the",), 1),
+            (("cat",), 1),
+            (("is",), 1),
+            (("here",), 1),
+            (("the", "cat"), 1),
+            (("cat", "is"), 1),
+            (("is", "here"), 1),
+        ]
 
     def test_repeated_unigram_multiplicity(self):
-        got = extract_ngrams(("the",) * 7, 1)
-        assert dict(got.counts) == {("the",): 7}
+        assert dict(window_counts(("the",) * 7, 1)) == {("the",): 7}
 
     def test_window_longer_than_sentence(self):
-        assert dict(extract_ngrams(("a", "b"), 3).counts) == {}
+        got = window_counts(("a", "b"), 3)
+        assert [gram for gram in got if len(gram) == 3] == []
 
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):
-            extract_ngrams(("a",), 0)
+            modified_precision(pair_of("a", "a"), 0)
 
     @given(TOKENS, ORDERS)
     def test_total_multiplicity(self, tokens, n):
-        total = sum(extract_ngrams(tokens, n).counts.values())
-        assert total == max(0, len(tokens) - n + 1)
+        counts = window_counts(tokens, n)
+        for k in range(1, n + 1):
+            order_total = sum(c for gram, c in counts.items() if len(gram) == k)
+            assert order_total == max(0, len(tokens) - k + 1)
+        assert sum(counts.values()) == sum(window_total(len(tokens), k) for k in range(1, n + 1))
 
 
 @st.composite
@@ -84,9 +107,10 @@ WIDE_ORDERS = st.integers(min_value=1, max_value=12)
 class TestWindowCounts:
     def test_empty_tokens(self):
         assert window_counts((), 1) == {}
+        assert window_counts((), 4) == {}
 
     def test_order_longer_than_sentence(self):
-        assert window_counts(("a", "b"), 3) == {}
+        assert window_counts(("a", "b"), 3) == window_counts(("a", "b"), 2)
 
     def test_unigrams(self):
         assert window_counts(("b", "a", "b"), 1) == {("b",): 2, ("a",): 1}
@@ -111,12 +135,19 @@ class TestWindowCounts:
         tokens = SliceCounting("abc")
         assert list(windows(tokens, 10**6)) == []
         assert SliceCounting.slices <= len(tokens) + 1
+        # All orders at once: orders 1..3 slice 1 + 2 + 3 times.
+        SliceCounting.slices = 0
+        assert window_counts(tokens, 10**6) == window_counts("abc", 3)
+        assert SliceCounting.slices <= len(tokens) ** 2
+        SliceCounting.slices = 0
+        assert max_ref_counts([tokens, tokens], 10**6) == window_counts("abc", 3)
+        assert SliceCounting.slices <= 2 * len(tokens) ** 2
 
     @given(small_vocab_sentences(1, 1), WIDE_ORDERS)
     def test_matches_brute_force_in_first_occurrence_order(self, sentences, n):
         tokens = sentences[0]
         got = window_counts(tokens, n)
-        want = brute_force_ngrams(tokens, n)
+        want = brute_force_all_orders(tokens, n)
         assert dict(got) == want
         assert list(got) == list(want)
 
@@ -133,7 +164,7 @@ class TestMaxRefCounts:
     def test_matches_brute_force_in_first_occurrence_order(self, refs, n):
         want = {}
         for ref in refs:
-            for gram, count in brute_force_ngrams(ref, n).items():
+            for gram, count in brute_force_all_orders(ref, n).items():
                 want[gram] = max(want.get(gram, 0), count)
         got = max_ref_counts(refs, n)
         assert dict(got) == want
@@ -145,53 +176,66 @@ class TestClippedMatchCount:
     REF2 = tokenize("there is a cat on the mat")
 
     def test_clips_at_best_reference_count(self):
-        hyp = extract_ngrams(("the",) * 7, 1)
-        refs = [extract_ngrams(self.REF1, 1), extract_ngrams(self.REF2, 1)]
-        assert clipped_match_count(hyp, refs) == 2
+        assert clipped_total(("the",) * 7, [self.REF1, self.REF2], 1) == 2
 
     def test_full_match_against_single_reference(self):
         tokens = tokenize("a b c a")
-        hyp = extract_ngrams(tokens, 2)
-        assert clipped_match_count(hyp, [extract_ngrams(tokens, 2)]) == 3
+        assert clipped_total(tokens, [tokens], 2) == 3
 
     def test_bigram_partial_overlap(self):
-        hyp = extract_ngrams(tokenize("the cat is here"), 2)
-        ref = extract_ngrams(self.REF1, 2)
-        assert clipped_match_count(hyp, [ref]) == 2
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(OrderMismatchError):
-            clipped_match_count(
-                extract_ngrams(("a",), 1), [extract_ngrams(("a", "b"), 2)]
-            )
+        assert clipped_total(tokenize("the cat is here"), [self.REF1], 2) == 2
 
     @given(TOKENS, st.lists(TOKENS, min_size=1, max_size=3), ORDERS)
     def test_matches_brute_force(self, hyp, refs, n):
-        got = clipped_match_count(
-            extract_ngrams(hyp, n), [extract_ngrams(r, n) for r in refs]
-        )
-        assert got == brute_force_clipped(hyp, refs, n)
+        assert clipped_total(hyp, refs, n) == brute_force_clipped(hyp, refs, n)
 
     @given(TOKENS, st.lists(TOKENS, min_size=1, max_size=3), TOKENS, ORDERS)
     def test_adding_a_reference_never_decreases(self, hyp, refs, extra, n):
-        hyp_counts = extract_ngrams(hyp, n)
-        base = clipped_match_count(hyp_counts, [extract_ngrams(r, n) for r in refs])
-        more = clipped_match_count(
-            hyp_counts, [extract_ngrams(r, n) for r in refs + [extra]]
-        )
-        assert more >= base
+        assert clipped_total(hyp, refs + [extra], n) >= clipped_total(hyp, refs, n)
 
     @given(TOKENS, st.lists(TOKENS, min_size=1, max_size=3), ORDERS)
     def test_bounded_by_both_sides(self, hyp, refs, n):
-        hyp_counts = extract_ngrams(hyp, n)
-        ref_counts = [extract_ngrams(r, n) for r in refs]
-        clipped = clipped_match_count(hyp_counts, ref_counts)
-        hyp_total = sum(hyp_counts.counts.values())
-        best_total = sum(
-            max(rc.counts.get(g, 0) for rc in ref_counts)
-            for g in {g for rc in ref_counts for g in rc.counts}
+        clipped = clipped_total(hyp, refs, n)
+        hyp_total = sum(c for g, c in window_counts(hyp, n).items() if len(g) == n)
+        best_total = sum(c for g, c in max_ref_counts(refs, n).items() if len(g) == n)
+        assert best_total == sum(
+            max(brute_force_ngrams(r, n).get(g, 0) for r in refs)
+            for g in {g for r in refs for g in brute_force_ngrams(r, n)}
         )
         assert 0 <= clipped <= min(hyp_total, best_total)
+
+
+class TestOneTablePerSentence:
+    """Each scorer counts a sentence's n-grams of every order in one table."""
+
+    HYP, REF1, REF2 = ("a b c a b", "a b c d", "b c a")
+
+    @pytest.mark.parametrize("max_order", [1, 4])
+    @pytest.mark.parametrize("metric", ["bleu", "ebleu", "nist"])
+    def test_one_table_per_reference_and_hypothesis(self, monkeypatch, metric, max_order):
+        corpus = ParallelCorpus((pair_of(self.HYP, self.REF1, self.REF2),), 2)
+        run = {
+            "bleu": lambda: bleu_score(corpus, BleuConfig(max_order=max_order)),
+            "ebleu": lambda: ebleu_score(
+                corpus, SynonymLexicon.empty(), EbleuConfig(max_order=max_order)
+            ),
+            "nist": lambda: nist_score(corpus, max_order),
+        }[metric]
+        tables = Counter()
+        original = ngram.window_counts
+
+        def counting(tokens, *args):
+            tables[" ".join(tokens)] += 1
+            return original(tokens, *args)
+
+        for module in (ngram, bleu, ebleu, refmetrics):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        run()
+        # EBLEU counts its substituted hypothesis by window, not by table.
+        want = {self.REF1: 1, self.REF2: 1} | ({} if metric == "ebleu" else {self.HYP: 1})
+        assert tables == want
 
 
 class TestModifiedPrecision:
@@ -231,12 +275,11 @@ class TestOneClippingRule:
             details = bleu_score(
                 ParallelCorpus((pair,), corpus.ref_count), BleuConfig(max_order=order)
             ).details
+            hyp = window_counts(pair.hypothesis, order)
             for n in range(1, order + 1):
                 matched, total = details["matched"][n - 1], details["totals"][n - 1]
-                hyp = extract_ngrams(pair.hypothesis, n)
-                refs = [extract_ngrams(ref, n) for ref in pair.references]
-                assert clipped_match_count(hyp, refs) == matched
-                assert sum(hyp.counts.values()) == total
+                assert clipped_total(pair.hypothesis, pair.references, n) == matched
+                assert sum(c for g, c in hyp.items() if len(g) == n) == total
                 precision = modified_precision(pair, n)
                 assert precision == (matched / total if total else 0.0)
                 assert precision == details["precisions"][n - 1]

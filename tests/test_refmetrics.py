@@ -98,6 +98,12 @@ class TestNist:
         with pytest.raises(EmptyCorpusError):
             nist_score(ParallelCorpus(pairs=(), ref_count=1))
 
+    @pytest.mark.parametrize("max_order", [0, -1])
+    def test_order_below_one_rejected(self, max_order):
+        # A perfect match would otherwise score 0.0, a plausible wrong number.
+        with pytest.raises(ValueError):
+            nist_score(corpus_of(("a b c", "a b c")), max_order)
+
     @settings(deadline=None, max_examples=300)
     @given(small_corpora(), st.integers(min_value=1, max_value=5))
     def test_bit_identical_to_pooling_every_reference_ngram(self, corpus, max_order):

@@ -44,19 +44,18 @@ from .refmetrics import (
     ribes_score,
     ter_score,
 )
-from .stats import (
-    ContingencyTable,
-    CorrelationResult,
-    ScoreTable,
-    correlation_matrix,
-    discretize,
-    goodman_kruskal_lambda,
-    pearson,
-    read_score_table,
-    spearman,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the statistics in __all__ load on first use, never for scoring.
+    if name in __all__:
+        from . import stats
+
+        return getattr(stats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BleuConfig",

@@ -12,17 +12,17 @@ no smoothing is enabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
 from .ngram import clipped_counts, max_ref_counts, window_total
 # bench/traced.py times BLEU's n-gram counting through this module-global name.
 from .ngram import window_counts as extract_ngrams
+from .records import checked
 
 
-@dataclass(frozen=True)
-class BleuConfig:
+@checked
+class BleuConfig(NamedTuple):
     """Maximum n-gram order, per-order weights, and optional smoothing.
 
     ``weights`` defaults to uniform 1/N. A positive ``smoothing_epsilon``,
@@ -35,7 +35,7 @@ class BleuConfig:
     weights: tuple[float, ...] | None = None
     smoothing_epsilon: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {self.max_order}")
         # Chained range checks: NaN fails every comparison, so it is rejected.
@@ -59,14 +59,22 @@ class BleuConfig:
         return tuple(1.0 / self.max_order for _ in range(self.max_order))
 
 
-@dataclass
-class MetricScore:
-    """Corpus-level score with a per-sentence breakdown and intermediates."""
-
+class _MetricScoreFields(NamedTuple):
     metric_name: str
     corpus_score: float
     per_sentence: list[float]
-    details: dict = field(default_factory=dict)
+    details: dict
+
+
+class MetricScore(_MetricScoreFields):
+    """Corpus-level score with a per-sentence breakdown and intermediates;
+    ``details`` defaults to a new empty dict for each instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, metric_name, corpus_score, per_sentence, details=None):
+        details = {} if details is None else details
+        return super().__new__(cls, metric_name, corpus_score, per_sentence, details)
 
 
 def brevity_penalty(c: int, r: float) -> float:

@@ -22,7 +22,6 @@ are all empty), so the output is always strict JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -37,7 +36,7 @@ from .corpus import (
     load_synonym_lexicon,
 )
 from .ebleu import EbleuConfig, ebleu_score
-from .errors import DegenerateTableError, MTEvalError, TableFormatError
+from .errors import MTEvalError, TableFormatError
 from .refmetrics import (
     lepor_score,
     meteor_score,
@@ -45,15 +44,8 @@ from .refmetrics import (
     ribes_score,
     ter_score,
 )
-from .stats import (
-    ContingencyTable,
-    ScoreTable,
-    correlation_matrix,
-    discretize,
-    goodman_kruskal_lambda,
-    read_raw_table,
-    read_score_table,
-)
+
+# The statistics and ``json`` are imported where used, so ``score`` loads neither.
 
 
 class _UsageError(Exception):
@@ -123,8 +115,8 @@ def _run_ebleu(corpus, lexicon, args, per_sentence):
 
 
 def _run_meteor(corpus, lexicon, args, per_sentence):
-    # A shallow copy of the flat result, in field order.
-    details = dict(vars(meteor_score(corpus, lexicon, per_sentence=per_sentence)))
+    # The flat result as a dict, in field order.
+    details = meteor_score(corpus, lexicon, per_sentence=per_sentence)._asdict()
     return details.pop("score"), details
 
 
@@ -208,6 +200,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = _config_echo(args, metrics)
 
     if args.format == "json":
+        import json
+
         payload = {
             "config": config,
             "corpus": stats,
@@ -249,26 +243,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 # correlate
 
 
-def _lambda_cell(row_cats: list[int], col_cats: list[int], bins: int):
-    try:
-        table = ContingencyTable.from_categories(row_cats, col_cats, bins)
-        return goodman_kruskal_lambda(table)
-    except DegenerateTableError:
-        return None, None
-
-
-def _lambda_matrices(
-    table: ScoreTable, bins: int
-) -> tuple[list[list[float | None]], list[list[float | None]]]:
-    """lambda(column metric | row metric) and its variance for every ordered pair."""
-    columns = map(table.column_at, range(len(table.metric_names)))
-    categories = [discretize(column, bins) for column in columns]
-    cells = [[_lambda_cell(r, c, bins) for c in categories] for r in categories]
-    values = [[lam for lam, _ in row] for row in cells]
-    return values, [[var for _, var in row] for row in cells]
-
-
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from .stats import correlation_matrix, lambda_matrices, read_score_table
+
     table = read_score_table(args.table)
     names = table.metric_names
     kinds = ["pearson", "spearman"] if args.kind == "both" else [args.kind]
@@ -282,11 +259,13 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         p_rows = [[cell.two_tailed_p for cell in row] for row in matrices["spearman"]]
         blocks.append(("spearman_p", p_rows, "spearman-p", p_rows))
     if args.gk_lambda:
-        values, variances = _lambda_matrices(table, args.bins)
+        values, variances = lambda_matrices(table, args.bins)
         lam = dict(bins=args.bins, values=values, variances=variances)
         blocks.append(("lambda", lam, f"lambda bins={args.bins}", values))
 
     if args.format == "json":
+        import json
+
         payload = dict(table=args.table, metrics=list(names), rows=len(table.rows))
         payload.update((key, value) for key, value, _, _ in blocks)
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -307,6 +286,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .stats import read_raw_table
+
     tables = [read_raw_table(path) for path in args.inputs]
     header = tables[0][0]
     for path, (other_header, _) in zip(args.inputs, tables):

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyCorpusError,
@@ -25,13 +24,13 @@ from .errors import (
     LineCountMismatchError,
     MalformedLineError,
 )
+from .records import Frozen, checked
 
 TokenSeq = tuple[str, ...]
 """An ordered sequence of normalized tokens for one sentence."""
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(NamedTuple):
     lowercase: bool = False
     split_punctuation: bool = False
 
@@ -69,24 +68,25 @@ def tokenize(raw_line: str, cfg: TokenizerConfig = TokenizerConfig()) -> TokenSe
     return tuple(tokens)
 
 
-@dataclass(frozen=True)
-class EvalPair:
+@checked
+class EvalPair(NamedTuple):
     """One hypothesis sentence with its aligned reference sentences."""
 
     hypothesis: TokenSeq
     references: tuple[TokenSeq, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.references:
             raise ValueError("an evaluation pair needs at least one reference")
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(Frozen):
     """Line-aligned hypothesis/reference pairs with a uniform reference count."""
 
-    pairs: tuple[EvalPair, ...]
-    ref_count: int
+    __slots__ = ("pairs", "ref_count")
+
+    def __init__(self, pairs: tuple[EvalPair, ...], ref_count: int) -> None:
+        self._set(pairs, ref_count)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -184,11 +184,13 @@ def load_parallel_corpus(
     return ParallelCorpus(pairs=pairs, ref_count=len(ref_paths))
 
 
-@dataclass(frozen=True)
-class SynonymLexicon:
+class SynonymLexicon(Frozen):
     """Word to synonym-set mapping, symmetric and irreflexive."""
 
-    entries: Mapping[str, frozenset[str]]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Mapping[str, frozenset[str]]) -> None:
+        self._set(entries)
 
     def synonyms(self, word: str) -> frozenset[str]:
         return self.entries.get(word, frozenset())
@@ -237,8 +239,7 @@ def load_synonym_lexicon(
     return SynonymLexicon(entries={w: frozenset(s) for w, s in entries.items()})
 
 
-@dataclass(frozen=True)
-class RareWordSet:
+class RareWordSet(NamedTuple):
     """The lowest-frequency tail of the distinct reference vocabulary."""
 
     words: frozenset[str]

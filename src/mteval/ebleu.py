@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bleu import MetricScore, order_columns
 from .corpus import (
@@ -37,17 +36,18 @@ from .corpus import (
 )
 from .errors import OrderMismatchError
 from .ngram import _merge_max, max_ref_counts, window_total, windows
+from .records import checked
 
 
-@dataclass(frozen=True)
-class EbleuConfig:
+@checked
+class EbleuConfig(NamedTuple):
     max_order: int = 4
     synonym_score: float = 0.90
     rare_words_percent: float = 0.10
     rare_words_score: float = 1.10
     smoothing_epsilon: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {self.max_order}")
         if not 0.0 <= self.synonym_score <= 1.0:
@@ -62,8 +62,7 @@ class EbleuConfig:
             raise ValueError("smoothing_epsilon must be finite and in [0, 1)")
 
 
-@dataclass(frozen=True)
-class SubstitutionTrace:
+class SubstitutionTrace(NamedTuple):
     """A hypothesis after synonym substitution, with the touched positions."""
 
     modified_hypothesis: TokenSeq
@@ -142,7 +141,10 @@ def _order_stats(
     for gram, weights in instances.items():
         cap = allowed[gram]
         weights.sort(reverse=True)
-        matched += sum(weights[:cap])
+        kept = 0.0  # added in order: sum() compensates from Python 3.12
+        for weight in weights[:cap]:
+            kept += weight
+        matched += kept
     return matched, total
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .bleu import effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import all_windows, clipped_counts, max_ref_counts, window_counts, window_total
+from .records import checked
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +89,10 @@ def nist_score(
             matched_info[n] += m * math.log2(numer / ref_counts[gram])
         if hyp_len == 0 or avg_ref_len == 0.0:
             return 0.0, None
-        information = sum(
-            info / total for info, total in zip(matched_info[1:], hyp_totals) if total > 0
-        )
+        information = 0.0  # added in order: sum() compensates from Python 3.12
+        for info, total in zip(matched_info[1:], hyp_totals):
+            if total > 0:
+                information += info / total
         beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
         ratio = min(hyp_len / avg_ref_len, 1.0)
         return information * math.exp(beta * math.log(ratio) ** 2), None
@@ -337,8 +338,7 @@ def ter_score(
 # METEOR
 
 
-@dataclass
-class MeteorResult:
+class MeteorResult(NamedTuple):
     precision: float
     recall: float
     matched_unigrams: int
@@ -444,14 +444,14 @@ def meteor_score(
 # LEPOR
 
 
-@dataclass(frozen=True)
-class LeporConfig:
+@checked
+class LeporConfig(NamedTuple):
     """Weights on recall and precision inside the harmonic mean."""
 
     alpha: float = 1.0
     beta: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # Chained range checks: NaN fails every comparison, so it is rejected.
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ValueError("alpha and beta must be finite and positive")
@@ -555,14 +555,14 @@ def lepor_score(
 # RIBES
 
 
-@dataclass(frozen=True)
-class RibesConfig:
+@checked
+class RibesConfig(NamedTuple):
     """Precision exponent and the rank correlation used on word order."""
 
     alpha: float = 0.25
     correlation_kind: str = "kendall"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.correlation_kind not in ("kendall", "spearman"):

@@ -9,9 +9,8 @@ correlation with tie handling and its two-tailed Student-t significance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import read_lines
 from .errors import (
@@ -22,23 +21,23 @@ from .errors import (
     TableFormatError,
     ZeroVarianceError,
 )
+from .records import checked
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     coefficient: float
     n: int
     two_tailed_p: float | None = None
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+@checked
+class ScoreTable(NamedTuple):
     """Runs-by-metrics score matrix feeding the correlation analysis."""
 
     metric_names: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         width = len(self.metric_names)
         for row in self.rows:
             if len(row) != width:
@@ -227,13 +226,13 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     )
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+@checked
+class ContingencyTable(NamedTuple):
     """Cross-tabulation of two categorical variables."""
 
     counts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.counts) < 2 or any(len(row) < 2 for row in self.counts):
             raise ValueError("need at least a 2x2 table")
         width = len(self.counts[0])
@@ -327,3 +326,23 @@ def correlation_matrix(
         row.append(CorrelationResult(coefficient=1.0, n=len(table.rows)))
         matrix.append(row)
     return matrix
+
+
+def _lambda_cell(row_cats: list[int], col_cats: list[int], bins: int):
+    try:
+        table = ContingencyTable.from_categories(row_cats, col_cats, bins)
+        return goodman_kruskal_lambda(table)
+    except DegenerateTableError:
+        return None, None
+
+
+def lambda_matrices(
+    table: ScoreTable, bins: int
+) -> tuple[list[list[float | None]], list[list[float | None]]]:
+    """lambda(column metric | row metric) and its variance for every ordered
+    pair, on each column discretized into ``bins``; None where undefined."""
+    columns = map(table.column_at, range(len(table.metric_names)))
+    categories = [discretize(column, bins) for column in columns]
+    cells = [[_lambda_cell(r, c, bins) for c in categories] for r in categories]
+    values = [[lam for lam, _ in row] for row in cells]
+    return values, [[var for _, var in row] for row in cells]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
+import functools
 import math
+import operator
 import random
 from collections import Counter, deque
 
@@ -21,6 +24,20 @@ def corpus_of(*rows: tuple) -> ParallelCorpus:
     """Each row is (hypothesis, ref1[, ref2, ...]) as plain strings."""
     pairs = tuple(pair_of(*row) for row in rows)
     return ParallelCorpus(pairs=pairs, ref_count=len(pairs[0].references))
+
+
+def left_sum(values):
+    """``0.0 + v1 + v2 + ...``, which ``sum()`` of floats is up to Python 3.11."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def compensated_sum(iterable, /, start=0):
+    """A ``sum()`` that compensates float rounding, as the builtin does from
+    Python 3.12 on (here exactly, by ``math.fsum``)."""
+    items = list(iterable)
+    if any(isinstance(item, float) for item in items):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
 
 
 def random_sentence(rng: random.Random, vocab: list[str], max_len: int, min_len: int = 0) -> str:
@@ -147,7 +164,7 @@ def oracle_nist_score(corpus, max_order=5):
 
     if hyp_len == 0 or avg_ref_len == 0.0:
         return 0.0
-    score = sum(
+    score = left_sum(
         matched_info[n] / hyp_totals[n]
         for n in range(1, max_order + 1)
         if hyp_totals[n] > 0
@@ -183,7 +200,7 @@ def oracle_ebleu_order_stats(trace, pair, n, rare, cfg):
         if cap <= 0:
             continue
         weights.sort(reverse=True)
-        matched += sum(weights[:cap])
+        matched += left_sum(weights[:cap])
     return matched, total
 
 

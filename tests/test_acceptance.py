@@ -30,11 +30,12 @@ from mteval import (
     modified_precision,
     nist_score,
     pearson,
+    read_score_table,
     ribes_score,
     spearman,
     ter_score,
 )
-from mteval.cli import main, read_score_table
+from mteval.cli import main
 from mteval.ngram import clipped_counts, max_ref_counts, window_counts
 from mteval.refmetrics import _shifted_edit_count
 from helpers import (

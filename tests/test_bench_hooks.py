@@ -4,11 +4,14 @@
 (the CLI's loaders and scorers, EBLEU's rare-word set and substitution,
 BLEU's ``extract_ngrams``) with timing wrappers, so removing or renaming
 any of them fails that run. This runs it on a tiny corpus with all
-seven metrics and reads only ``bench/``.
+seven metrics, checks the counters it records (pairs, tokens, lexicon
+words, rare words, substitutions) against the corpus text, and reads
+only ``bench/``.
 """
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,11 +32,16 @@ def scorer_layers() -> list[str]:
     raise AssertionError("bench/traced.py defines no SCORERS")
 
 
+HYP = "this is a exam\nthe cat sat on mat the\n"
+REF = "this is a quiz\nthe cat sat on the mat\n"
+LEXICON = "exam, test, quiz, examination\n"
+
+
 def test_traced_run_records_every_hook(tmp_path):
     hyp, ref, lex = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "syn.txt"
-    hyp.write_text("this is a exam\nthe cat sat on mat the\n", encoding="utf-8")
-    ref.write_text("this is a quiz\nthe cat sat on the mat\n", encoding="utf-8")
-    lex.write_text("exam, test, quiz, examination\n", encoding="utf-8")
+    hyp.write_text(HYP, encoding="utf-8")
+    ref.write_text(REF, encoding="utf-8")
+    lex.write_text(LEXICON, encoding="utf-8")
     report = tmp_path / "report.json"
     argv = [
         sys.executable, str(TRACED), str(report), "--trace", "--",
@@ -57,3 +65,14 @@ def test_traced_run_records_every_hook(tmp_path):
         "ngram.extract",
     }
     assert expected <= spans, sorted(expected - spans)
+    # The counters, computed here from the text: EBLEU's default rare-word
+    # share is 10% of the distinct reference words, and its one synonym
+    # substitution is "exam" -> "quiz".
+    assert data["counters"] == {
+        "corpus.pairs": len(HYP.splitlines()),
+        "corpus.hyp_tokens": len(HYP.split()),
+        "corpus.ref_tokens": len(REF.split()),
+        "corpus.lexicon_words": len(LEXICON.split(",")),
+        "ebleu.rare_words": math.ceil(0.10 * len(set(REF.split()))),
+        "ebleu.substitutions": 1,
+    }

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import mteval
-from mteval import cli
-from mteval.cli import main, read_score_table
+from mteval import cli, read_score_table
+from mteval.cli import main
 from mteval.errors import TableFormatError
 
 
@@ -541,6 +541,41 @@ def test_import_does_not_load_scipy(tmp_path, exam_files, pl_en_table_path):
         )
         assert proc.returncode == 0, (run, proc.stderr)
         assert proc.stdout.splitlines()[-1] == "[]", run
+
+
+FOOTPRINT_CHILD = """\
+import sys
+import mteval
+import mteval.cli
+assert mteval.cli.main({score!r}) == 0
+print(sorted(name for name in ("dataclasses", "inspect", "json", "mteval.stats")
+             if name in sys.modules))
+assert mteval.cli.main({correlate!r}) == 0
+print([name for name in mteval.__all__ if getattr(mteval, name, None) is None])
+"""
+
+
+def test_score_loads_only_what_scoring_runs(tmp_path, exam_files, pl_en_table_path):
+    """``score --metric ter --format tsv`` loads neither ``dataclasses``,
+    ``inspect``, ``json`` nor the statistics; ``correlate --format json``
+    runs after it in the same process, and every name of ``mteval.__all__``
+    resolves. ``-S`` keeps out the modules that ``site`` imports."""
+    hyp, ref, _ = exam_files
+    score = ["score", "--metric", "ter", "--format", "tsv", "--hyp", str(hyp),
+             "--ref", str(ref), "--out", str(tmp_path / "scores.tsv")]
+    correlate = ["correlate", "--table", str(pl_en_table_path), "--format", "json",
+                 "--out", str(tmp_path / "correlations.json")]
+    src = Path(mteval.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         FOOTPRINT_CHILD.format(score=score, correlate=correlate)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert json.loads((tmp_path / "correlations.json").read_text(encoding="utf-8"))
 
 
 def test_read_score_table_rejects_header_only(tmp_path):

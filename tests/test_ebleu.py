@@ -20,6 +20,7 @@ from mteval import (
     ebleu_score,
     synonym_substitute,
 )
+from mteval import ebleu
 from mteval.ebleu import _order_stats
 from mteval.errors import EmptyCorpusError, OrderMismatchError
 from mteval.ngram import max_ref_counts
@@ -27,6 +28,7 @@ from helpers import (
     EDGE_LINES,
     LONG_LINE,
     LONG_MOVED_LINE,
+    compensated_sum,
     corpus_of,
     oracle_ebleu_order_stats,
     pair_of,
@@ -202,6 +204,16 @@ class TestOrderStatsBitIdentity:
         cfg = EbleuConfig(max_order=5, rare_words_percent=0.3)
         rare = build_rare_word_set(corpus.all_references(), cfg.rare_words_percent)
         assert_order_stats_match_oracle(corpus, PAIRED_LEXICON, rare, cfg)
+
+    def test_clipped_weights_add_left_to_right(self, monkeypatch):
+        """The kept weights of an n-gram add up as ``0.0 + w1 + w2 + ...``
+        on every Python version, not by a compensated ``sum()``."""
+        monkeypatch.setattr(ebleu, "sum", compensated_sum, raising=False)
+        # Three of the four "x" are substituted: weights 1.0, 0.9, 0.9, 0.9.
+        corpus = corpus_of(("x y y y", "x x x x"))
+        lexicon = SynonymLexicon({"x": frozenset({"y"}), "y": frozenset({"x"})})
+        result = ebleu_score(corpus, lexicon, EbleuConfig(rare_words_score=1.0))
+        assert result.details["order_scores"][0] == (0.0 + 1.0 + 0.9 + 0.9 + 0.9) / 4
 
 
 class TestLengthScore:

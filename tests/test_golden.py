@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from mteval import bleu, corpus, ebleu, ngram, refmetrics
 from mteval.cli import main
+from helpers import compensated_sum
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -49,3 +51,14 @@ def test_workload_digest_of_corpus_zero(run_bench, tmp_path, monkeypatch, name):
     assert table[name]["fingerprint"] == workload.fingerprint()
     score_generated(run_bench, workload, 0, tmp_path, monkeypatch)
     assert run_bench.digest(tmp_path / "out.txt") == table[name]["seeds"]["0"]
+
+
+def test_golden_file_does_not_depend_on_the_builtin_sum(run_bench, tmp_path, monkeypatch):
+    """The golden output holds when ``sum()`` compensates float rounding, as it
+    does from Python 3.12 on: no scorer may add floats with ``sum()``."""
+    for module in (refmetrics, ebleu, bleu, corpus, ngram):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    got = score_generated(
+        run_bench, run_bench.GOLDEN_WORKLOAD, run_bench.GOLDEN_SEED, tmp_path, monkeypatch
+    )
+    assert got == (BENCH / "golden" / "seven_metrics.json").read_bytes()

@@ -1,0 +1,154 @@
+"""The public records: immutable, compared, hashed and shown by value, and
+validated wherever one is built, ``_replace`` and ``_make`` included."""
+
+import math
+import pickle
+
+import pytest
+
+from mteval import (
+    BleuConfig,
+    ContingencyTable,
+    CorrelationResult,
+    EbleuConfig,
+    EvalPair,
+    LeporConfig,
+    MeteorResult,
+    MetricScore,
+    ParallelCorpus,
+    RareWordSet,
+    RibesConfig,
+    ScoreTable,
+    SubstitutionTrace,
+    SynonymLexicon,
+    TokenizerConfig,
+)
+
+PAIR = EvalPair(("a", "b"), (("a",),))
+
+# Each record type built from fixed values, with the repr it has always had.
+PINNED = [
+    (lambda: TokenizerConfig(lowercase=True),
+     "TokenizerConfig(lowercase=True, split_punctuation=False)"),
+    (lambda: EvalPair(("a", "b"), (("a",),)),
+     "EvalPair(hypothesis=('a', 'b'), references=(('a',),))"),
+    (lambda: ParallelCorpus((PAIR,), 1),
+     "ParallelCorpus(pairs=(EvalPair(hypothesis=('a', 'b'), references=(('a',),)),),"
+     " ref_count=1)"),
+    (lambda: SynonymLexicon({"exam": frozenset({"quiz"})}),
+     "SynonymLexicon(entries={'exam': frozenset({'quiz'})})"),
+    (lambda: RareWordSet(frozenset({"quiz"}), 4, 0.25),
+     "RareWordSet(words=frozenset({'quiz'}), source_vocab_size=4, percent=0.25)"),
+    (lambda: BleuConfig(max_order=2, weights=(0.25, 0.75)),
+     "BleuConfig(max_order=2, weights=(0.25, 0.75), smoothing_epsilon=0.0)"),
+    (lambda: MetricScore("bleu", 0.5, [0.5], {"matched": [1]}),
+     "MetricScore(metric_name='bleu', corpus_score=0.5, per_sentence=[0.5],"
+     " details={'matched': [1]})"),
+    (lambda: EbleuConfig(smoothing_epsilon=0.1),
+     "EbleuConfig(max_order=4, synonym_score=0.9, rare_words_percent=0.1,"
+     " rare_words_score=1.1, smoothing_epsilon=0.1)"),
+    (lambda: SubstitutionTrace(("a", "quiz"), frozenset({1})),
+     "SubstitutionTrace(modified_hypothesis=('a', 'quiz'),"
+     " substituted_positions=frozenset({1}))"),
+    (lambda: MeteorResult(0.5, 0.25, 1, 1, 0.5, 0.125),
+     "MeteorResult(precision=0.5, recall=0.25, matched_unigrams=1, chunk_count=1,"
+     " penalty=0.5, score=0.125)"),
+    (lambda: LeporConfig(alpha=2.0), "LeporConfig(alpha=2.0, beta=1.0)"),
+    (lambda: RibesConfig(correlation_kind="spearman"),
+     "RibesConfig(alpha=0.25, correlation_kind='spearman')"),
+    (lambda: CorrelationResult(0.5, 3),
+     "CorrelationResult(coefficient=0.5, n=3, two_tailed_p=None)"),
+    (lambda: ScoreTable(("a", "b"), ((1.0, 2.0),)),
+     "ScoreTable(metric_names=('a', 'b'), rows=((1.0, 2.0),))"),
+    (lambda: ContingencyTable(((1, 0), (0, 1))),
+     "ContingencyTable(counts=((1, 0), (0, 1)))"),
+]
+IDS = [text[: text.index("(")] for _, text in PINNED]
+CONFIGS = [TokenizerConfig, BleuConfig, EbleuConfig, LeporConfig, RibesConfig]
+
+# A valid record and field changes that its constructor rejects.
+INVALID = [
+    (BleuConfig(), {"max_order": 0}),
+    (BleuConfig(), {"smoothing_epsilon": 1.0}),
+    (BleuConfig(), {"smoothing_epsilon": math.nan}),
+    (BleuConfig(), {"weights": (1.0,)}),
+    (BleuConfig(max_order=2), {"weights": (1.5, -0.5)}),
+    (BleuConfig(max_order=2), {"weights": (0.5, 0.6)}),
+    (EbleuConfig(), {"max_order": 0}),
+    (EbleuConfig(), {"synonym_score": 1.5}),
+    (EbleuConfig(), {"rare_words_percent": 0.0}),
+    (EbleuConfig(), {"rare_words_score": 0.5}),
+    (EbleuConfig(), {"rare_words_score": math.inf}),
+    # Unchecked, this epsilon scores a hypothesis that shares no word 100.00.
+    (EbleuConfig(), {"smoothing_epsilon": 1.0}),
+    (LeporConfig(), {"alpha": 0.0}),
+    (LeporConfig(), {"beta": math.nan}),
+    (RibesConfig(), {"alpha": 2.0}),
+    (RibesConfig(), {"correlation_kind": "pearson"}),
+    (PAIR, {"references": ()}),
+    (ScoreTable(("a", "b"), ((1.0, 2.0),)), {"rows": ((1.0,),)}),
+    (ContingencyTable(((1, 0), (0, 1))), {"counts": ((1,), (0,))}),
+    (ContingencyTable(((1, 0), (0, 1))), {"counts": ((1, 0), (0,))}),
+    (ContingencyTable(((1, 0), (0, 1))), {"counts": ((1, 0), (0, -1))}),
+]
+
+
+def first_field(text: str) -> str:
+    return text[text.index("(") + 1 : text.index("=")]
+
+
+@pytest.mark.parametrize("build, text", PINNED, ids=IDS)
+def test_repr_is_pinned(build, text):
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build, text", PINNED, ids=IDS)
+def test_assignment_raises(build, text):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, first_field(text), None)
+    with pytest.raises(AttributeError):
+        record.unknown_field = None
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("build, text", PINNED, ids=IDS)
+def test_equal_instances_compare_equal(build, text):
+    assert build() == build()
+    assert not build() != build()
+
+
+@pytest.mark.parametrize("build, text", PINNED, ids=IDS)
+def test_pickle_round_trip(build, text):
+    assert pickle.loads(pickle.dumps(build())) == build()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_configs_hash(config):
+    assert hash(config()) == hash(config())
+    assert {config(): 1}[config()] == 1
+
+
+@pytest.mark.parametrize("valid, change", INVALID)
+def test_validators_run_on_every_build(valid, change):
+    with pytest.raises(ValueError):
+        type(valid)(**{**valid._asdict(), **change})
+    with pytest.raises(ValueError):
+        valid._replace(**change)
+    with pytest.raises(ValueError):
+        type(valid)._make({**valid._asdict(), **change}.values())
+
+
+def test_metric_scores_do_not_share_details():
+    first, second = MetricScore("bleu", 0.0, []), MetricScore("bleu", 0.0, [])
+    assert first.details == second.details == {}
+    assert first.details is not second.details
+
+
+def test_corpus_and_lexicon_sizes_count_their_items():
+    other = EvalPair(("c",), (("c",),))
+    corpus = ParallelCorpus((PAIR, other, PAIR), 1)
+    assert len(corpus) == 3
+    assert list(corpus) == [PAIR, other, PAIR]
+    lexicon = SynonymLexicon({"exam": frozenset({"quiz"}), "quiz": frozenset({"exam"})})
+    assert len(lexicon) == 2

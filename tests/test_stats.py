@@ -13,9 +13,9 @@ from mteval import (
     discretize,
     goodman_kruskal_lambda,
     pearson,
+    read_score_table,
     spearman,
 )
-from mteval.cli import read_score_table
 from mteval.errors import (
     DegenerateTableError,
     InsufficientDistinctValuesError,

@@ -96,10 +96,14 @@ def effective_reference_length(hyp_length: int, ref_lengths: Sequence[int]) -> i
 
 
 def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
-    """(clipped matches, hypothesis total) per order 1..max_order for one pair."""
-    best = max_ref_counts(pair.references, max_order)
+    """(clipped matches, hypothesis total) per order 1..max_order for one pair.
+
+    The reference tables count only the hypothesis n-grams (``keep``).
+    """
+    hyp = extract_ngrams(pair.hypothesis, max_order)
+    best = max_ref_counts(pair.references, max_order, hyp)
     matched = [0] * max_order
-    for gram, m in clipped_counts(extract_ngrams(pair.hypothesis, max_order), best):
+    for gram, m in clipped_counts(hyp, best):
         matched[len(gram) - 1] += m
     c = len(pair.hypothesis)
     return [(m, window_total(c, n)) for n, m in enumerate(matched, start=1)]

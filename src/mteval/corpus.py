@@ -162,8 +162,11 @@ def load_parallel_corpus(
     """Build a corpus from one hypothesis file and one or more reference files.
 
     Line i of every reference file is paired with line i of the
-    hypothesis file. Raises :class:`LineCountMismatchError` when any file
-    disagrees on line count; I/O and decoding errors propagate.
+    hypothesis file. Equal words anywhere in the corpus are one ``str``
+    object, mapped through one dict per call, so the n-gram tables of the
+    scorers compare their keys' words by identity; the dict is dropped on
+    return. Raises :class:`LineCountMismatchError` when any file disagrees
+    on line count; I/O and decoding errors propagate.
     """
     if not ref_paths:
         raise ValueError("at least one reference file is required")
@@ -174,10 +177,16 @@ def load_parallel_corpus(
             raise LineCountMismatchError(
                 f"{path}: {len(lines)} lines, expected {len(hyp_lines)} (from {hyp_path})"
             )
+    one_word = {}.setdefault
+
+    def words(line: str) -> TokenSeq:
+        tokens = tokenize(line, cfg)
+        return tuple(map(one_word, tokens, tokens))
+
     pairs = tuple(
         EvalPair(
-            hypothesis=tokenize(line, cfg),
-            references=tuple(tokenize(lines[i], cfg) for lines in ref_lines),
+            hypothesis=words(line),
+            references=tuple(words(lines[i]) for lines in ref_lines),
         )
         for i, line in enumerate(hyp_lines)
     )

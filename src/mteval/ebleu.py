@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import accumulate, compress
+from operator import ne, sub
 from typing import NamedTuple, Sequence
 
 from .bleu import MetricScore, order_columns
@@ -112,33 +114,36 @@ def _order_stats(
 
     Each window of the modified hypothesis carries a weight: the synonym
     discount once per substituted position inside it, and the rare-word
-    bonus once if it contains any rare word. Clipping caps how many
-    instances of an n-gram may score at its count in ``allowed``, the
-    pair's ``max_ref_counts`` table of every order up to at least ``n``,
-    dropping the lowest weights first.
+    bonus once if it contains any rare word. A window's substitution
+    count and rare-word flag are each one subtraction of prefix sums over
+    the hypothesis (substituted positions and rare words before each
+    position), and only the windows whose n-gram is in ``allowed`` are
+    visited. Clipping caps how many instances of an n-gram may score at
+    its count in ``allowed``, the pair's ``max_ref_counts`` table of
+    every order up to at least ``n``, dropping the lowest weights first.
     """
     hyp = trace.modified_hypothesis
     total = window_total(len(hyp), n)
     if total == 0:
         return 0.0, 0
-    substituted = trace.substituted_positions
-    rare_words = rare.words
+    substituted = map(trace.substituted_positions.__contains__, range(len(hyp)))
+    subs = list(accumulate(substituted, initial=0))
+    rares = list(accumulate(map(rare.words.__contains__, hyp), initial=0))
+    # discount[k] is the weight of a window with k substituted positions.
+    discount = [cfg.synonym_score**k for k in range(n + 1)]
+    grams = list(windows(hyp, n))
+    weighted = zip(grams, map(sub, subs[n:], subs), map(ne, rares[n:], rares))
     instances: dict[tuple, list[float]] = {}
-    for i, gram in enumerate(windows(hyp, n)):
-        if gram not in allowed:
-            continue
-        # synonym_score ** 0 is 1.0, so a pair without substitutions
-        # skips the count.
-        weight = (
-            cfg.synonym_score ** sum(1 for j in range(i, i + n) if j in substituted)
-            if substituted
-            else 1.0
-        )
-        if not rare_words.isdisjoint(gram):
+    for gram, k, has_rare in compress(weighted, map(allowed.__contains__, grams)):
+        weight = discount[k]
+        if has_rare:
             weight *= cfg.rare_words_score
         instances.setdefault(gram, []).append(weight)
     matched = 0.0
     for gram, weights in instances.items():
+        if len(weights) == 1:  # kept at any cap; no weight is -0.0, so 0.0 + w is w
+            matched += weights[0]
+            continue
         cap = allowed[gram]
         weights.sort(reverse=True)
         kept = 0.0  # added in order: sum() compensates from Python 3.12

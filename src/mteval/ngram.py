@@ -13,13 +13,20 @@ BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU caps
 its weighted windows at ``max_ref_counts`` by a rule of its own,
 dropping the lowest weights first. All functions are pure and safe for
 per-sentence data parallelism.
+
+Clipping only asks how often a reference holds an n-gram that the
+hypothesis has, so BLEU and NIST pass the hypothesis table as ``keep``
+and a reference table counts only those n-grams: the n-grams of a
+reference that no hypothesis window can match are never stored. Words
+loaded by ``corpus.load_parallel_corpus`` are one object per distinct
+word, so comparing two n-gram keys compares their words by identity.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 NGram = tuple[str, ...]
 
@@ -51,10 +58,17 @@ def all_windows(tokens: Sequence[str], max_order: int) -> Iterator[NGram]:
     )
 
 
-def window_counts(tokens: Sequence[str], max_order: int) -> Counter:
+def window_counts(
+    tokens: Sequence[str], max_order: int, keep: Container[NGram] | None = None
+) -> Counter:
     """The n-grams of every order 1..``max_order`` with multiplicity, shorter
-    orders first and each order in first-occurrence order."""
-    return Counter(all_windows(tokens, max_order))
+    orders first and each order in first-occurrence order.
+
+    With ``keep``, only the n-grams in ``keep`` are counted: the full
+    table restricted to ``keep``, in the same order.
+    """
+    grams = all_windows(tokens, max_order)
+    return Counter(grams if keep is None else filter(keep.__contains__, grams))
 
 
 def _merge_max(merged: Counter, tables: Iterable[Counter]) -> Counter:
@@ -67,21 +81,30 @@ def _merge_max(merged: Counter, tables: Iterable[Counter]) -> Counter:
     return merged
 
 
-def max_ref_counts(refs: Sequence[Sequence[str]], max_order: int) -> Counter:
-    """Elementwise maximum of the ``window_counts`` tables of ``refs``."""
+def max_ref_counts(
+    refs: Sequence[Sequence[str]], max_order: int, keep: Container[NGram] | None = None
+) -> Counter:
+    """Elementwise maximum of the ``window_counts`` tables of ``refs``,
+    each restricted to ``keep`` when it is given."""
     if not refs:
         return Counter()
     return _merge_max(
-        window_counts(refs[0], max_order),
-        (window_counts(ref, max_order) for ref in refs[1:]),
+        window_counts(refs[0], max_order, keep),
+        (window_counts(ref, max_order, keep) for ref in refs[1:]),
     )
 
 
 def clipped_counts(hyp_counts: Counter, best: Counter) -> Iterator[tuple[NGram, int]]:
-    """Each hypothesis n-gram with its count clipped at ``best``, the
-    maximum count in any reference: ``(gram, min(count, best[gram]))``
-    in first-occurrence order."""
+    """Each hypothesis n-gram found in ``best``, the maximum count in any
+    reference, with its count clipped there: ``(gram, min(count,
+    best[gram]))`` in the hypothesis's first-occurrence order.
+
+    An n-gram absent from ``best``, or at a count of zero there, clips to
+    zero and is skipped, so ``best`` may be restricted to the hypothesis
+    n-grams (``keep``) and the matches come out the same.
+    """
     get = best.get
     for gram, count in hyp_counts.items():
-        cap = get(gram, 0)
-        yield gram, (count if count < cap else cap)  # min(), without a call per n-gram
+        cap = get(gram)
+        if cap:
+            yield gram, (count if count < cap else cap)  # min(), without a call per n-gram

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .bleu import effective_reference_length
@@ -49,14 +50,16 @@ def nist_score(
 
     A pair's columns are its matches, its references, its hypothesis
     length, its average reference length and its hypothesis n-gram total
-    per order. Its matches are its hypothesis n-grams clipped against its
-    references, recorded as (n-gram, clipped count) in scoring order in
-    one list, the order of a match being the length of its n-gram. The
-    formula counts reference n-grams for the matched ones only, then sums
-    the information of the matches per order in corpus order, so scores
-    are those of pooling every reference n-gram, bit for bit. A
-    per-sentence score is the formula applied to that pair's columns
-    alone, so its information weights come from its own references.
+    per order. Its matches are its hypothesis n-grams that occur in a
+    reference, clipped against its references (whose tables count only
+    the hypothesis n-grams), recorded as (n-gram, clipped count) in
+    scoring order in one list, the order of a match being the length of
+    its n-gram. The formula counts reference n-grams for the matched ones
+    only, then sums the information of the matches per order in corpus
+    order, so scores are those of pooling every reference n-gram, bit for
+    bit. A per-sentence score is the formula applied to that pair's
+    columns alone, so its information weights come from its own
+    references.
 
     Raises ``ValueError`` when ``max_order`` is below 1.
     """
@@ -64,9 +67,8 @@ def nist_score(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
 
     def pair_stats(pair):
-        best = max_ref_counts(pair.references, max_order)
-        clipped = clipped_counts(window_counts(pair.hypothesis, max_order), best)
-        matches = [match for match in clipped if match[1]]
+        hyp = window_counts(pair.hypothesis, max_order)
+        matches = list(clipped_counts(hyp, max_ref_counts(pair.references, max_order, hyp)))
         c = len(pair.hypothesis)
         return [matches, list(pair.references), c, _average_length(pair.references)] + [
             window_total(c, n) for n in range(1, max_order + 1)
@@ -78,9 +80,12 @@ def nist_score(
         # hypothesis and reference, so it is a matched (n-1)-gram itself and
         # every count the information weights divide by is pooled.
         needed = {gram for gram, _ in matches}
-        ref_counts = Counter()
-        for ref in references:
-            ref_counts.update(filter(needed.__contains__, all_windows(ref, max_order)))
+        ref_counts = Counter(
+            filter(
+                needed.__contains__,
+                chain.from_iterable(all_windows(ref, max_order) for ref in references),
+            )
+        )
         total_ref_tokens = sum(map(len, references))
         matched_info = [0.0] * (max_order + 1)
         for gram, m in matches:

@@ -9,9 +9,20 @@ import operator
 import random
 from collections import Counter, deque
 
+import pytest
 from hypothesis import strategies as st
 
 from mteval import EvalPair, ParallelCorpus, tokenize
+
+
+def import_scipy_stats():
+    """``scipy.stats``, the oracle of a few tests, which are skipped where it
+    cannot be imported: not installed, or built for another Python."""
+    try:
+        import scipy.stats
+    except ImportError as exc:  # numpy's own message ends with the cause
+        pytest.skip(f"scipy.stats: {str(exc).strip().splitlines()[-1]}")
+    return scipy.stats
 
 
 def pair_of(hyp: str, *refs: str) -> EvalPair:

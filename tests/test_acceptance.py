@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +40,7 @@ from mteval.refmetrics import _shifted_edit_count
 from helpers import (
     corpus_of,
     dp_edit_distance,
+    import_scipy_stats,
     optimal_shift_edits,
     pair_of,
     random_corpus,
@@ -83,8 +83,10 @@ def oracle_pearson(x, y):
 
 
 def oracle_spearman(x, y):
-    """Independent tie-aware rank correlation."""
-    return float(scipy.stats.spearmanr(x, y).statistic)
+    """Independent tie-aware rank correlation; the calling test is
+    skipped without scipy."""
+    scipy_stats = import_scipy_stats()
+    return float(scipy_stats.spearmanr(x, y).statistic)
 
 
 @pytest.fixture(scope="module")

@@ -173,6 +173,39 @@ class TestLoadParallelCorpus:
         with pytest.raises(ValueError):
             load_parallel_corpus(hyp, [])
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TokenizerConfig(),
+            TokenizerConfig(lowercase=True),
+            TokenizerConfig(split_punctuation=True),
+            FULL,
+        ],
+    )
+    def test_equal_words_are_one_object(self, tmp_path, cfg):
+        # Every word is a fresh str from str.split() or str.join(), so
+        # sharing one object per word is the loader's doing. Multi-letter
+        # words: CPython shares its one-character strings anyway.
+        texts = [
+            "The cat sat on the mat.\nthe dog, the cat\n",
+            "the cat is on THE mat\nA dog and the cat.\n",
+            "there is a cat on the mat.\ncat dog the\n",
+        ]
+        paths = []
+        for k, text in enumerate(texts):
+            paths.append(tmp_path / f"file{k}.txt")
+            paths[-1].write_text(text, encoding="utf-8")
+        corpus = load_parallel_corpus(paths[0], paths[1:], cfg)
+        sentences = [s for pair in corpus for s in (pair.hypothesis, *pair.references)]
+        # Tokens are tokenize's, sentence for sentence (hypothesis, then
+        # each reference, line by line).
+        lines = [text.splitlines() for text in texts]
+        assert sentences == [tokenize(f[i], cfg) for i in range(2) for f in lines]
+        first = {}
+        for word in (word for sentence in sentences for word in sentence):
+            assert first.setdefault(word, word) is word
+        assert {"the", "cat"} <= first.keys()
+
 
 # Line ends as the readers take them, and what lines may hold besides
 # words: separators that str.splitlines() would break at but that are

@@ -171,6 +171,37 @@ class TestMaxRefCounts:
         assert list(got) == list(want)
 
 
+# Orders 1-6 over a 2-3-letter alphabet, so n-grams repeat within and
+# across sentences.
+KEEP_TOKENS = st.lists(st.sampled_from("abc"), max_size=10)
+KEEP_ORDERS = st.integers(min_value=1, max_value=6)
+
+
+class TestKeep:
+    """Tables restricted to the n-grams a hypothesis has (``keep``)."""
+
+    @given(KEEP_TOKENS, KEEP_TOKENS, KEEP_ORDERS)
+    def test_window_counts_is_the_full_table_restricted_in_order(self, tokens, other, n):
+        keep = window_counts(other, n)
+        got = window_counts(tokens, n, keep)
+        want = [(gram, count) for gram, count in window_counts(tokens, n).items() if gram in keep]
+        assert list(got.items()) == want
+
+    @given(KEEP_TOKENS, st.lists(KEEP_TOKENS, min_size=1, max_size=3), KEEP_ORDERS)
+    def test_max_ref_counts_is_the_full_table_restricted(self, hyp, refs, n):
+        keep = window_counts(hyp, n)
+        full = max_ref_counts(refs, n)
+        assert max_ref_counts(refs, n, keep) == {g: c for g, c in full.items() if g in keep}
+
+    @given(KEEP_TOKENS, st.lists(KEEP_TOKENS, min_size=1, max_size=3), KEEP_ORDERS)
+    def test_clipping_against_the_restricted_table_keeps_every_match(self, hyp, refs, n):
+        hyp_counts = window_counts(hyp, n)
+        got = list(clipped_counts(hyp_counts, max_ref_counts(refs, n, hyp_counts)))
+        full = clipped_counts(hyp_counts, max_ref_counts(refs, n))
+        assert got == [(gram, m) for gram, m in full if m]
+        assert all(m > 0 for _, m in got)
+
+
 class TestClippedMatchCount:
     REF1 = tokenize("the cat is on the mat")
     REF2 = tokenize("there is a cat on the mat")

@@ -4,7 +4,6 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +42,7 @@ from helpers import (
     block_moved_pair,
     corpus_of,
     dp_edit_distance,
+    import_scipy_stats,
     optimal_shift_edits,
     oracle_align_unigrams,
     oracle_kendall_tau,
@@ -600,14 +600,17 @@ class TestAlignmentOracles:
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(-50, 50), unique=True, min_size=2, max_size=60))
     def test_spearman_rho_equals_scipy(self, values):
-        expected = scipy.stats.spearmanr(range(len(values)), values).statistic
+        scipy_stats = import_scipy_stats()
+        expected = scipy_stats.spearmanr(range(len(values)), values).statistic
         assert _spearman_rho(values) == pytest.approx(expected, abs=1e-12)
 
     @settings(deadline=None, max_examples=100)
     @given(small_corpora(alphabet="abcd", max_len=12))
     def test_spearman_ribes_equals_scipy(self, corpus):
+        scipy_stats = import_scipy_stats()
+
         def scipy_rho(seq):
-            return float(scipy.stats.spearmanr(range(len(seq)), seq).statistic)
+            return float(scipy_stats.spearmanr(range(len(seq)), seq).statistic)
 
         cfg = RibesConfig(alpha=0.5, correlation_kind="spearman")
         sink = []

@@ -2,7 +2,6 @@ import math
 import random
 
 import pytest
-import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +24,7 @@ from mteval.errors import (
     ZeroVarianceError,
 )
 from mteval.stats import _two_tailed_p
+from helpers import import_scipy_stats
 
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 VECTORS = st.lists(FLOATS, min_size=3, max_size=30)
@@ -68,12 +68,13 @@ class TestPearson:
         assert pearson(x, y_neg).coefficient == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_library_oracle(self):
+        scipy_stats = import_scipy_stats()
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randint(3, 25)
             x = [rng.uniform(-10, 10) for _ in range(n)]
             y = [rng.uniform(-10, 10) for _ in range(n)]
-            expected = scipy.stats.pearsonr(x, y).statistic
+            expected = scipy_stats.pearsonr(x, y).statistic
             assert pearson(x, y).coefficient == pytest.approx(expected, abs=1e-10)
 
     def test_tiny_variances_do_not_underflow(self):
@@ -123,31 +124,34 @@ class TestSpearman:
         )
 
     def test_no_ties_closed_form_equals_rank_pearson(self):
+        scipy_stats = import_scipy_stats()
         rng = random.Random(21)
         for _ in range(30):
             n = rng.randint(3, 20)
             x = rng.sample(range(1000), n)
             y = rng.sample(range(1000), n)
             closed = spearman(x, y).coefficient
-            ranks_x = scipy.stats.rankdata(x)
-            ranks_y = scipy.stats.rankdata(y)
+            ranks_x = scipy_stats.rankdata(x)
+            ranks_y = scipy_stats.rankdata(y)
             via_pearson = pearson(list(ranks_x), list(ranks_y)).coefficient
             assert closed == pytest.approx(via_pearson, abs=1e-12)
 
     def test_ties_use_average_ranks(self):
+        scipy_stats = import_scipy_stats()
         x = [1, 1, 2, 3]
         y = [4, 5, 6, 7]
-        expected = scipy.stats.spearmanr(x, y).statistic
+        expected = scipy_stats.spearmanr(x, y).statistic
         assert spearman(x, y).coefficient == pytest.approx(expected, abs=1e-12)
 
     def test_p_value_matches_library_oracle(self):
+        scipy_stats = import_scipy_stats()
         rng = random.Random(33)
         for _ in range(25):
             n = rng.randint(5, 26)
             x = [rng.uniform(0, 100) for _ in range(n)]
             y = [rng.uniform(0, 100) for _ in range(n)]
             got = spearman(x, y)
-            oracle = scipy.stats.spearmanr(x, y)
+            oracle = scipy_stats.spearmanr(x, y)
             assert got.coefficient == pytest.approx(oracle.statistic, abs=1e-10)
             assert got.two_tailed_p == pytest.approx(oracle.pvalue, abs=1e-8)
 
@@ -167,17 +171,18 @@ class TestSpearman:
             assert _two_tailed_p(r, nu + 2) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_p_value_where_x_falls_on_the_switch(self):
+        scipy_stats = import_scipy_stats()
         # r = 0.5 at n = 9 gives x = 3/4 and 1 - x = 1/4 exactly, the
         # switch points of both I_x(7/2, 1/2) and I_{1-x}(1/2, 7/2).
         got = spearman(range(1, 10), [6, 3, 2, 4, 5, 1, 9, 8, 7])
         assert got.coefficient == 0.5
-        oracle = 2.0 * scipy.stats.t.sf(math.sqrt(7.0 / 3.0), 7)
+        oracle = 2.0 * scipy_stats.t.sf(math.sqrt(7.0 / 3.0), 7)
         assert got.two_tailed_p == pytest.approx(oracle, rel=1e-12)
         # r^2 = 3/(n+3) puts x on the switch for every n in exact arithmetic
         for n in range(3, 200):
             r = math.sqrt(3.0 / (n + 3))
             t = r * math.sqrt((n - 2) / (1.0 - r * r))
-            oracle = 2.0 * scipy.stats.t.sf(t, n - 2)
+            oracle = 2.0 * scipy_stats.t.sf(t, n - 2)
             assert _two_tailed_p(r, n) == pytest.approx(oracle, rel=1e-11)
 
     def test_p_value_edge_cases(self):

@@ -20,8 +20,9 @@ def import_scipy_stats():
     cannot be imported: not installed, or built for another Python."""
     try:
         import scipy.stats
-    except ImportError as exc:  # numpy's own message ends with the cause
-        pytest.skip(f"scipy.stats: {str(exc).strip().splitlines()[-1]}")
+    except ImportError as exc:
+        lines = str(exc).strip().splitlines() or [repr(exc)]
+        pytest.skip(f"scipy.stats: {lines[-1]}")  # numpy's message ends with the cause
     return scipy.stats
 
 

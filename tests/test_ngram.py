@@ -171,7 +171,7 @@ class TestMaxRefCounts:
         assert list(got) == list(want)
 
 
-# Orders 1-6 over a 2-3-letter alphabet, so n-grams repeat within and
+# Orders 1-6 over a three-letter alphabet, so n-grams repeat within and
 # across sentences.
 KEEP_TOKENS = st.lists(st.sampled_from("abc"), max_size=10)
 KEEP_ORDERS = st.integers(min_value=1, max_value=6)

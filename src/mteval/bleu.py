@@ -98,10 +98,11 @@ def effective_reference_length(hyp_length: int, ref_lengths: Sequence[int]) -> i
 def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
     """(clipped matches, hypothesis total) per order 1..max_order for one pair.
 
-    The reference tables count only the hypothesis n-grams (``keep``).
+    The reference tables count only the hypothesis n-grams (``keep``), so
+    they stop at the hypothesis length.
     """
     hyp = extract_ngrams(pair.hypothesis, max_order)
-    best = max_ref_counts(pair.references, max_order, hyp)
+    best = max_ref_counts(pair.references, min(max_order, len(pair.hypothesis)), hyp)
     matched = [0] * max_order
     for gram, m in clipped_counts(hyp, best):
         matched[len(gram) - 1] += m

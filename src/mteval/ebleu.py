@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import ne, sub
 from typing import NamedTuple, Sequence
 
@@ -37,7 +37,7 @@ from .corpus import (
     reduce_pairs,
 )
 from .errors import OrderMismatchError
-from .ngram import _merge_max, max_ref_counts, window_total, windows
+from .ngram import _merge_max, max_ref_counts, order_windows
 from .records import checked
 
 
@@ -83,7 +83,8 @@ def synonym_substitute(pair: EvalPair, lexicon: SynonymLexicon) -> SubstitutionT
     hypothesis words never claim the same reference word. The
     hypothesis length never changes.
     """
-    budget = _merge_max(Counter(), map(Counter, pair.references))
+    refs = pair.references
+    budget = _merge_max(Counter(refs[0]), map(Counter, refs[1:]))
     modified = list(pair.hypothesis)
     substituted: set[int] = set()
     for i, word in enumerate(modified):
@@ -103,54 +104,57 @@ def synonym_substitute(pair: EvalPair, lexicon: SynonymLexicon) -> SubstitutionT
     )
 
 
-def _order_stats(
+def _pair_order_stats(
     trace: SubstitutionTrace,
-    allowed: Counter,
-    n: int,
+    references: Sequence[TokenSeq],
+    max_order: int,
     rare: RareWordSet,
     cfg: EbleuConfig,
-) -> tuple[float, int]:
-    """(weighted clipped matches, hypothesis n-gram total) for one order.
+) -> list[tuple[float, int]]:
+    """(weighted clipped matches, hypothesis n-gram total) per order 1..max_order.
 
     Each window of the modified hypothesis carries a weight: the synonym
     discount once per substituted position inside it, and the rare-word
     bonus once if it contains any rare word. A window's substitution
     count and rare-word flag are each one subtraction of prefix sums over
     the hypothesis (substituted positions and rare words before each
-    position), and only the windows whose n-gram is in ``allowed`` are
-    visited. Clipping caps how many instances of an n-gram may score at
-    its count in ``allowed``, the pair's ``max_ref_counts`` table of
-    every order up to at least ``n``, dropping the lowest weights first.
+    position), built once for every order, and only the windows whose
+    n-gram occurs in a reference are visited. Clipping caps how many
+    instances of an n-gram may score at the pair's ``max_ref_counts``,
+    dropping the lowest weights first. The reference tables count only
+    the hypothesis's windows, and orders past the hypothesis length have
+    no windows and score ``(0.0, 0)`` without work.
     """
     hyp = trace.modified_hypothesis
-    total = window_total(len(hyp), n)
-    if total == 0:
-        return 0.0, 0
+    grams = [list(order) for order in order_windows(hyp, max_order)]
+    allowed = max_ref_counts(references, len(grams), set(chain.from_iterable(grams)))
     substituted = map(trace.substituted_positions.__contains__, range(len(hyp)))
     subs = list(accumulate(substituted, initial=0))
     rares = list(accumulate(map(rare.words.__contains__, hyp), initial=0))
     # discount[k] is the weight of a window with k substituted positions.
-    discount = [cfg.synonym_score**k for k in range(n + 1)]
-    grams = list(windows(hyp, n))
-    weighted = zip(grams, map(sub, subs[n:], subs), map(ne, rares[n:], rares))
-    instances: dict[tuple, list[float]] = {}
-    for gram, k, has_rare in compress(weighted, map(allowed.__contains__, grams)):
-        weight = discount[k]
-        if has_rare:
-            weight *= cfg.rare_words_score
-        instances.setdefault(gram, []).append(weight)
-    matched = 0.0
-    for gram, weights in instances.items():
-        if len(weights) == 1:  # kept at any cap; no weight is -0.0, so 0.0 + w is w
-            matched += weights[0]
-            continue
-        cap = allowed[gram]
-        weights.sort(reverse=True)
-        kept = 0.0  # added in order: sum() compensates from Python 3.12
-        for weight in weights[:cap]:
-            kept += weight
-        matched += kept
-    return matched, total
+    discount = [cfg.synonym_score**k for k in range(len(grams) + 1)]
+    stats = []
+    for n, order in enumerate(grams, start=1):
+        weighted = zip(order, map(sub, subs[n:], subs), map(ne, rares[n:], rares))
+        instances: dict[tuple, list[float]] = {}
+        for gram, k, has_rare in compress(weighted, map(allowed.__contains__, order)):
+            weight = discount[k]
+            if has_rare:
+                weight *= cfg.rare_words_score
+            instances.setdefault(gram, []).append(weight)
+        matched = 0.0
+        for gram, weights in instances.items():
+            if len(weights) == 1:  # kept at any cap; no weight is -0.0, so 0.0 + w is w
+                matched += weights[0]
+                continue
+            cap = allowed[gram]
+            weights.sort(reverse=True)
+            kept = 0.0  # added in order: sum() compensates from Python 3.12
+            for weight in weights[:cap]:
+                kept += weight
+            matched += kept
+        stats.append((matched, len(order)))
+    return stats + [(0.0, 0)] * (max_order - len(grams))
 
 
 def _clamped_precision(matched: float, total: int) -> float:
@@ -168,8 +172,7 @@ def ebleu_order_score(
     """Weighted modified precision for one order, clamped to [0, 1]."""
     if n < 1 or n > cfg.max_order:
         raise OrderMismatchError(f"order {n} outside 1..{cfg.max_order}")
-    allowed = max_ref_counts(pair.references, n)
-    return _clamped_precision(*_order_stats(trace, allowed, n, rare, cfg))
+    return _clamped_precision(*_pair_order_stats(trace, pair.references, n, rare, cfg)[-1])
 
 
 def ebleu_length_score(ref_length: float, hyp_length: int) -> float:
@@ -227,9 +230,8 @@ def ebleu_score(
 
     def pair_stats(pair):
         trace = synonym_substitute(pair, lexicon)
-        allowed = max_ref_counts(pair.references, n)
         return order_columns(
-            pair, [_order_stats(trace, allowed, k, rare_words, cfg) for k in range(1, n + 1)]
+            pair, _pair_order_stats(trace, pair.references, n, rare_words, cfg)
         )
 
     def score(columns):

@@ -1,45 +1,38 @@
 """N-gram windows, per-sentence n-gram tables, and reference clipping.
 
-The one n-gram counting and clipping path of the package. ``windows``
-yields the order-``n`` windows of a sentence, built at C level by
-zipping ``n`` shifted slices, and ``window_total`` counts them.
-``all_windows`` chains the windows of every order from 1 to N, shorter
-orders first, and ``window_counts`` tallies them into one table per
-sentence; an n-gram's order is its length, so the orders share the
-table without a key of their own. ``max_ref_counts`` merges a pair's
-reference tables into the elementwise maximum that clipping caps at.
-``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
-BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU caps
-its weighted windows at ``max_ref_counts`` by a rule of its own,
+The one n-gram counting and clipping path of the package.
+``order_windows`` gives the windows of every order 1..N of a sentence,
+built at C level from one set of shifted slices: the order-``n``
+windows zip the first ``n`` of them, so a sentence of N or more tokens
+takes N slices, not the N(N+1)/2 of building each order on its own.
+``window_total`` counts an order's windows. ``all_windows`` chains those
+orders, shorter orders first, and ``window_counts`` tallies them into
+one table per sentence; an n-gram's order is its length, so the orders
+share the table without a key of their own. ``max_ref_counts`` merges a
+pair's reference tables into the elementwise maximum that clipping caps
+at, and ``pooled_counts`` counts n-grams over many sentences pooled, as
+one token stream. ``clipped_counts`` is the clipping rule (Papineni et al. 2002)
+behind BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU
+caps its weighted windows at ``max_ref_counts`` by a rule of its own,
 dropping the lowest weights first. All functions are pure and safe for
 per-sentence data parallelism.
 
 Clipping only asks how often a reference holds an n-gram that the
-hypothesis has, so BLEU and NIST pass the hypothesis table as ``keep``
-and a reference table counts only those n-grams: the n-grams of a
-reference that no hypothesis window can match are never stored. Words
-loaded by ``corpus.load_parallel_corpus`` are one object per distinct
-word, so comparing two n-gram keys compares their words by identity.
+hypothesis has, so BLEU, EBLEU and NIST pass the hypothesis n-grams as
+``keep`` and a reference table counts only those n-grams: the n-grams
+of a reference that no hypothesis window can match are never stored.
+Words loaded by ``corpus.load_parallel_corpus`` are one object per
+distinct word, so comparing two n-gram keys compares their words by
+identity.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from typing import Container, Iterable, Iterator, Sequence
 
 NGram = tuple[str, ...]
-
-
-def windows(tokens: Sequence[str], n: int) -> Iterator[NGram]:
-    """Every contiguous window of length ``n``, left to right (none if n < 1).
-
-    A sentence shorter than ``n`` has none and builds no slice, so its
-    cost does not grow with ``n``.
-    """
-    if n > len(tokens):
-        return iter(())
-    return zip(*[tokens[i:] for i in range(n)])
 
 
 def window_total(length: int, n: int) -> int:
@@ -47,15 +40,21 @@ def window_total(length: int, n: int) -> int:
     return max(0, length - n + 1)
 
 
-def all_windows(tokens: Sequence[str], max_order: int) -> Iterator[NGram]:
-    """The windows of every order 1..``max_order``, shorter orders first.
+def order_windows(tokens: Sequence[str], max_order: int) -> list[Iterator[NGram]]:
+    """The windows of each order 1..``max_order``, one iterator per order.
 
-    Orders past the sentence length have no windows and are not visited,
-    so the cost does not grow with ``max_order``.
+    The ``min(max_order, len(tokens))`` shifted slices are taken once and
+    order ``n`` zips the first ``n`` of them. Orders past the sentence
+    length have no windows and get no iterator, so the cost does not grow
+    with ``max_order``.
     """
-    return chain.from_iterable(
-        windows(tokens, n) for n in range(1, min(max_order, len(tokens)) + 1)
-    )
+    shifted = [tokens[i:] for i in range(min(max_order, len(tokens)))]
+    return [zip(*shifted[:n]) for n in range(1, len(shifted) + 1)]
+
+
+def all_windows(tokens: Sequence[str], max_order: int) -> Iterator[NGram]:
+    """The windows of every order 1..``max_order``, shorter orders first."""
+    return chain.from_iterable(order_windows(tokens, max_order))
 
 
 def window_counts(
@@ -69,6 +68,28 @@ def window_counts(
     """
     grams = all_windows(tokens, max_order)
     return Counter(grams if keep is None else filter(keep.__contains__, grams))
+
+
+def pooled_counts(
+    sentences: Iterable[Sequence[str]], max_order: int, keep: Container[NGram]
+) -> Counter:
+    """The n-grams in ``keep`` of every order 1..``max_order``, counted over
+    all ``sentences`` pooled.
+
+    The sentences are joined into one token stream, with a separator that
+    equals no token after each, so no n-gram of words matches a window
+    that spans two sentences. Each order zips ``islice`` views of the
+    stream, which is never copied.
+    """
+    separator = object()
+    stream: list = []
+    for tokens in sentences:
+        stream += tokens
+        stream.append(separator)
+    grams = chain.from_iterable(
+        zip(*[islice(stream, i, None) for i in range(n)]) for n in range(1, max_order + 1)
+    )
+    return Counter(filter(keep.__contains__, grams))
 
 
 def _merge_max(merged: Counter, tables: Iterable[Counter]) -> Counter:
@@ -94,7 +115,7 @@ def max_ref_counts(
     )
 
 
-def clipped_counts(hyp_counts: Counter, best: Counter) -> Iterator[tuple[NGram, int]]:
+def clipped_counts(hyp_counts: Counter, best: Counter) -> list[tuple[NGram, int]]:
     """Each hypothesis n-gram found in ``best``, the maximum count in any
     reference, with its count clipped there: ``(gram, min(count,
     best[gram]))`` in the hypothesis's first-occurrence order.
@@ -104,7 +125,9 @@ def clipped_counts(hyp_counts: Counter, best: Counter) -> Iterator[tuple[NGram, 
     n-grams (``keep``) and the matches come out the same.
     """
     get = best.get
-    for gram, count in hyp_counts.items():
-        cap = get(gram)
-        if cap:
-            yield gram, (count if count < cap else cap)  # min(), without a call per n-gram
+    # min() without a call per n-gram.
+    return [
+        (gram, count if count < cap else cap)
+        for gram, count in hyp_counts.items()
+        if (cap := get(gram))
+    ]

@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .bleu import effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
-from .ngram import all_windows, clipped_counts, max_ref_counts, window_counts, window_total
+from .ngram import clipped_counts, max_ref_counts, pooled_counts, window_counts, window_total
 from .records import checked
 
 
@@ -67,9 +66,9 @@ def nist_score(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
 
     def pair_stats(pair):
-        hyp = window_counts(pair.hypothesis, max_order)
-        matches = list(clipped_counts(hyp, max_ref_counts(pair.references, max_order, hyp)))
         c = len(pair.hypothesis)
+        hyp = window_counts(pair.hypothesis, max_order)
+        matches = clipped_counts(hyp, max_ref_counts(pair.references, min(max_order, c), hyp))
         return [matches, list(pair.references), c, _average_length(pair.references)] + [
             window_total(c, n) for n in range(1, max_order + 1)
         ]
@@ -80,12 +79,9 @@ def nist_score(
         # hypothesis and reference, so it is a matched (n-1)-gram itself and
         # every count the information weights divide by is pooled.
         needed = {gram for gram, _ in matches}
-        ref_counts = Counter(
-            filter(
-                needed.__contains__,
-                chain.from_iterable(all_windows(ref, max_order) for ref in references),
-            )
-        )
+        # Orders past the longest match count nothing.
+        top = max(map(len, needed), default=0)
+        ref_counts = pooled_counts(references, top, needed)
         total_ref_tokens = sum(map(len, references))
         matched_info = [0.0] * (max_order + 1)
         for gram, m in matches:

@@ -21,9 +21,8 @@ from mteval import (
     synonym_substitute,
 )
 from mteval import ebleu
-from mteval.ebleu import _order_stats
+from mteval.ebleu import _pair_order_stats
 from mteval.errors import EmptyCorpusError, OrderMismatchError
-from mteval.ngram import max_ref_counts
 from helpers import (
     EDGE_LINES,
     LONG_LINE,
@@ -173,12 +172,14 @@ class TestOrderScore:
 
 
 def assert_order_stats_match_oracle(corpus, lexicon, rare, cfg):
+    """Every order of every pair's one-pass statistics equals the oracle's."""
     for pair in corpus.pairs:
         trace = synonym_substitute(pair, lexicon)
-        allowed = max_ref_counts(pair.references, cfg.max_order)
-        for n in range(1, cfg.max_order + 1):
-            got = _order_stats(trace, allowed, n, rare, cfg)
-            assert got == oracle_ebleu_order_stats(trace, pair, n, rare, cfg)
+        got = _pair_order_stats(trace, pair.references, cfg.max_order, rare, cfg)
+        assert got == [
+            oracle_ebleu_order_stats(trace, pair, n, rare, cfg)
+            for n in range(1, cfg.max_order + 1)
+        ]
 
 
 class TestOrderStatsBitIdentity:

@@ -17,7 +17,13 @@ from mteval import (
     tokenize,
 )
 from mteval import bleu, ebleu, ngram, refmetrics
-from mteval.ngram import clipped_counts, max_ref_counts, window_counts, window_total, windows
+from mteval.ngram import (
+    clipped_counts,
+    max_ref_counts,
+    order_windows,
+    window_counts,
+    window_total,
+)
 from helpers import pair_of, small_corpora
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
@@ -133,15 +139,23 @@ class TestWindowCounts:
                 return self.items[index]
 
         tokens = SliceCounting("abc")
-        assert list(windows(tokens, 10**6)) == []
-        assert SliceCounting.slices <= len(tokens) + 1
-        # All orders at once: orders 1..3 slice 1 + 2 + 3 times.
+        assert len(order_windows(tokens, 10**6)) == len(tokens)
+        assert SliceCounting.slices == len(tokens)
+        # All orders share one set of shifted slices: orders 1..3 take 3,
+        # not 1 + 2 + 3.
         SliceCounting.slices = 0
         assert window_counts(tokens, 10**6) == window_counts("abc", 3)
-        assert SliceCounting.slices <= len(tokens) ** 2
+        assert SliceCounting.slices == len(tokens)
         SliceCounting.slices = 0
         assert max_ref_counts([tokens, tokens], 10**6) == window_counts("abc", 3)
-        assert SliceCounting.slices <= 2 * len(tokens) ** 2
+        assert SliceCounting.slices == 2 * len(tokens)
+        # A sentence longer than the order takes one slice per order: 5 at
+        # order 5, where building each order on its own takes 15.
+        tokens = SliceCounting("abcdefgh")
+        for max_order in range(1, 12):
+            SliceCounting.slices = 0
+            assert window_counts(tokens, max_order) == window_counts("abcdefgh", max_order)
+            assert SliceCounting.slices == min(max_order, len(tokens))
 
     @given(small_vocab_sentences(1, 1), WIDE_ORDERS)
     def test_matches_brute_force_in_first_occurrence_order(self, sentences, n):
@@ -267,6 +281,34 @@ class TestOneTablePerSentence:
         # EBLEU counts its substituted hypothesis by window, not by table.
         want = {self.REF1: 1, self.REF2: 1} | ({} if metric == "ebleu" else {self.HYP: 1})
         assert tables == want
+
+
+class TestOrdersPastTheHypothesis:
+    @pytest.mark.parametrize("metric", ["bleu", "ebleu", "nist"])
+    def test_build_no_windows(self, monkeypatch, metric):
+        # At order 50 a 3-token hypothesis has windows of orders 1-3 only,
+        # and no longer reference window can match one of them.
+        built = []
+        original = ngram.order_windows
+
+        def recording(tokens, max_order):
+            orders = original(tokens, max_order)
+            built.append((" ".join(tokens), len(orders)))
+            return orders
+
+        for module in (ngram, ebleu):
+            monkeypatch.setattr(module, "order_windows", recording)
+        corpus = ParallelCorpus((pair_of("a b c", "a b c d e f"),), 1)
+        if metric == "bleu":
+            details = bleu_score(corpus, BleuConfig(max_order=50)).details
+            assert details["precisions"] == [1.0] * 3 + [0.0] * 47
+        elif metric == "ebleu":
+            cfg = EbleuConfig(max_order=50, rare_words_score=1.0)
+            details = ebleu_score(corpus, SynonymLexicon.empty(), cfg).details
+            assert details["order_scores"] == [1.0] * 3 + [0.0] * 47
+        else:
+            assert nist_score(corpus, 50) == nist_score(corpus, 3)
+        assert set(built) == {("a b c", 3), ("a b c d e f", 3)}
 
 
 class TestModifiedPrecision:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from mteval import (
     ribes_score,
     ter_score,
 )
-from mteval import refmetrics
+from mteval import ngram, refmetrics
 from mteval.errors import EmptyCorpusError
 from mteval.refmetrics import (
     MeteorResult,
@@ -127,6 +128,32 @@ class TestNist:
         assert nist_score(same) == pytest.approx(math.log2(2000), rel=1e-12)
         for corpus in (same, corpus_of((LONG_MOVED_LINE, LONG_LINE))):
             assert nist_score(corpus) == oracle_nist_score(corpus)
+
+    def test_orders_past_the_longest_match_build_no_windows(self, monkeypatch):
+        # The pooled reference counts stop at the longest matched n-gram
+        # (order 3 here), so a large --max-ngram builds no window past it.
+        views = []
+
+        def counting(stream, start, stop):
+            views.append(start)
+            return islice(stream, start, stop)
+
+        monkeypatch.setattr(ngram, "islice", counting)
+        corpus = corpus_of(("a b c", "a b c d"), ("b c", "c b c"))
+        assert nist_score(corpus, 1000) == nist_score(corpus, 3)
+        assert views == [0, 0, 1, 0, 1, 2] * 2
+
+    def test_no_ngram_spans_two_references(self):
+        # References end in "a" where the next begins with "b", within a
+        # pair and across pairs, and every hypothesis holds "a b": the
+        # pooled counts of "a b" must not see the joins.
+        corpus = corpus_of(("a b", "c a", "b a b a"), ("a b", "b d", "a b a"))
+        sink = []
+        assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
+        assert sink == [
+            oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count))
+            for pair in corpus.pairs
+        ]
 
 
 # --- TER ---------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .bleu import effective_reference_length

@@ -306,6 +306,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 # entry point
 
 
+def _order(text: str) -> int:
+    """An n-gram order from the command line: an integer of at least 1."""
+    try:
+        order = int(text)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return order
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mteval",
@@ -332,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--lexicon", metavar="PATH", help="synonym lexicon file")
     score.add_argument(
         "--max-ngram",
-        type=int,
+        type=_order,
         default=4,
         metavar="N",
         help="n-gram order of BLEU and EBLEU only; NIST always uses order 5",
@@ -389,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError surfaces config validation (weight sums, ranges)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MTEvalError, OSError, UnicodeDecodeError) as exc:
+    except (MTEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

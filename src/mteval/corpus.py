@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
+    DecodeError,
     EmptyCorpusError,
     InvalidPercentError,
     LineCountMismatchError,
@@ -149,9 +150,16 @@ def read_lines(path: str | Path) -> list[str]:
     also break at U+0085, U+2028, U+2029, form feed, vertical tab and
     U+001C-U+001E, which would misalign line-paired files; here those
     stay in their line, where tokenization reads them as whitespace.
+    Raises :class:`DecodeError`, naming the file, when it is not UTF-8.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        return [line.removesuffix("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [line.removesuffix("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DecodeError(
+            f"{path}: not UTF-8 text: byte 0x{byte:02x}, {exc.reason}"
+        ) from None
 
 
 def load_parallel_corpus(
@@ -166,7 +174,8 @@ def load_parallel_corpus(
     object, mapped through one dict per call, so the n-gram tables of the
     scorers compare their keys' words by identity; the dict is dropped on
     return. Raises :class:`LineCountMismatchError` when any file disagrees
-    on line count; I/O and decoding errors propagate.
+    on line count and :class:`DecodeError` on a file that is not UTF-8;
+    I/O errors propagate.
     """
     if not ref_paths:
         raise ValueError("at least one reference file is required")
@@ -222,29 +231,29 @@ def load_synonym_lexicon(
     closure between lines. Fields pass through the same tokenizer
     normalization as corpus text. A non-blank, non-comment line with
     fewer than two words, or a field that does not normalize to exactly
-    one word, raises :class:`MalformedLineError`.
+    one word, raises :class:`MalformedLineError`. Lines end as in corpus
+    files (``read_lines``).
     """
     entries: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words: list[str] = []
-            for field in line.split(","):
-                tokens = tokenize(field, cfg)
-                if len(tokens) != 1:
-                    raise MalformedLineError(
-                        f"{path}:{lineno}: field {field.strip()!r} is not a single word"
-                    )
-                words.append(tokens[0])
-            if len(set(words)) < 2:
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        words: list[str] = []
+        for field in line.split(","):
+            tokens = tokenize(field, cfg)
+            if len(tokens) != 1:
                 raise MalformedLineError(
-                    f"{path}:{lineno}: a synonym set needs at least two distinct words"
+                    f"{path}:{lineno}: field {field.strip()!r} is not a single word"
                 )
-            for word in words:
-                group = entries.setdefault(word, set())
-                group.update(w for w in words if w != word)
+            words.append(tokens[0])
+        if len(set(words)) < 2:
+            raise MalformedLineError(
+                f"{path}:{lineno}: a synonym set needs at least two distinct words"
+            )
+        for word in words:
+            group = entries.setdefault(word, set())
+            group.update(w for w in words if w != word)
     return SynonymLexicon(entries={w: frozenset(s) for w, s in entries.items()})
 
 

@@ -9,6 +9,10 @@ class LineCountMismatchError(MTEvalError):
     """Hypothesis and reference files disagree on line count."""
 
 
+class DecodeError(MTEvalError):
+    """An input file is not UTF-8 text."""
+
+
 class MalformedLineError(MTEvalError):
     """A synonym lexicon line does not hold at least two single words."""
 

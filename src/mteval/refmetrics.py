@@ -7,18 +7,28 @@ function of one pair that gives its statistics as columns, and one
 by ``corpus.reduce_pairs``, which adds up the columns of every pair.
 Given a ``per_sentence`` list, each scorer also appends every pair's own
 score to it from the same pass: the formula applied to that pair's
-columns alone.
+columns alone. TER, METEOR, LEPOR and RIBES leave that to
+``reduce_pairs``; NIST scores each pair inside its ``pair_stats``, where
+the pair's own reference tables give the weights.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bleu import effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
-from .ngram import clipped_counts, max_ref_counts, pooled_counts, window_counts, window_total
+from .ngram import (
+    NGram,
+    clipped_counts,
+    max_ref_counts,
+    pooled_counts,
+    summed_and_max_ref_counts,
+    window_counts,
+    window_total,
+)
 from .records import checked
 
 
@@ -28,6 +38,37 @@ from .records import checked
 
 def _average_length(references: Sequence[TokenSeq]) -> float:
     return sum(len(ref) for ref in references) / len(references)
+
+
+def _nist_formula(
+    matches: list[tuple[NGram, int]],
+    ref_counts: Mapping[NGram, int],
+    ref_tokens: int,
+    hyp_len: int,
+    avg_ref_len: float,
+    hyp_totals: Sequence[int],
+) -> float:
+    """NIST from its matches and the reference counts they are weighed by.
+
+    ``ref_counts`` counts, over the references the weights are taken from,
+    every matched n-gram and its prefix, and ``ref_tokens`` is their token
+    count. The information of the matches is summed per order in match
+    order, and the orders are summed in order.
+    """
+    if hyp_len == 0 or avg_ref_len == 0.0:
+        return 0.0
+    matched_info = [0.0] * (len(hyp_totals) + 1)
+    for gram, m in matches:
+        n = len(gram)
+        numer = ref_tokens if n == 1 else ref_counts[gram[:-1]]
+        matched_info[n] += m * math.log2(numer / ref_counts[gram])
+    information = 0.0  # added in order: sum() compensates from Python 3.12
+    for info, total in zip(matched_info[1:], hyp_totals):
+        if total > 0:
+            information += info / total
+    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+    ratio = min(hyp_len / avg_ref_len, 1.0)
+    return information * math.exp(beta * math.log(ratio) ** 2)
 
 
 def nist_score(
@@ -46,18 +87,25 @@ def nist_score(
     length factor exp(beta * log(min(c/r, 1))^2) that reaches 0.5 when
     the hypothesis is two thirds of the average reference length.
 
-    A pair's columns are its matches, its references, its hypothesis
-    length, its average reference length and its hypothesis n-gram total
-    per order. Its matches are its hypothesis n-grams that occur in a
-    reference, clipped against its references (whose tables count only
-    the hypothesis n-grams), recorded as (n-gram, clipped count) in
-    scoring order in one list, the order of a match being the length of
-    its n-gram. The formula counts reference n-grams for the matched ones
-    only, then sums the information of the matches per order in corpus
-    order, so scores are those of pooling every reference n-gram, bit for
-    bit. A per-sentence score is the formula applied to that pair's
-    columns alone, so its information weights come from its own
-    references.
+    A pair's columns are its matches, its hypothesis length, its average
+    reference length and its hypothesis n-gram total per order. Its
+    matches are its hypothesis n-grams that occur in a reference, clipped
+    against its references (whose tables count only the hypothesis
+    n-grams), recorded as (n-gram, clipped count) in scoring order in one
+    list, the order of a match being the length of its n-gram. The prefix
+    w1..wn-1 of a matched n-gram occurs in the same hypothesis and
+    reference, so it is a matched (n-1)-gram itself: the corpus score
+    counts the references of the whole corpus for the matched n-grams
+    only, in one pass, then sums the information of the matches per order
+    in corpus order, so scores are those of pooling every reference
+    n-gram, bit for bit.
+
+    A per-sentence score is the formula applied to that pair's columns
+    alone, its information weights taken from its own references.
+    ``pair_stats`` computes it, not ``reduce_pairs``: the pair's reference
+    tables, restricted to its hypothesis n-grams, clip it by their maximum
+    and weigh it by their sum, which holds every count the weights divide
+    by, so its references are counted once.
 
     Raises ``ValueError`` when ``max_order`` is below 1.
     """
@@ -67,37 +115,34 @@ def nist_score(
     def pair_stats(pair):
         c = len(pair.hypothesis)
         hyp = window_counts(pair.hypothesis, max_order)
-        matches = clipped_counts(hyp, max_ref_counts(pair.references, min(max_order, c), hyp))
-        return [matches, list(pair.references), c, _average_length(pair.references)] + [
-            window_total(c, n) for n in range(1, max_order + 1)
-        ]
+        top = min(max_order, c)
+        totals = [window_total(c, n) for n in range(1, max_order + 1)]
+        avg_ref_len = _average_length(pair.references)
+        if per_sentence is None:
+            matches = clipped_counts(hyp, max_ref_counts(pair.references, top, hyp))
+        else:
+            summed, best = summed_and_max_ref_counts(pair.references, top, hyp)
+            matches = clipped_counts(hyp, best)
+            ref_tokens = sum(map(len, pair.references))
+            per_sentence.append(
+                _nist_formula(matches, summed, ref_tokens, c, avg_ref_len, totals)
+            )
+        return [matches, c, avg_ref_len] + totals
 
     def score(columns):
-        matches, references, hyp_len, avg_ref_len, *hyp_totals = columns
-        # The prefix w1..wn-1 of a matched n-gram occurs in the same
-        # hypothesis and reference, so it is a matched (n-1)-gram itself and
-        # every count the information weights divide by is pooled.
+        matches, hyp_len, avg_ref_len, *hyp_totals = columns
         needed = {gram for gram, _ in matches}
         # Orders past the longest match count nothing.
         top = max(map(len, needed), default=0)
+        references = corpus.all_references()
         ref_counts = pooled_counts(references, top, needed)
-        total_ref_tokens = sum(map(len, references))
-        matched_info = [0.0] * (max_order + 1)
-        for gram, m in matches:
-            n = len(gram)
-            numer = total_ref_tokens if n == 1 else ref_counts[gram[:-1]]
-            matched_info[n] += m * math.log2(numer / ref_counts[gram])
-        if hyp_len == 0 or avg_ref_len == 0.0:
-            return 0.0, None
-        information = 0.0  # added in order: sum() compensates from Python 3.12
-        for info, total in zip(matched_info[1:], hyp_totals):
-            if total > 0:
-                information += info / total
-        beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
-        ratio = min(hyp_len / avg_ref_len, 1.0)
-        return information * math.exp(beta * math.log(ratio) ** 2), None
+        ref_tokens = sum(map(len, references))
+        nist = _nist_formula(
+            matches, ref_counts, ref_tokens, hyp_len, avg_ref_len, hyp_totals
+        )
+        return nist, None
 
-    return reduce_pairs(corpus, pair_stats, score, per_sentence)[0]
+    return reduce_pairs(corpus, pair_stats, score)[0]
 
 
 # ---------------------------------------------------------------------------

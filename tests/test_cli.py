@@ -328,7 +328,6 @@ class TestScoreCommand:
     def test_bad_config_value_is_usage_error(self, capsys, two_pair_files):
         hyp, ref, lex = two_pair_files
         for metric, flag, value in [
-            ("bleu", "--max-ngram", "0"),
             # An epsilon of 1 floors a zero order score at a perfect match.
             ("bleu", "--epsilon", "1"),
             ("ebleu", "--epsilon", "1"),
@@ -363,6 +362,34 @@ class TestScoreCommand:
         )
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    # NIST ignores --max-ngram, so only argparse can reject it there.
+    @pytest.mark.parametrize("metric", ["nist", "bleu", "ebleu"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_ngram_below_one_is_usage_error_for_any_metric(
+        self, capsys, two_pair_files, metric, value
+    ):
+        hyp, ref, lex = two_pair_files
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref),
+                  "--lexicon", str(lex), "--max-ngram", value])
+        assert exc.value.code == 2
+        assert "--max-ngram" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["hyp", "ref", "lexicon"])
+    def test_file_that_is_not_utf8_is_data_error_naming_it(
+        self, capsys, exam_files, bad
+    ):
+        files = dict(zip(("hyp", "ref", "lexicon"), exam_files))
+        files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
+        code = main(
+            ["score", "--metric", "ebleu", "--hyp", str(files["hyp"]),
+             "--ref", str(files["ref"]), "--lexicon", str(files["lexicon"])]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(files[bad]) in err
+        assert err.count("\n") == 1
 
     def test_empty_corpus_is_data_error(self, capsys, tmp_path):
         hyp = tmp_path / "hyp.txt"
@@ -428,6 +455,13 @@ class TestCorrelateCommand:
         assert main(["correlate", "--table", str(path)]) == 1
         assert repr(cell) in capsys.readouterr().err
 
+    def test_table_that_is_not_utf8_is_data_error_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"a\tb\n1\t2\n\xff\t3\n2\t5\n")
+        assert main(["correlate", "--table", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_utf8_bom_is_not_part_of_the_first_metric_name(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_bytes(b"\xef\xbb\xbfBLEU\tTER\n1\t3\n2\t2\n3\t1\n")
@@ -471,6 +505,15 @@ class TestReportCommand:
         other = tmp_path / "other.tsv"
         other.write_text("X\tY\n1\t2\n", encoding="utf-8")
         assert main(["report", "--in", str(pl_en_table_path), "--in", str(other)]) == 1
+
+    def test_table_that_is_not_utf8_is_data_error_naming_it(
+        self, capsys, tmp_path, pl_en_table_path
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff" + pl_en_table_path.read_bytes())
+        assert main(["report", "--in", str(pl_en_table_path), "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
 
     def test_feeds_correlate(self, capsys, tmp_path, pl_en_table_path, en_pl_table_path):
         merged = tmp_path / "merged.tsv"

@@ -5,7 +5,7 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mteval import (
@@ -152,6 +152,46 @@ class TestNist:
         assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
         assert sink == [
             oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count))
+            for pair in corpus.pairs
+        ]
+
+    def test_per_sentence_scores_pool_the_references_once(self, monkeypatch):
+        # Each pair's weights come from the tables that clip it, so only the
+        # corpus score pools references.
+        calls = []
+        original = ngram.pooled_counts
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(refmetrics, "pooled_counts", counting)
+        corpus = corpus_of(("a b c", "a b c d"), ("b c", "c b c"), ("a", "b"))
+        sink = []
+        nist_score(corpus, per_sentence=sink)
+        assert len(calls) == 1 and len(sink) == 3
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        small_corpora(alphabet="ab", max_len=8)
+        | small_corpora(alphabet="abcd", max_len=4)
+        | st.lists(st.sampled_from(EDGE_LINES), min_size=1, max_size=4).map(
+            lambda lines: corpus_of(*lines)
+        ),
+        st.integers(min_value=1, max_value=7),
+    )
+    # "a b" occurs twice in one reference and once in the other.
+    @example(corpus_of(("a b a b", "a b a b a", "b a b"), ("a", "b", "a")), 3)
+    def test_per_sentence_equals_one_pair_oracle(self, corpus, max_order):
+        # Two-word vocabularies repeat matched n-grams within and across
+        # references, so a pair's summed counts differ from its clipping
+        # maxima; orders run past the hypothesis length.
+        sink = []
+        assert nist_score(corpus, max_order, per_sentence=sink) == oracle_nist_score(
+            corpus, max_order
+        )
+        assert sink == [
+            oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count), max_order)
             for pair in corpus.pairs
         ]
 

@@ -36,7 +36,6 @@ from .ebleu import (
 )
 from .refmetrics import (
     LeporConfig,
-    MeteorResult,
     RibesConfig,
     lepor_score,
     meteor_score,
@@ -64,7 +63,6 @@ __all__ = [
     "EbleuConfig",
     "EvalPair",
     "LeporConfig",
-    "MeteorResult",
     "MetricScore",
     "ParallelCorpus",
     "RareWordSet",

@@ -59,22 +59,11 @@ class BleuConfig(NamedTuple):
         return tuple(1.0 / self.max_order for _ in range(self.max_order))
 
 
-class _MetricScoreFields(NamedTuple):
-    metric_name: str
+class MetricScore(NamedTuple):
+    """A corpus score and the intermediates its formula computed."""
+
     corpus_score: float
-    per_sentence: list[float]
     details: dict
-
-
-class MetricScore(_MetricScoreFields):
-    """Corpus-level score with a per-sentence breakdown and intermediates;
-    ``details`` defaults to a new empty dict for each instance."""
-
-    __slots__ = ()
-
-    def __new__(cls, metric_name, corpus_score, per_sentence, details=None):
-        details = {} if details is None else details
-        return super().__new__(cls, metric_name, corpus_score, per_sentence, details)
 
 
 def brevity_penalty(c: int, r: float) -> float:
@@ -130,13 +119,19 @@ def order_columns(pair: EvalPair, orders: Sequence[tuple]) -> list:
     return [m for m, _ in orders] + [t for _, t in orders] + [c, r]
 
 
-def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> MetricScore:
+def bleu_score(
+    corpus: ParallelCorpus,
+    cfg: BleuConfig = BleuConfig(),
+    *,
+    per_sentence: list[float] | None = None,
+) -> MetricScore:
     """Corpus BLEU with pooled per-order statistics.
 
     The effective reference length of each pair is the reference length
     closest to its hypothesis length (ties to shorter), summed over the
-    corpus. A per-sentence score is the formula applied to that pair's
-    columns alone (see ``order_columns``).
+    corpus. Given a ``per_sentence`` list, each pair's score, the formula
+    applied to that pair's columns alone (see ``order_columns``), is
+    appended to it from the same pass.
     """
     weights = cfg.resolved_weights()
     n = cfg.max_order
@@ -171,6 +166,4 @@ def bleu_score(corpus: ParallelCorpus, cfg: BleuConfig = BleuConfig()) -> Metric
             "totals": totals,
         }
 
-    per_sentence: list[float] = []
-    corpus_score, details = reduce_pairs(corpus, pair_stats, score, per_sentence)
-    return MetricScore("bleu", corpus_score, per_sentence, details)
+    return MetricScore(*reduce_pairs(corpus, pair_stats, score, per_sentence))

@@ -36,7 +36,7 @@ from .corpus import (
     load_synonym_lexicon,
 )
 from .ebleu import EbleuConfig, ebleu_score
-from .errors import MTEvalError, TableFormatError
+from .errors import EmptyCorpusError, MTEvalError, TableFormatError, prefixed
 from .refmetrics import (
     lepor_score,
     meteor_score,
@@ -72,7 +72,8 @@ class Metric(NamedTuple):
     """How ``score`` runs one metric and shows its result.
 
     ``run(corpus, lexicon, args, per_sentence)`` returns ``(score,
-    details or None)``; when ``per_sentence`` is a list, it appends each
+    details or None)``, a ``MetricScore`` where the scorer gives one, and
+    hands ``per_sentence`` to the scorer, which, given a list, appends each
     pair's score to it, in corpus order, from the same corpus pass. It
     calls its scorer once, by this module's global name, so the scorer
     is looked up when the metric runs, not when the table is built.
@@ -87,37 +88,14 @@ class Metric(NamedTuple):
     ]
 
 
-def _bleu_style(result, per_sentence):
-    """``(score, details)`` of a BLEU or EBLEU result, its per-sentence
-    scores appended to ``per_sentence`` when that is a list."""
-    if per_sentence is not None:
-        per_sentence += result.per_sentence
-    return result.corpus_score, result.details
-
-
 def _run_bleu(corpus, lexicon, args, per_sentence):
-    result = bleu_score(
-        corpus, BleuConfig(max_order=args.max_ngram, smoothing_epsilon=args.epsilon)
-    )
-    return _bleu_style(result, per_sentence)
+    cfg = BleuConfig(max_order=args.max_order, smoothing_epsilon=args.smoothing_epsilon)
+    return bleu_score(corpus, cfg, per_sentence=per_sentence)
 
 
 def _run_ebleu(corpus, lexicon, args, per_sentence):
-    cfg = EbleuConfig(
-        max_order=args.max_ngram,
-        synonym_score=args.synonym_score,
-        rare_words_percent=args.rare_words_percent,
-        rare_words_score=args.rare_words_score,
-        smoothing_epsilon=args.epsilon,
-    )
-    result = ebleu_score(corpus, lexicon, cfg)
-    return _bleu_style(result, per_sentence)
-
-
-def _run_meteor(corpus, lexicon, args, per_sentence):
-    # The flat result as a dict, in field order.
-    details = meteor_score(corpus, lexicon, per_sentence=per_sentence)._asdict()
-    return details.pop("score"), details
+    cfg = EbleuConfig(**{field: getattr(args, field) for field in EbleuConfig._fields})
+    return ebleu_score(corpus, lexicon, cfg, per_sentence=per_sentence)
 
 
 # NIST is unbounded and reported on its own scale; everything else is a
@@ -131,7 +109,9 @@ METRICS = {
     "ter": Metric(
         "TER", 100, False, lambda c, _, __, s: (ter_score(c, per_sentence=s), None)
     ),
-    "meteor": Metric("METEOR", 100, True, _run_meteor),
+    "meteor": Metric(
+        "METEOR", 100, True, lambda c, lex, _, s: meteor_score(c, lex, per_sentence=s)
+    ),
     "lepor": Metric(
         "LEPOR", 100, False, lambda c, _, __, s: (lepor_score(c, per_sentence=s), None)
     ),
@@ -141,28 +121,17 @@ METRICS = {
 }
 
 
-def _run_metric(
-    name: str,
-    corpus: ParallelCorpus,
-    lexicon: SynonymLexicon,
-    args: argparse.Namespace,
-) -> tuple[float, list[float] | None, dict | None]:
-    per_sentence = [] if args.per_sentence else None
-    score, details = METRICS[name].run(corpus, lexicon, args, per_sentence)
-    return score, per_sentence, details
-
-
 def _config_echo(args: argparse.Namespace, metrics: list[str]) -> dict:
     return {
         "metrics": metrics,
         "hyp": args.hyp,
         "refs": args.ref,
         "lexicon": args.lexicon,
-        "max_ngram": args.max_ngram,
+        "max_ngram": args.max_order,
         "synonym_score": args.synonym_score,
         "rare_words_percent": args.rare_words_percent,
         "rare_words_score": args.rare_words_score,
-        "epsilon": args.epsilon,
+        "epsilon": args.smoothing_epsilon,
         "lowercase": args.lowercase,
         "split_punct": args.split_punct,
     }
@@ -185,12 +154,18 @@ def cmd_score(args: argparse.Namespace) -> int:
         lowercase=args.lowercase, split_punctuation=args.split_punct
     )
     corpus = load_parallel_corpus(args.hyp, args.ref, tok_cfg)
+    if not corpus.pairs:
+        raise EmptyCorpusError(f"{args.hyp}: no lines to score")
     lexicon = (
         load_synonym_lexicon(args.lexicon, tok_cfg)
         if args.lexicon
         else SynonymLexicon.empty()
     )
-    results = {name: _run_metric(name, corpus, lexicon, args) for name in metrics}
+    results = {}
+    for name in metrics:
+        per_sentence = [] if args.per_sentence else None
+        score, details = METRICS[name].run(corpus, lexicon, args, per_sentence)
+        results[name] = score, per_sentence, details
     stats = {
         "pairs": len(corpus),
         "ref_count": corpus.ref_count,
@@ -249,7 +224,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     table = read_score_table(args.table)
     names = table.metric_names
     kinds = ["pearson", "spearman"] if args.kind == "both" else [args.kind]
-    matrices = {kind: correlation_matrix(table, kind) for kind in kinds}
+    with prefixed(args.table):
+        matrices = {kind: correlation_matrix(table, kind) for kind in kinds}
+        lambdas = lambda_matrices(table, args.bins) if args.gk_lambda else None
     # (json key, json value, tsv title, tsv rows), in output order
     blocks = []
     for kind, matrix in matrices.items():
@@ -258,8 +235,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if "spearman" in matrices:
         p_rows = [[cell.two_tailed_p for cell in row] for row in matrices["spearman"]]
         blocks.append(("spearman_p", p_rows, "spearman-p", p_rows))
-    if args.gk_lambda:
-        values, variances = lambda_matrices(table, args.bins)
+    if lambdas is not None:
+        values, variances = lambdas
         lam = dict(bins=args.bins, values=values, variances=variances)
         blocks.append(("lambda", lam, f"lambda bins={args.bins}", values))
 
@@ -343,23 +320,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="metric to run, repeatable",
     )
     score.add_argument("--lexicon", metavar="PATH", help="synonym lexicon file")
+    # Each scorer option is stored under its EbleuConfig field, which gives its default.
     score.add_argument(
         "--max-ngram",
+        dest="max_order",
         type=_order,
-        default=4,
         metavar="N",
         help="n-gram order of BLEU and EBLEU only; NIST always uses order 5",
     )
-    score.add_argument("--synonym-score", type=float, default=0.90, metavar="F")
-    score.add_argument("--rare-words-percent", type=float, default=0.10, metavar="F")
-    score.add_argument("--rare-words-score", type=float, default=1.10, metavar="F")
-    score.add_argument("--epsilon", type=float, default=0.0, metavar="F")
+    score.add_argument("--synonym-score", type=float, metavar="F")
+    score.add_argument("--rare-words-percent", type=float, metavar="F")
+    score.add_argument("--rare-words-score", type=float, metavar="F")
+    score.add_argument("--epsilon", dest="smoothing_epsilon", type=float, metavar="F")
     score.add_argument("--lowercase", action="store_true")
     score.add_argument("--split-punct", action="store_true")
     score.add_argument("--per-sentence", action="store_true")
     score.add_argument("--format", choices=("json", "tsv"), default="tsv")
     score.add_argument("--out", metavar="PATH")
-    score.set_defaults(func=cmd_score)
+    score.set_defaults(func=cmd_score, **EbleuConfig._field_defaults)
 
     correlate = sub.add_parser(
         "correlate", help="correlation matrices over a score table"

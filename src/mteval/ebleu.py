@@ -210,16 +210,18 @@ def ebleu_score(
     cfg: EbleuConfig = EbleuConfig(),
     *,
     rare_words: RareWordSet | None = None,
+    per_sentence: list[float] | None = None,
 ) -> MetricScore:
     """Corpus score: C_N over order scores pooled across all pairs.
 
     The rare-word set is built from the corpus references at
     ``cfg.rare_words_percent`` unless one is passed in. Reference length
     uses the same closest-length rule as BLEU, and a pair's statistics are
-    the same columns (``bleu.order_columns``). A per-sentence score is the
-    formula applied to that pair's columns alone, which are weighed with
-    the corpus's rare-word set; it equals ``ebleu_score`` of the
-    one-pair corpus when that set is passed as ``rare_words``.
+    the same columns (``bleu.order_columns``). Given a ``per_sentence``
+    list, each pair's score, the formula applied to that pair's columns
+    alone, weighed with the corpus's rare-word set, is appended to it from
+    the same pass; it equals ``ebleu_score`` of the one-pair corpus when
+    that set is passed as ``rare_words``.
     """
     if rare_words is None:
         rare_words = build_rare_word_set(
@@ -254,6 +256,4 @@ def ebleu_score(
             "rare_word_count": len(rare_words.words),
         }
 
-    per_sentence: list[float] = []
-    corpus_score, details = reduce_pairs(corpus, pair_stats, score, per_sentence)
-    return MetricScore("ebleu", corpus_score, per_sentence, details)
+    return MetricScore(*reduce_pairs(corpus, pair_stats, score, per_sentence))

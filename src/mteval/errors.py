@@ -1,8 +1,19 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class MTEvalError(Exception):
     """Base class for all toolkit errors."""
+
+
+@contextmanager
+def prefixed(label: str):
+    """Re-raise an :class:`MTEvalError` of the block with ``label: `` before its message."""
+    try:
+        yield
+    except MTEvalError as exc:
+        raise type(exc)(f"{label}: {exc}") from None
 
 
 class LineCountMismatchError(MTEvalError):

@@ -5,11 +5,12 @@ ports of the original tools. Each scorer is one ``pair_stats``, a pure
 function of one pair that gives its statistics as columns, and one
 ``score`` formula from one set of columns to ``(score, details)``, run
 by ``corpus.reduce_pairs``, which adds up the columns of every pair.
-Given a ``per_sentence`` list, each scorer also appends every pair's own
-score to it from the same pass: the formula applied to that pair's
-columns alone. TER, METEOR, LEPOR and RIBES leave that to
-``reduce_pairs``; NIST scores each pair inside its ``pair_stats``, where
-the pair's own reference tables give the weights.
+METEOR returns a ``MetricScore``, the others a bare score. Only given a
+``per_sentence`` list does a scorer append every pair's own score to it
+from the same pass: the formula applied to that pair's columns alone.
+TER, METEOR, LEPOR and RIBES leave that to ``reduce_pairs``; NIST scores
+each pair inside its ``pair_stats``, where the pair's own reference
+tables give the weights.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from bisect import bisect_left
 from typing import Mapping, NamedTuple, Sequence
 
-from .bleu import effective_reference_length
+from .bleu import MetricScore, effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import (
     NGram,
@@ -383,15 +384,6 @@ def ter_score(
 # METEOR
 
 
-class MeteorResult(NamedTuple):
-    precision: float
-    recall: float
-    matched_unigrams: int
-    chunk_count: int
-    penalty: float
-    score: float
-
-
 def _exact_alignment(hyp: TokenSeq, free: dict[str, list[int]]) -> list[int | None]:
     """Each hypothesis word's leftmost free position of the same word,
     taken from ``free`` (``_positions`` of the reference), or None."""
@@ -441,7 +433,7 @@ def meteor_score(
     lexicon: SynonymLexicon,
     *,
     per_sentence: list[float] | None = None,
-) -> MeteorResult:
+) -> MetricScore:
     """Harmonic precision/recall with a fragmentation penalty.
 
     Unigrams align in stages (exact, then synonym) against the
@@ -460,12 +452,15 @@ def meteor_score(
         matches, chunks, hyp_len, ref_len = columns
         precision = matches / hyp_len if hyp_len else 0.0
         recall = matches / ref_len if ref_len else 0.0
-        if matches == 0 or precision == 0.0 or recall == 0.0:
-            return 0.0, MeteorResult(precision, recall, matches, chunks, 0.0, 0.0)
-        penalty = 0.5 * chunks / matches
-        harmonic = 10.0 * precision * recall / (recall + 9.0 * precision)
-        value = harmonic * (1.0 - penalty)
-        return value, MeteorResult(precision, recall, matches, chunks, penalty, value)
+        penalty = value = 0.0
+        if matches and precision and recall:
+            penalty = 0.5 * chunks / matches
+            harmonic = 10.0 * precision * recall / (recall + 9.0 * precision)
+            value = harmonic * (1.0 - penalty)
+        return value, dict(
+            precision=precision, recall=recall, matched_unigrams=matches,
+            chunk_count=chunks, penalty=penalty,
+        )
 
     def pair_stats(pair):
         best = best_score = None
@@ -482,7 +477,7 @@ def meteor_score(
                 best, best_score = columns, ref_score
         return best
 
-    return reduce_pairs(corpus, pair_stats, score, per_sentence)[1]
+    return MetricScore(*reduce_pairs(corpus, pair_stats, score, per_sentence))
 
 
 # ---------------------------------------------------------------------------

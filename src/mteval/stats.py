@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteValueError,
     TableFormatError,
     ZeroVarianceError,
+    prefixed,
 )
 from .records import checked
 
@@ -106,11 +107,22 @@ def _check_vectors(x: Sequence[float], y: Sequence[float]) -> int:
     return len(x)
 
 
+def _scaled(values: Sequence[float]) -> Sequence[float]:
+    """``values`` if their squares stay normal floats, else ``values`` times
+    the power of two that puts the largest magnitude in [0.5, 1)."""
+    _, exponent = math.frexp(max(map(abs, values)))
+    if abs(exponent) <= 256:
+        return values
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Product-moment correlation:
-    sum((x-mx)(y-my)) / sqrt(sum((x-mx)^2) * sum((y-my)^2)).
+    sum((x-mx)(y-my)) / sqrt(sum((x-mx)^2) * sum((y-my)^2)), where a
+    vector whose squares would overflow or underflow is scaled first.
     """
     n = _check_vectors(x, y)
+    x, y = _scaled(x), _scaled(y)
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     sxy = math.fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
@@ -311,7 +323,7 @@ def correlation_matrix(
     """Pairwise coefficients for all metric pairs, lower triangular.
 
     Row i holds entries for columns 0..i; the diagonal is 1 by
-    definition.
+    definition. An error of a coefficient names its two metrics.
     """
     if kind == "pearson":
         correlate = pearson
@@ -319,10 +331,14 @@ def correlation_matrix(
         correlate = spearman
     else:
         raise ValueError(f"unknown correlation kind {kind!r}")
-    columns = [table.column_at(j) for j in range(len(table.metric_names))]
+    names = table.metric_names
+    columns = [table.column_at(j) for j in range(len(names))]
     matrix: list[list[CorrelationResult]] = []
     for i in range(len(columns)):
-        row = [correlate(columns[i], columns[j]) for j in range(i)]
+        row = []
+        for j in range(i):
+            with prefixed(f"metrics {names[j]!r} and {names[i]!r}"):
+                row.append(correlate(columns[i], columns[j]))
         row.append(CorrelationResult(coefficient=1.0, n=len(table.rows)))
         matrix.append(row)
     return matrix
@@ -340,9 +356,12 @@ def lambda_matrices(
     table: ScoreTable, bins: int
 ) -> tuple[list[list[float | None]], list[list[float | None]]]:
     """lambda(column metric | row metric) and its variance for every ordered
-    pair, on each column discretized into ``bins``; None where undefined."""
-    columns = map(table.column_at, range(len(table.metric_names)))
-    categories = [discretize(column, bins) for column in columns]
+    pair, on each column discretized into ``bins``; None where undefined.
+    An error names its metric."""
+    categories = []
+    for j, name in enumerate(table.metric_names):
+        with prefixed(f"metric {name!r}"):
+            categories.append(discretize(table.column_at(j), bins))
     cells = [[_lambda_cell(r, c, bins) for c in categories] for r in categories]
     values = [[lam for lam, _ in row] for row in cells]
     return values, [[var for _, var in row] for row in cells]

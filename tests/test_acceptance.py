@@ -348,7 +348,7 @@ def test_criterion_7_metric_ranges():
         assert 0.0 <= enhanced <= 1.0
         assert nist_score(corpus) >= 0.0
         assert ter_score(corpus) >= 0.0
-        assert 0.0 <= meteor_score(corpus, lexicon).score <= 1.0
+        assert 0.0 <= meteor_score(corpus, lexicon).corpus_score <= 1.0
         assert 0.0 <= lepor_score(corpus) <= 1.0
         assert 0.0 <= ribes_score(corpus) <= 1.0
     print("criterion 7: PASS ranges and monotonicity over 500+ cases")

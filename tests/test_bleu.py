@@ -12,6 +12,7 @@ from mteval import (
     brevity_penalty,
     effective_reference_length,
 )
+from mteval import bleu
 from mteval.errors import EmptyCorpusError
 from helpers import (
     EDGE_LINES,
@@ -74,7 +75,9 @@ class TestBleuScore:
     def test_per_sentence_matches_singleton_corpus(self, corpus, max_order, epsilon):
         # bit for bit
         cfg = BleuConfig(max_order=max_order, smoothing_epsilon=epsilon)
-        assert bleu_score(corpus, cfg).per_sentence == [
+        sink = []
+        bleu_score(corpus, cfg, per_sentence=sink)
+        assert sink == [
             bleu_score(ParallelCorpus((pair,), corpus.ref_count), cfg).corpus_score
             for pair in corpus.pairs
         ]
@@ -123,6 +126,20 @@ class TestBleuScore:
         score = bleu_score(corpus, BleuConfig(max_order=2))
         assert 0.0 <= score.corpus_score <= 1.0
 
+    def test_formula_runs_per_pair_only_for_a_sink(self, monkeypatch):
+        # The formula is wrapped where ``bleu_score`` looks it up.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return brevity_penalty(*args)
+
+        monkeypatch.setattr(bleu, "brevity_penalty", counting)
+        corpus = corpus_of(("a b c", "a b c"), ("a b", "b a"), ("c", "a c"))
+        bleu_score(corpus)
+        assert len(calls) == 1
+        bleu_score(corpus, per_sentence=[])
+        assert len(calls) == 1 + len(corpus) + 1
 
 
 class TestEdgeLines:
@@ -132,14 +149,16 @@ class TestEdgeLines:
     def test_empty_and_one_token_lines(self, line, bleu1):
         corpus = corpus_of(line)
         for cfg, expected in ((BleuConfig(), 0.0), (BleuConfig(max_order=1), bleu1)):
-            result = bleu_score(corpus, cfg)
-            assert (result.corpus_score, result.per_sentence) == (expected, [expected])
+            sink = []
+            result = bleu_score(corpus, cfg, per_sentence=sink)
+            assert (result.corpus_score, sink) == (expected, [expected])
 
     def test_smoothing_leaves_an_order_without_ngrams_at_zero(self):
         # "a" has no bigram (t = 0), and smoothing floors only at epsilon / t
         corpus = corpus_of(("a", "a"), ("b c d e f", "b c d e f"))
-        result = bleu_score(corpus, BleuConfig(smoothing_epsilon=0.1))
-        assert result.per_sentence == [0.0, 1.0]
+        sink = []
+        bleu_score(corpus, BleuConfig(smoothing_epsilon=0.1), per_sentence=sink)
+        assert sink == [0.0, 1.0]
 
     def test_long_pair(self):
         assert bleu_score(corpus_of((LONG_LINE, LONG_LINE))).corpus_score == 1.0

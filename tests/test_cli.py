@@ -401,6 +401,18 @@ class TestScoreCommand:
         )
         assert code == 1
 
+    def test_empty_hypothesis_file_is_data_error_naming_it(self, capsys, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("", encoding="utf-8")
+        ref.write_text("", encoding="utf-8")
+        code = main(
+            ["score", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(ref)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {hyp}: ") and err.count("\n") == 1
+
 
 class TestCorrelateCommand:
     def test_fixture_pearson_entry(self, capsys, pl_en_table_path):
@@ -473,6 +485,27 @@ class TestCorrelateCommand:
         table = read_score_table(path)
         assert table.metric_names == ("BLEU", "TER")
         assert table.rows == ((1.0, 3.0), (2.0, 2.0), (3.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "rows, options, names",
+        [
+            ("1\t2\n", [], ["'a'", "'b'"]),  # one observation
+            ("1\t2\n1\t3\n", [], ["'a'", "'b'"]),  # a constant column
+            ("1\t2\n1\t3\n", ["--kind", "spearman"], ["'a'", "'b'"]),
+            ("1\t4\n2\t5\n3\t6\n", ["--lambda", "--bins", "10"], ["'a'"]),
+        ],
+        ids=["one-row", "constant-pearson", "constant-spearman", "lambda-bins"],
+    )
+    def test_data_error_names_the_table_and_its_metrics(
+        self, capsys, tmp_path, rows, options, names
+    ):
+        path = tmp_path / "table.tsv"
+        path.write_text("a\tb\n" + rows, encoding="utf-8")
+        assert main(["correlate", "--table", str(path), *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        for name in names:
+            assert name in err
 
     def test_duplicate_metric_name_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "dup.tsv"

@@ -352,7 +352,9 @@ class TestEbleuScore:
             max_order=max_order, rare_words_score=1.3, smoothing_epsilon=epsilon
         )
         rare = build_rare_word_set(corpus.all_references(), cfg.rare_words_percent)
-        assert ebleu_score(corpus, PAIRED_LEXICON, cfg).per_sentence == [
+        sink = []
+        ebleu_score(corpus, PAIRED_LEXICON, cfg, per_sentence=sink)
+        assert sink == [
             ebleu_score(
                 ParallelCorpus((pair,), corpus.ref_count),
                 PAIRED_LEXICON,
@@ -429,14 +431,33 @@ class TestEbleuScore:
     def test_scores_stay_in_unit_interval(self, seed):
         rng = random.Random(seed)
         corpus = random_corpus(rng, VOCAB, max_pairs=4, max_len=8)
-        score = ebleu_score(corpus, PAIRED_LEXICON, EbleuConfig(max_order=2))
+        sink = []
+        score = ebleu_score(
+            corpus, PAIRED_LEXICON, EbleuConfig(max_order=2), per_sentence=sink
+        )
         assert 0.0 <= score.corpus_score <= 1.0
         for b in score.details["order_scores"]:
             assert 0.0 <= b <= 1.0
         for c in score.details["cumulative_scores"]:
             assert 0.0 <= c <= 1.0
-        for s in score.per_sentence:
+        for s in sink:
             assert 0.0 <= s <= 1.0
+
+    def test_formula_runs_per_pair_only_for_a_sink(self, monkeypatch):
+        # The formula is wrapped where ``ebleu_score`` looks it up; every
+        # hypothesis is non-empty, so each score reaches it.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return ebleu_cumulative(*args)
+
+        monkeypatch.setattr(ebleu, "ebleu_cumulative", counting)
+        corpus = corpus_of(("a b c", "a b c"), ("a b", "b a"), ("c", "a c"))
+        ebleu_score(corpus, PAIRED_LEXICON)
+        assert len(calls) == 1
+        ebleu_score(corpus, PAIRED_LEXICON, per_sentence=[])
+        assert len(calls) == 1 + len(corpus) + 1
 
 
 class TestEdgeLines:
@@ -446,17 +467,19 @@ class TestEdgeLines:
         corpus = corpus_of(line)
         for max_order, expected in ((4, 0.0), (1, ebleu1)):
             cfg = EbleuConfig(max_order=max_order, rare_words_score=1.0)
-            result = ebleu_score(corpus, PAIRED_LEXICON, cfg)
-            assert (result.corpus_score, result.per_sentence) == (expected, [expected])
+            sink = []
+            result = ebleu_score(corpus, PAIRED_LEXICON, cfg, per_sentence=sink)
+            assert (result.corpus_score, sink) == (expected, [expected])
 
     def test_smoothing_floors_an_order_without_ngrams(self):
         # unlike BLEU, which leaves this line at 0.0: orders 2-4 of "a" are
         # floored at epsilon, so the score is (1 * 0.1**3) ** (1/4)
         corpus = corpus_of(("a", "a"), ("b c d e f", "b c d e f"))
         cfg = EbleuConfig(smoothing_epsilon=0.1, rare_words_score=1.0)
-        result = ebleu_score(corpus, SynonymLexicon.empty(), cfg)
-        assert result.per_sentence[0] == pytest.approx(0.1**0.75, rel=1e-12)
-        assert result.per_sentence[1] == 1.0
+        sink = []
+        ebleu_score(corpus, SynonymLexicon.empty(), cfg, per_sentence=sink)
+        assert sink[0] == pytest.approx(0.1**0.75, rel=1e-12)
+        assert sink[1] == 1.0
 
     def test_long_pair(self):
         same = corpus_of((LONG_LINE, LONG_LINE))

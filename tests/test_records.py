@@ -13,7 +13,6 @@ from mteval import (
     EbleuConfig,
     EvalPair,
     LeporConfig,
-    MeteorResult,
     MetricScore,
     ParallelCorpus,
     RareWordSet,
@@ -41,18 +40,14 @@ PINNED = [
      "RareWordSet(words=frozenset({'quiz'}), source_vocab_size=4, percent=0.25)"),
     (lambda: BleuConfig(max_order=2, weights=(0.25, 0.75)),
      "BleuConfig(max_order=2, weights=(0.25, 0.75), smoothing_epsilon=0.0)"),
-    (lambda: MetricScore("bleu", 0.5, [0.5], {"matched": [1]}),
-     "MetricScore(metric_name='bleu', corpus_score=0.5, per_sentence=[0.5],"
-     " details={'matched': [1]})"),
+    (lambda: MetricScore(0.5, {"matched": [1]}),
+     "MetricScore(corpus_score=0.5, details={'matched': [1]})"),
     (lambda: EbleuConfig(smoothing_epsilon=0.1),
      "EbleuConfig(max_order=4, synonym_score=0.9, rare_words_percent=0.1,"
      " rare_words_score=1.1, smoothing_epsilon=0.1)"),
     (lambda: SubstitutionTrace(("a", "quiz"), frozenset({1})),
      "SubstitutionTrace(modified_hypothesis=('a', 'quiz'),"
      " substituted_positions=frozenset({1}))"),
-    (lambda: MeteorResult(0.5, 0.25, 1, 1, 0.5, 0.125),
-     "MeteorResult(precision=0.5, recall=0.25, matched_unigrams=1, chunk_count=1,"
-     " penalty=0.5, score=0.125)"),
     (lambda: LeporConfig(alpha=2.0), "LeporConfig(alpha=2.0, beta=1.0)"),
     (lambda: RibesConfig(correlation_kind="spearman"),
      "RibesConfig(alpha=0.25, correlation_kind='spearman')"),
@@ -137,12 +132,6 @@ def test_validators_run_on_every_build(valid, change):
         valid._replace(**change)
     with pytest.raises(ValueError):
         type(valid)._make({**valid._asdict(), **change}.values())
-
-
-def test_metric_scores_do_not_share_details():
-    first, second = MetricScore("bleu", 0.0, []), MetricScore("bleu", 0.0, [])
-    assert first.details == second.details == {}
-    assert first.details is not second.details
 
 
 def test_corpus_and_lexicon_sizes_count_their_items():

@@ -9,9 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mteval import (
+    EbleuConfig,
     LeporConfig,
+    MetricScore,
+    RareWordSet,
     RibesConfig,
     SynonymLexicon,
+    bleu_score,
+    ebleu_score,
     lepor_score,
     meteor_score,
     nist_score,
@@ -21,7 +26,6 @@ from mteval import (
 from mteval import ngram, refmetrics
 from mteval.errors import EmptyCorpusError
 from mteval.refmetrics import (
-    MeteorResult,
     _advance,
     _align_unigrams,
     _bag_distance,
@@ -445,36 +449,38 @@ class TestShiftSearch:
 class TestMeteor:
     def test_identical_four_tokens(self):
         result = meteor_score(corpus_of(("the cat sat here", "the cat sat here")), EMPTY)
-        assert result.matched_unigrams == 4
-        assert result.chunk_count == 1
-        assert result.penalty == pytest.approx(0.125, abs=1e-12)
-        assert result.score == pytest.approx(0.875, abs=1e-12)
+        assert result.details["matched_unigrams"] == 4
+        assert result.details["chunk_count"] == 1
+        assert result.details["penalty"] == pytest.approx(0.125, abs=1e-12)
+        assert result.corpus_score == pytest.approx(0.875, abs=1e-12)
 
     def test_identity_value_depends_on_match_count(self):
         result = meteor_score(corpus_of(("a b c d e f g h", "a b c d e f g h")), EMPTY)
-        assert result.score == pytest.approx(1 - 0.5 / 8, abs=1e-12)
+        assert result.corpus_score == pytest.approx(1 - 0.5 / 8, abs=1e-12)
 
     def test_no_overlap_scores_zero(self):
-        assert meteor_score(corpus_of(("x y", "a b")), EMPTY).score == 0.0
+        assert meteor_score(corpus_of(("x y", "a b")), EMPTY).corpus_score == 0.0
 
     def test_synonym_stage_aligns_misses(self):
         lexicon = SynonymLexicon(
             entries={"exam": frozenset({"quiz"}), "quiz": frozenset({"exam"})}
         )
         result = meteor_score(corpus_of(("this is a exam", "this is a quiz")), lexicon)
-        assert result.matched_unigrams == 4
-        assert result.chunk_count == 1
-        assert result.score == pytest.approx(0.875, abs=1e-12)
+        assert result.details["matched_unigrams"] == 4
+        assert result.details["chunk_count"] == 1
+        assert result.corpus_score == pytest.approx(0.875, abs=1e-12)
 
     def test_fragmentation_raises_the_penalty(self):
         contiguous = meteor_score(corpus_of(("a b c d", "a b c d")), EMPTY)
         scrambled = meteor_score(corpus_of(("b a d c", "a b c d")), EMPTY)
-        assert scrambled.chunk_count > contiguous.chunk_count
-        assert scrambled.score < contiguous.score
+        assert scrambled.details["chunk_count"] > contiguous.details["chunk_count"]
+        assert scrambled.corpus_score < contiguous.corpus_score
 
     def test_best_reference_selected_per_pair(self):
         corpus = corpus_of(("a b c d", "x y z w", "a b c d"))
-        assert meteor_score(corpus, EMPTY).score == pytest.approx(0.875, abs=1e-12)
+        assert meteor_score(corpus, EMPTY).corpus_score == pytest.approx(
+            0.875, abs=1e-12
+        )
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -716,8 +722,15 @@ class TestAlignmentOracles:
 _SMALL_LEXICON = SynonymLexicon(
     entries={"a": frozenset("bd"), "b": frozenset("a"), "c": frozenset("c")}
 )
+# A fixed rare-word set, so that a one-pair corpus weighs as the whole corpus does.
+_SMALL_RARE = RareWordSet(frozenset("c"), 3, 0.34)
 # name -> scorer(corpus, **kwargs), each one that takes a ``per_sentence`` sink
 _SINK_SCORERS = {
+    "bleu": bleu_score,
+    "ebleu": lambda c, **kw: ebleu_score(
+        c, _SMALL_LEXICON, EbleuConfig(rare_words_score=1.3), rare_words=_SMALL_RARE,
+        **kw,
+    ),
     **{
         f"nist-{n}": (lambda c, n=n, **kw: nist_score(c, n, **kw))
         for n in range(1, 6)
@@ -733,7 +746,7 @@ _SINK_SCORERS = {
 
 
 def _value(result):
-    return result.score if isinstance(result, MeteorResult) else result
+    return result.corpus_score if isinstance(result, MetricScore) else result
 
 
 class TestPerSentenceSink:
@@ -769,6 +782,6 @@ def test_all_metrics_stay_in_range(seed):
     corpus = random_corpus(rng, VOCAB, max_pairs=3, max_len=6)
     assert nist_score(corpus) >= 0.0
     assert ter_score(corpus) >= 0.0
-    assert 0.0 <= meteor_score(corpus, EMPTY).score <= 1.0
+    assert 0.0 <= meteor_score(corpus, EMPTY).corpus_score <= 1.0
     assert 0.0 <= lepor_score(corpus) <= 1.0
     assert 0.0 <= ribes_score(corpus) <= 1.0

@@ -81,6 +81,19 @@ class TestPearson:
         x = [0.0, 0.0, 3.3534962271440695e-103]
         assert pearson(x, x).coefficient == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "scale",
+        [2.0**-1070, 2.0**-600, 2.0**600, 2.0**1020],
+        ids=["2**-1070", "2**-600", "2**600", "2**1020"],
+    )
+    def test_values_near_the_float_limits_give_the_scale_free_coefficient(self, scale):
+        # Their squares would underflow to zero or overflow.
+        x, y = [1.0, 2.0, 0.0, 1.5], [3.0, -1.0, 2.0, 2.5]
+        expected = pearson(x, y).coefficient
+        scaled = [v * scale for v in x]
+        assert pearson(scaled, y).coefficient == pytest.approx(expected, abs=1e-15)
+        assert pearson(y, scaled).coefficient == pytest.approx(expected, abs=1e-15)
+
     @given(VECTORS, VECTORS)
     def test_bounded(self, x, y):
         n = min(len(x), len(y))

@@ -71,37 +71,36 @@ def _json_score(value: float) -> float | None:
 class Metric(NamedTuple):
     """How ``score`` runs one metric and shows its result.
 
-    ``run(corpus, lexicon, args, per_sentence)`` returns ``(score,
-    details or None)``, a ``MetricScore`` where the scorer gives one, and
-    hands ``per_sentence`` to the scorer, which, given a list, appends each
-    pair's score to it, in corpus order, from the same corpus pass. It
-    calls its scorer once, by this module's global name, so the scorer
-    is looked up when the metric runs, not when the table is built.
+    ``run(corpus, lexicon, cfg, per_sentence)`` takes the run's one
+    validated ``EbleuConfig``, which holds every scorer option, and
+    returns ``(score, details or None)``, a ``MetricScore`` where the
+    scorer gives one. It hands ``per_sentence`` to the scorer, which,
+    given a list, appends each pair's score to it, in corpus order, from
+    the same corpus pass. It calls its scorer once, by this module's
+    global name, so the scorer is looked up when the metric runs, not
+    when the table is built.
     """
 
     label: str
     scale: int  # tsv cells show the score times this
     needs_lexicon: bool
     run: Callable[
-        [ParallelCorpus, SynonymLexicon, argparse.Namespace, list[float] | None],
+        [ParallelCorpus, SynonymLexicon, EbleuConfig, list[float] | None],
         tuple[float, dict | None],
     ]
 
 
-def _run_bleu(corpus, lexicon, args, per_sentence):
-    cfg = BleuConfig(max_order=args.max_order, smoothing_epsilon=args.smoothing_epsilon)
-    return bleu_score(corpus, cfg, per_sentence=per_sentence)
-
-
-def _run_ebleu(corpus, lexicon, args, per_sentence):
-    cfg = EbleuConfig(**{field: getattr(args, field) for field in EbleuConfig._fields})
-    return ebleu_score(corpus, lexicon, cfg, per_sentence=per_sentence)
+def _run_bleu(corpus, lexicon, cfg, per_sentence):
+    bleu_cfg = BleuConfig(cfg.max_order, smoothing_epsilon=cfg.smoothing_epsilon)
+    return bleu_score(corpus, bleu_cfg, per_sentence=per_sentence)
 
 
 # NIST is unbounded and reported on its own scale; everything else is a
 # [0, 1] style score shown as a percentage.
 METRICS = {
-    "ebleu": Metric("EBLEU", 100, True, _run_ebleu),
+    "ebleu": Metric(
+        "EBLEU", 100, True, lambda c, lex, cfg, s: ebleu_score(c, lex, cfg, per_sentence=s)
+    ),
     "bleu": Metric("BLEU", 100, False, _run_bleu),
     "nist": Metric(
         "NIST", 1, False, lambda c, _, __, s: (nist_score(c, per_sentence=s), None)
@@ -121,17 +120,19 @@ METRICS = {
 }
 
 
-def _config_echo(args: argparse.Namespace, metrics: list[str]) -> dict:
+def _config_echo(
+    args: argparse.Namespace, cfg: EbleuConfig, metrics: list[str]
+) -> dict:
     return {
         "metrics": metrics,
         "hyp": args.hyp,
         "refs": args.ref,
         "lexicon": args.lexicon,
-        "max_ngram": args.max_order,
-        "synonym_score": args.synonym_score,
-        "rare_words_percent": args.rare_words_percent,
-        "rare_words_score": args.rare_words_score,
-        "epsilon": args.smoothing_epsilon,
+        "max_ngram": cfg.max_order,
+        "synonym_score": cfg.synonym_score,
+        "rare_words_percent": cfg.rare_words_percent,
+        "rare_words_score": cfg.rare_words_score,
+        "epsilon": cfg.smoothing_epsilon,
         "lowercase": args.lowercase,
         "split_punct": args.split_punct,
     }
@@ -146,6 +147,7 @@ def _echo_str(value) -> str:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    cfg = EbleuConfig(**{field: getattr(args, field) for field in EbleuConfig._fields})
     metrics = list(dict.fromkeys(args.metric))
     needing = [m for m, metric in METRICS.items() if metric.needs_lexicon]
     if not args.lexicon and any(m in needing for m in metrics):
@@ -164,7 +166,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     results = {}
     for name in metrics:
         per_sentence = [] if args.per_sentence else None
-        score, details = METRICS[name].run(corpus, lexicon, args, per_sentence)
+        score, details = METRICS[name].run(corpus, lexicon, cfg, per_sentence)
         results[name] = score, per_sentence, details
     stats = {
         "pairs": len(corpus),
@@ -172,7 +174,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         "hypothesis_tokens": corpus.hypothesis_token_count(),
         "reference_tokens": corpus.reference_token_count(),
     }
-    config = _config_echo(args, metrics)
+    config = _config_echo(args, cfg, metrics)
 
     if args.format == "json":
         import json
@@ -377,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (_UsageError, ValueError) as exc:
-        # ValueError surfaces config validation (weight sums, ranges)
+        # ValueError surfaces scorer config validation (option ranges)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (MTEvalError, OSError) as exc:

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from typing import Mapping, NamedTuple, Sequence
 
-from .bleu import MetricScore, effective_reference_length
+from .bleu import MetricScore, brevity_penalty, effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import (
     NGram,
@@ -497,19 +497,6 @@ class LeporConfig(NamedTuple):
             raise ValueError("alpha and beta must be finite and positive")
 
 
-def _length_penalty(hyp_total: int, ref_total: int) -> float:
-    """exp(1 - r/c) for short output, exp(1 - c/r) for long, 1 at equality.
-
-    Ratios of average sentence lengths equal ratios of the totals, so
-    totals are compared directly.
-    """
-    if hyp_total == ref_total:
-        return 1.0
-    if hyp_total < ref_total:
-        return math.exp(1.0 - ref_total / hyp_total)
-    return math.exp(1.0 - hyp_total / ref_total)
-
-
 def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
     """Sum of |normalized position differences| and the match count.
 
@@ -564,11 +551,14 @@ def lepor_score(
     Matching is against the closest-length reference of each pair, the
     first of BLEU's effective reference length (ties to shorter), each
     token taking the nearest free position of its word from that word's
-    own list of free positions. The position penalty is exp(-NPD) where
-    NPD is the total normalized position difference per hypothesis
-    token. Zero when either unigram precision or recall is zero. A
-    pair's columns are its position difference, matches and lengths; a
-    per-sentence score is the formula applied to them alone.
+    own list of free positions. The length penalty is BLEU's brevity
+    penalty of the shorter total length against the longer (ratios of
+    average sentence lengths equal ratios of the totals). The position
+    penalty is exp(-NPD) where NPD is the total normalized position
+    difference per hypothesis token. Zero when either unigram precision
+    or recall is zero. A pair's columns are its position difference,
+    matches and lengths; a per-sentence score is the formula applied to
+    them alone.
     """
 
     def pair_stats(pair):
@@ -586,7 +576,8 @@ def lepor_score(
         recall = matches / ref_total
         npd = total_diff / hyp_total
         harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
-        return _length_penalty(hyp_total, ref_total) * math.exp(-npd) * harmonic, None
+        penalty = brevity_penalty(min(hyp_total, ref_total), max(hyp_total, ref_total))
+        return penalty * math.exp(-npd) * harmonic, None
 
     return reduce_pairs(corpus, pair_stats, score, per_sentence)[0]
 

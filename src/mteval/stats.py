@@ -126,8 +126,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     sxy = math.fsum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
-    sxx = math.fsum((a - mean_x) ** 2 for a in x)
-    syy = math.fsum((b - mean_y) ** 2 for b in y)
+    sxx = math.fsum((a - mean_x) * (a - mean_x) for a in x)
+    syy = math.fsum((b - mean_y) * (b - mean_y) for b in y)
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVarianceError("correlation is undefined for a constant vector")
     # two roots: the product sxx * syy can underflow to zero or overflow
@@ -228,7 +228,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     ranks_x = _average_ranks(x)
     ranks_y = _average_ranks(y)
     if len(set(x)) == n and len(set(y)) == n:
-        d2 = math.fsum((a - b) ** 2 for a, b in zip(ranks_x, ranks_y))
+        d2 = math.fsum((a - b) * (a - b) for a, b in zip(ranks_x, ranks_y))
         coefficient = 1.0 - 6.0 * d2 / (n * (n * n - 1))
         coefficient = max(-1.0, min(1.0, coefficient))
     else:

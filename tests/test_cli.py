@@ -62,6 +62,36 @@ def two_pair_files(tmp_path):
     return hyp, ref, lex
 
 
+# The metrics that read none of the scorer options.
+OPTION_FREE_METRICS = ("nist", "ter", "meteor", "lepor", "ribes")
+
+# scorer option -> the EbleuConfig field its usage error names
+OPTION_FIELDS = {
+    "--epsilon": "smoothing_epsilon",
+    "--synonym-score": "synonym_score",
+    "--rare-words-percent": "rare_words_percent",
+    "--rare-words-score": "rare_words_score",
+}
+
+
+def assert_config_rejected(capsys, tmp_path, argv, flag, value) -> str:
+    """``score argv flag value`` exits 2 with one ``usage error:`` line
+    naming the option's field, in tsv and in json, writing nothing to
+    stdout and no ``--out`` file; returns the last error line."""
+    for fmt in ("tsv", "json"):
+        for out in (None, tmp_path / f"rejected.{fmt}"):
+            run = ["score", *argv, flag, value, "--format", fmt]
+            run += ["--out", str(out)] if out else []
+            assert main(run) == 2, run
+            captured = capsys.readouterr()
+            assert captured.out == "", run
+            assert captured.err.startswith("usage error: "), run
+            assert captured.err.count("\n") == 1, run
+            assert OPTION_FIELDS[flag] in captured.err, run
+            assert out is None or not out.exists(), run
+    return captured.err
+
+
 def tsv_scores(output: str) -> dict[str, float]:
     lines = [ln for ln in output.splitlines() if ln and not ln.startswith("#")]
     header, row = lines[0].split("\t"), lines[1].split("\t")
@@ -325,18 +355,34 @@ class TestScoreCommand:
         for name in ALL_METRICS:
             assert len(metrics[name].get("per_sentence", [])) == (2 if per_sentence else 0)
 
-    def test_bad_config_value_is_usage_error(self, capsys, two_pair_files):
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, two_pair_files):
         hyp, ref, lex = two_pair_files
-        for metric, flag, value in [
-            # An epsilon of 1 floors a zero order score at a perfect match.
-            ("bleu", "--epsilon", "1"),
-            ("ebleu", "--epsilon", "1"),
-        ]:
-            code = main(
-                ["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref),
-                 "--lexicon", str(lex), flag, value]
+        # An epsilon of 1 floors a zero order score at a perfect match.
+        cases = [("bleu", "--epsilon", "1"), ("ebleu", "--epsilon", "1")]
+        # Every scorer option is checked on every run, also where no
+        # selected metric reads it.
+        cases += [
+            (metric, flag, value)
+            for flag, value in [
+                ("--epsilon", "1"),
+                ("--synonym-score", "2"),
+                ("--rare-words-percent", "0"),
+                ("--rare-words-score", "0.5"),
+            ]
+            for metric in OPTION_FREE_METRICS
+        ]
+        for metric, flag, value in cases:
+            assert_config_rejected(
+                capsys, tmp_path, ["--metric", metric, "--hyp", str(hyp),
+                                   "--ref", str(ref), "--lexicon", str(lex)],
+                flag, value,
             )
-            assert code == 2, (metric, flag, value)
+        # The options are checked before any file is read.
+        assert_config_rejected(
+            capsys, tmp_path, ["--metric", "bleu", "--hyp", str(tmp_path / "missing.txt"),
+                               "--ref", str(ref)],
+            "--epsilon", "1",
+        )
 
     # NaN fails every comparison, so a `<` range check alone lets it
     # through, and an infinite epsilon or bonus clamps each order score
@@ -350,18 +396,27 @@ class TestScoreCommand:
             ("ebleu", "--epsilon", "inf"),
             ("bleu", "--epsilon", "nan"),
             ("bleu", "--epsilon", "inf"),
+        ]
+        + [
+            (metric, flag, value)
+            for flag, value in [
+                ("--epsilon", "nan"),
+                ("--epsilon", "inf"),
+                ("--rare-words-score", "nan"),
+            ]
+            for metric in OPTION_FREE_METRICS
         ],
     )
     def test_non_finite_config_value_is_usage_error(
-        self, capsys, two_pair_files, metric, flag, value
+        self, capsys, tmp_path, two_pair_files, metric, flag, value
     ):
         hyp, ref, lex = two_pair_files
-        code = main(
-            ["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref),
-             "--lexicon", str(lex), flag, value]
+        err = assert_config_rejected(
+            capsys, tmp_path, ["--metric", metric, "--hyp", str(hyp),
+                               "--ref", str(ref), "--lexicon", str(lex)],
+            flag, value,
         )
-        assert code == 2
-        assert "finite" in capsys.readouterr().err
+        assert "finite" in err
 
     # NIST ignores --max-ngram, so only argparse can reject it there.
     @pytest.mark.parametrize("metric", ["nist", "bleu", "ebleu"])

@@ -24,13 +24,13 @@ from mteval import (
     ter_score,
 )
 from mteval import ngram, refmetrics
+from mteval.bleu import brevity_penalty
 from mteval.errors import EmptyCorpusError
 from mteval.refmetrics import (
     _advance,
     _align_unigrams,
     _bag_distance,
     _kendall_tau,
-    _length_penalty,
     _order_alignment,
     _position_alignment,
     _positions,
@@ -496,18 +496,28 @@ class TestLepor:
             1.0, abs=1e-12
         )
 
+    # LEPOR's length penalty is BLEU's brevity penalty of the shorter
+    # length against the longer. Each matched word below sits at the same
+    # normalized position in hypothesis and reference, so the position
+    # penalty is 1 and only the length penalty and harmonic mean remain.
     def test_length_penalty_branch_short(self):
-        assert _length_penalty(5, 10) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        corpus = corpus_of(("a b c d e", "x a x b x c x d x e"))
+        # precision 1, recall 1/2, length penalty exp(1 - 10/5)
+        assert lepor_score(corpus) == pytest.approx(math.exp(-1.0) * 2 / 3, abs=1e-12)
 
     def test_length_penalty_branch_long(self):
-        assert _length_penalty(10, 5) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        corpus = corpus_of(("x a x b x c x d x e", "a b c d e"))
+        # precision 1/2, recall 1, length penalty exp(1 - 10/5)
+        assert lepor_score(corpus) == pytest.approx(math.exp(-1.0) * 2 / 3, abs=1e-12)
 
     def test_length_penalty_continuity_near_equality(self):
         r = 100
-        low = _length_penalty(r - 1, r)
-        high = _length_penalty(r + 1, r)
+        low, equal, high = (
+            brevity_penalty(min(h, r), max(h, r)) for h in (r - 1, r, r + 1)
+        )
         assert math.exp(-1 / (r - 1)) - 1e-12 <= low <= 1.0
         assert math.exp(-1 / r) - 1e-12 <= high <= 1.0
+        assert equal == 1.0
 
     def test_swapped_words_pay_the_position_penalty(self):
         # both words match, normalized displacements are 0.5 each

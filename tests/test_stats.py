@@ -77,6 +77,14 @@ class TestPearson:
             expected = scipy_stats.pearsonr(x, y).statistic
             assert pearson(x, y).coefficient == pytest.approx(expected, abs=1e-10)
 
+    def test_squares_are_correctly_rounded(self):
+        # A C library ``pow`` need not round correctly: on some hosts the
+        # deviation 30.93333333333333 of y squares to 956.871111111111
+        # through ``** 2`` but to the correctly rounded 956.8711111111108
+        # through ``d * d``, which moves this coefficient by one ulp.
+        x, y = [81.41, 32.37, 33.59], [85.6, 42.49, 35.91]
+        assert pearson(x, y).coefficient == 0.9896481766377726
+
     def test_tiny_variances_do_not_underflow(self):
         x = [0.0, 0.0, 3.3534962271440695e-103]
         assert pearson(x, x).coefficient == pytest.approx(1.0)

@@ -285,19 +285,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # entry point
 
 
-def _order(text: str) -> int:
-    """An n-gram order from the command line: an integer of at least 1."""
-    try:
-        order = int(text)
-    except ValueError:
-        order = 0
-    if order < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 1, got {text!r}"
-        )
-    return order
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mteval",
@@ -326,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument(
         "--max-ngram",
         dest="max_order",
-        type=_order,
+        type=int,
         metavar="N",
         help="n-gram order of BLEU and EBLEU only; NIST always uses order 5",
     )

@@ -162,6 +162,16 @@ def read_lines(path: str | Path) -> list[str]:
         ) from None
 
 
+def content_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The stripped lines of a ``read_lines`` file with their 1-based line
+    numbers, blank lines and ``#`` comment lines skipped."""
+    return [
+        (lineno, text)
+        for lineno, line in enumerate(read_lines(path), start=1)
+        if (text := line.strip()) and not text.startswith("#")
+    ]
+
+
 def load_parallel_corpus(
     hyp_path: str | Path,
     ref_paths: Sequence[str | Path],
@@ -235,10 +245,7 @@ def load_synonym_lexicon(
     files (``read_lines``).
     """
     entries: dict[str, set[str]] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         words: list[str] = []
         for field in line.split(","):
             tokens = tokenize(field, cfg)

@@ -12,10 +12,10 @@ share the table without a key of their own. ``max_ref_counts`` merges a
 pair's reference tables into the elementwise maximum that clipping caps
 at; ``summed_and_max_ref_counts`` also gives their sum, the pair's own
 pooled counts, from the same tables. ``pooled_counts`` counts n-grams
-over many sentences pooled, as one token stream. ``clipped_counts`` is
-the clipping rule (Papineni et al. 2002) behind BLEU's and NIST's
-matches and ``bleu.modified_precision``. EBLEU
-caps its weighted windows at ``max_ref_counts`` by a rule of its own,
+over many sentences pooled, from each sentence's windows.
+``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
+BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU caps
+its weighted windows at ``max_ref_counts`` by a rule of its own,
 dropping the lowest weights first. All functions are pure and safe for
 per-sentence data parallelism.
 
@@ -31,7 +31,7 @@ identity.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain
 from typing import Container, Iterable, Iterator, Sequence
 
 NGram = tuple[str, ...]
@@ -76,21 +76,9 @@ def pooled_counts(
     sentences: Iterable[Sequence[str]], max_order: int, keep: Container[NGram]
 ) -> Counter:
     """The n-grams in ``keep`` of every order 1..``max_order``, counted over
-    all ``sentences`` pooled.
-
-    The sentences are joined into one token stream, with a separator that
-    equals no token after each, so no n-gram of words matches a window
-    that spans two sentences. Each order zips ``islice`` views of the
-    stream, which is never copied.
-    """
-    separator = object()
-    stream: list = []
-    for tokens in sentences:
-        stream += tokens
-        stream.append(separator)
-    grams = chain.from_iterable(
-        zip(*[islice(stream, i, None) for i in range(n)]) for n in range(1, max_order + 1)
-    )
+    all ``sentences`` pooled: each sentence's ``all_windows``, so no window
+    spans two sentences."""
+    grams = chain.from_iterable(all_windows(tokens, max_order) for tokens in sentences)
     return Counter(filter(keep.__contains__, grams))
 
 

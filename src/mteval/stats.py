@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import read_lines
+from .corpus import content_lines
 from .errors import (
     DegenerateTableError,
     InsufficientDistinctValuesError,
@@ -59,34 +59,32 @@ def read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
 
     Lines end as in corpus files (``corpus.read_lines``). A leading byte
     order mark is dropped, and a metric name that appears twice in the
-    header raises :class:`TableFormatError`.
+    header raises :class:`TableFormatError`, as does a bad row, naming
+    its file line.
     """
-    content = [
-        ln for ln in read_lines(path) if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    content = content_lines(path)
     if len(content) < 2:
         raise TableFormatError(f"{path}: need a header row and at least one data row")
-    header = content[0].split()
+    header = content[0][1].split()
     duplicates = sorted({name for name in header if header.count(name) > 1})
     if duplicates:
         raise TableFormatError(
             f"{path}: metric name {duplicates[0]!r} appears more than once in the header"
         )
-    rows = [ln.split() for ln in content[1:]]
-    for idx, row in enumerate(rows, start=2):
+    rows = [line.split() for _, line in content[1:]]
+    for (lineno, _), row in zip(content[1:], rows):
+        where = f"{path}:{lineno}"
         if len(row) != len(header):
             raise TableFormatError(
-                f"{path}: row {idx} has {len(row)} cells, header has {len(header)}"
+                f"{where}: row has {len(row)} cells, header has {len(header)}"
             )
         for cell in row:
             try:
                 value = float(cell)
             except ValueError:
-                raise TableFormatError(f"{path}: non-numeric cell {cell!r}") from None
+                raise TableFormatError(f"{where}: non-numeric cell {cell!r}") from None
             if not math.isfinite(value):
-                raise TableFormatError(
-                    f"{path}: row {idx} has non-finite cell {cell!r}"
-                )
+                raise TableFormatError(f"{where}: non-finite cell {cell!r}")
     return header, rows
 
 
@@ -223,8 +221,6 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     a Student-t distribution with n-2 degrees of freedom.
     """
     n = _check_vectors(x, y)
-    if len(set(x)) == 1 or len(set(y)) == 1:
-        raise ZeroVarianceError("all ranks tied in one vector")
     ranks_x = _average_ranks(x)
     ranks_y = _average_ranks(y)
     if len(set(x)) == n and len(set(y)) == n:

@@ -71,6 +71,7 @@ OPTION_FIELDS = {
     "--synonym-score": "synonym_score",
     "--rare-words-percent": "rare_words_percent",
     "--rare-words-score": "rare_words_score",
+    "--max-ngram": "max_order",
 }
 
 
@@ -308,6 +309,16 @@ class TestScoreCommand:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "BLEU and EBLEU only; NIST always uses order 5" in help_text
 
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_non_integer_max_ngram_is_usage_error(self, capsys, identical_files, value):
+        hyp, ref = identical_files
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--metric", "nist", "--hyp", str(hyp), "--ref", str(ref),
+                  "--max-ngram", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-ngram: invalid int value: '{value}'" in err
+
     def test_unknown_metric_is_usage_error(self, identical_files):
         hyp, ref = identical_files
         with pytest.raises(SystemExit) as exc:
@@ -359,6 +370,11 @@ class TestScoreCommand:
         hyp, ref, lex = two_pair_files
         # An epsilon of 1 floors a zero order score at a perfect match.
         cases = [("bleu", "--epsilon", "1"), ("ebleu", "--epsilon", "1")]
+        cases += [
+            (metric, "--max-ngram", value)
+            for value in ("0", "-3")
+            for metric in ("bleu", "ebleu", *OPTION_FREE_METRICS)
+        ]
         # Every scorer option is checked on every run, also where no
         # selected metric reads it.
         cases += [
@@ -417,19 +433,6 @@ class TestScoreCommand:
             flag, value,
         )
         assert "finite" in err
-
-    # NIST ignores --max-ngram, so only argparse can reject it there.
-    @pytest.mark.parametrize("metric", ["nist", "bleu", "ebleu"])
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_max_ngram_below_one_is_usage_error_for_any_metric(
-        self, capsys, two_pair_files, metric, value
-    ):
-        hyp, ref, lex = two_pair_files
-        with pytest.raises(SystemExit) as exc:
-            main(["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref),
-                  "--lexicon", str(lex), "--max-ngram", value])
-        assert exc.value.code == 2
-        assert "--max-ngram" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["hyp", "ref", "lexicon"])
     def test_file_that_is_not_utf8_is_data_error_naming_it(
@@ -514,6 +517,26 @@ class TestCorrelateCommand:
         path = tmp_path / "bad.tsv"
         path.write_text("a\tb\n1\toops\n", encoding="utf-8")
         assert main(["correlate", "--table", str(path)]) == 1
+
+    # Comment and blank lines count: each error names the file line.
+    @pytest.mark.parametrize("command", ["correlate", "report"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("BLEU\tTER\n# c\n\n1\t2\n3\n", "5: row has 1 cells, header has 2"),
+            ("BLEU\tTER\n1\t2\n\n\nnan\t3\n", "5: non-finite cell 'nan'"),
+            ("a\tb\n1\t2\n# note\nx\t3\n", "4: non-numeric cell 'x'"),
+        ],
+        ids=["ragged", "non-finite", "non-numeric"],
+    )
+    def test_table_error_names_its_file_line(
+        self, capsys, tmp_path, command, text, message
+    ):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text, encoding="utf-8")
+        option = "--table" if command == "correlate" else "--in"
+        assert main([command, option, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_is_data_error(self, capsys, tmp_path, cell):

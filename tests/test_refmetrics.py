@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from itertools import islice
 from unittest import mock
 
 import pytest
@@ -136,16 +135,22 @@ class TestNist:
     def test_orders_past_the_longest_match_build_no_windows(self, monkeypatch):
         # The pooled reference counts stop at the longest matched n-gram
         # (order 3 here), so a large --max-ngram builds no window past it.
-        views = []
+        slices = []
+        original = ngram.order_windows
 
-        def counting(stream, start, stop):
-            views.append(start)
-            return islice(stream, start, stop)
+        def recording(tokens, max_order):
+            orders = original(tokens, max_order)
+            slices.append((" ".join(tokens), len(orders)))
+            return orders
 
-        monkeypatch.setattr(ngram, "islice", counting)
+        monkeypatch.setattr(ngram, "order_windows", recording)
         corpus = corpus_of(("a b c", "a b c d"), ("b c", "c b c"))
         assert nist_score(corpus, 1000) == nist_score(corpus, 3)
-        assert views == [0, 0, 1, 0, 1, 2] * 2
+        # Per run: each hypothesis and its reference up to the hypothesis
+        # length, then every reference pooled up to the longest match.
+        run = [("a b c", 3), ("a b c d", 3), ("b c", 2), ("c b c", 2)]
+        run += [("a b c d", 3), ("c b c", 3)]
+        assert slices == run * 2
 
     def test_no_ngram_spans_two_references(self):
         # References end in "a" where the next begins with "b", within a

@@ -215,8 +215,12 @@ class TestSpearman:
         assert spearman([1, 2, 3, 4], [1, 2, 3, 4]).two_tailed_p == 0.0
 
     def test_all_tied_raises(self):
-        with pytest.raises(ZeroVarianceError):
+        # A constant column has ties, so Pearson on its ranks rejects it.
+        message = "correlation is undefined for a constant vector"
+        with pytest.raises(ZeroVarianceError, match=message):
             spearman([5, 5, 5], [1, 2, 3])
+        with pytest.raises(ZeroVarianceError, match=message):
+            spearman([1, 2, 3], [5, 5, 5])
 
 
 class TestGoodmanKruskalLambda:

@@ -370,11 +370,6 @@ class TestScoreCommand:
         hyp, ref, lex = two_pair_files
         # An epsilon of 1 floors a zero order score at a perfect match.
         cases = [("bleu", "--epsilon", "1"), ("ebleu", "--epsilon", "1")]
-        cases += [
-            (metric, "--max-ngram", value)
-            for value in ("0", "-3")
-            for metric in ("bleu", "ebleu", *OPTION_FREE_METRICS)
-        ]
         # Every scorer option is checked on every run, also where no
         # selected metric reads it.
         cases += [
@@ -398,6 +393,20 @@ class TestScoreCommand:
             capsys, tmp_path, ["--metric", "bleu", "--hyp", str(tmp_path / "missing.txt"),
                                "--ref", str(ref)],
             "--epsilon", "1",
+        )
+
+    # --max-ngram is checked by EbleuConfig on every run, also for the
+    # metrics that never read it.
+    @pytest.mark.parametrize("metric", ["nist", "bleu", "ebleu", *OPTION_FREE_METRICS[1:]])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_ngram_below_one_is_usage_error_for_any_metric(
+        self, capsys, tmp_path, two_pair_files, metric, value
+    ):
+        hyp, ref, lex = two_pair_files
+        assert_config_rejected(
+            capsys, tmp_path, ["--metric", metric, "--hyp", str(hyp),
+                               "--ref", str(ref), "--lexicon", str(lex)],
+            "--max-ngram", value,
         )
 
     # NaN fails every comparison, so a `<` range check alone lets it

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
-from .ngram import clipped_counts, max_ref_counts, window_total
+from .ngram import check_order, clipped_counts, max_ref_counts, window_total
 # bench/traced.py times BLEU's n-gram counting through this module-global name.
 from .ngram import window_counts as extract_ngrams
 from .records import checked
@@ -36,11 +36,10 @@ class BleuConfig(NamedTuple):
     smoothing_epsilon: float = 0.0
 
     def _check(self) -> None:
-        if self.max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
+        check_order(self.max_order)
         # Chained range checks: NaN fails every comparison, so it is rejected.
-        # An epsilon of 1 or more would floor a zero precision at 1/t or
-        # more, scoring a hypothesis that shares no word as a match.
+        # An epsilon of 1 or more floors a zero precision at 1/t or more and a
+        # zero EBLEU order score at 1: a hypothesis sharing no word would match.
         if not 0.0 <= self.smoothing_epsilon < 1.0:
             raise ValueError("smoothing_epsilon must be finite and in [0, 1)")
         if self.weights is not None:
@@ -104,8 +103,7 @@ def modified_precision(pair: EvalPair, n: int) -> float:
 
     Zero when the hypothesis has no n-grams of that order.
     """
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    check_order(n, "n-gram order")
     matched, total = _pair_order_stats(pair, n)[-1]
     return matched / total if total else 0.0
 

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .bleu import BleuConfig, bleu_score
+from .bleu import bleu_score
 from .corpus import (
     ParallelCorpus,
     SynonymLexicon,
@@ -37,6 +37,7 @@ from .corpus import (
 )
 from .ebleu import EbleuConfig, ebleu_score
 from .errors import EmptyCorpusError, MTEvalError, TableFormatError, prefixed
+from .ngram import MAX_ORDER
 from .refmetrics import (
     lepor_score,
     meteor_score,
@@ -46,10 +47,6 @@ from .refmetrics import (
 )
 
 # The statistics and ``json`` are imported where used, so ``score`` loads neither.
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -90,18 +87,16 @@ class Metric(NamedTuple):
     ]
 
 
-def _run_bleu(corpus, lexicon, cfg, per_sentence):
-    bleu_cfg = BleuConfig(cfg.max_order, smoothing_epsilon=cfg.smoothing_epsilon)
-    return bleu_score(corpus, bleu_cfg, per_sentence=per_sentence)
-
-
 # NIST is unbounded and reported on its own scale; everything else is a
 # [0, 1] style score shown as a percentage.
 METRICS = {
     "ebleu": Metric(
         "EBLEU", 100, True, lambda c, lex, cfg, s: ebleu_score(c, lex, cfg, per_sentence=s)
     ),
-    "bleu": Metric("BLEU", 100, False, _run_bleu),
+    "bleu": Metric(
+        "BLEU", 100, False,
+        lambda c, _, cfg, s: bleu_score(c, cfg.bleu_config(), per_sentence=s),
+    ),
     "nist": Metric(
         "NIST", 1, False, lambda c, _, __, s: (nist_score(c, per_sentence=s), None)
     ),
@@ -151,7 +146,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     metrics = list(dict.fromkeys(args.metric))
     needing = [m for m, metric in METRICS.items() if metric.needs_lexicon]
     if not args.lexicon and any(m in needing for m in metrics):
-        raise _UsageError("--lexicon is required when scoring " + " or ".join(needing))
+        raise ValueError("--lexicon is required when scoring " + " or ".join(needing))
     tok_cfg = TokenizerConfig(
         lowercase=args.lowercase, split_punctuation=args.split_punct
     )
@@ -315,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_order",
         type=int,
         metavar="N",
-        help="n-gram order of BLEU and EBLEU only; NIST always uses order 5",
+        help=f"n-gram order from 1 to {MAX_ORDER}, of BLEU and EBLEU only; "
+        "NIST always uses order 5",
     )
     score.add_argument("--synonym-score", type=float, metavar="F")
     score.add_argument("--rare-words-percent", type=float, metavar="F")
@@ -365,8 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
-        # ValueError surfaces scorer config validation (option ranges)
+    except ValueError as exc:
+        # a scorer option out of its range, or a missing --lexicon
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (MTEvalError, OSError) as exc:

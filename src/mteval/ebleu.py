@@ -26,7 +26,7 @@ from itertools import accumulate, chain, compress
 from operator import ne, sub
 from typing import NamedTuple, Sequence
 
-from .bleu import MetricScore, order_columns
+from .bleu import BleuConfig, MetricScore, order_columns
 from .corpus import (
     EvalPair,
     ParallelCorpus,
@@ -50,8 +50,7 @@ class EbleuConfig(NamedTuple):
     smoothing_epsilon: float = 0.0
 
     def _check(self) -> None:
-        if self.max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
+        self.bleu_config()  # the order and the smoothing, by BLEU's rules
         if not 0.0 <= self.synonym_score <= 1.0:
             raise ValueError("synonym_score must be in [0, 1]")
         if not 0.0 < self.rare_words_percent <= 1.0:
@@ -59,9 +58,10 @@ class EbleuConfig(NamedTuple):
         # Chained range checks: NaN fails every comparison, so it is rejected.
         if not 1.0 <= self.rare_words_score < math.inf:
             raise ValueError("rare_words_score must be finite and >= 1")
-        # An epsilon of 1 floors every order score at 1, erasing the metric.
-        if not 0.0 <= self.smoothing_epsilon < 1.0:
-            raise ValueError("smoothing_epsilon must be finite and in [0, 1)")
+
+    def bleu_config(self) -> BleuConfig:
+        """BLEU's config at this order and smoothing, which BLEU's rules check."""
+        return BleuConfig(self.max_order, smoothing_epsilon=self.smoothing_epsilon)
 
 
 class SubstitutionTrace(NamedTuple):

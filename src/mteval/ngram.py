@@ -1,6 +1,7 @@
 """N-gram windows, per-sentence n-gram tables, and reference clipping.
 
-The one n-gram counting and clipping path of the package.
+The one n-gram counting and clipping path of the package, and the one
+rule for an n-gram order: ``check_order`` accepts 1..``MAX_ORDER``.
 ``order_windows`` gives the windows of every order 1..N of a sentence,
 built at C level from one set of shifted slices: the order-``n``
 windows zip the first ``n`` of them, so a sentence of N or more tokens
@@ -35,6 +36,16 @@ from itertools import chain
 from typing import Container, Iterable, Iterator, Sequence
 
 NGram = tuple[str, ...]
+
+# Each pair carries columns per order, whatever its length, so orders are capped.
+MAX_ORDER = 1000
+
+
+def check_order(order: int, name: str = "max_order") -> None:
+    """Raise ``ValueError``, naming the order ``name``, unless ``order`` is in
+    1..``MAX_ORDER``."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"{name} must be in 1..{MAX_ORDER}, got {order}")
 
 
 def window_total(length: int, n: int) -> int:

@@ -23,6 +23,7 @@ from .bleu import MetricScore, brevity_penalty, effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import (
     NGram,
+    check_order,
     clipped_counts,
     max_ref_counts,
     pooled_counts,
@@ -67,9 +68,11 @@ def _nist_formula(
     for info, total in zip(matched_info[1:], hyp_totals):
         if total > 0:
             information += info / total
-    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
-    ratio = min(hyp_len / avg_ref_len, 1.0)
-    return information * math.exp(beta * math.log(ratio) ** 2)
+    # ``y * y``, bracketed as written, not ``** 2``: pow() need not round correctly.
+    b = math.log(2.0 / 3.0)
+    beta = math.log(0.5) / (b * b)
+    y = math.log(min(hyp_len / avg_ref_len, 1.0))
+    return information * math.exp(beta * (y * y))
 
 
 def nist_score(
@@ -108,10 +111,9 @@ def nist_score(
     and weigh it by their sum, which holds every count the weights divide
     by, so its references are counted once.
 
-    Raises ``ValueError`` when ``max_order`` is below 1.
+    Raises ``ValueError`` when ``max_order`` is outside 1..``ngram.MAX_ORDER``.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    check_order(max_order)
 
     def pair_stats(pair):
         c = len(pair.hypothesis)

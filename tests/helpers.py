@@ -181,9 +181,10 @@ def oracle_nist_score(corpus, max_order=5):
         for n in range(1, max_order + 1)
         if hyp_totals[n] > 0
     )
-    beta = math.log(0.5) / math.log(2.0 / 3.0) ** 2
-    ratio = min(hyp_len / avg_ref_len, 1.0)
-    return score * math.exp(beta * math.log(ratio) ** 2)
+    b = math.log(2.0 / 3.0)
+    beta = math.log(0.5) / (b * b)
+    y = math.log(min(hyp_len / avg_ref_len, 1.0))
+    return score * math.exp(beta * (y * y))
 
 
 def oracle_ebleu_order_stats(trace, pair, n, rare, cfg):

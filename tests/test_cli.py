@@ -409,6 +409,29 @@ class TestScoreCommand:
             "--max-ngram", value,
         )
 
+    # Past the bound of 1000 an order would cost memory and time that grow
+    # with it, not with the sentences; 10**20 does not fit an index at all.
+    @pytest.mark.parametrize(
+        "metric, value",
+        [(metric, "1001") for metric in ALL_METRICS] + [("ebleu", "99999999999999999999")],
+    )
+    def test_max_ngram_above_the_bound_is_usage_error_for_any_metric(
+        self, capsys, tmp_path, two_pair_files, metric, value
+    ):
+        hyp, ref, lex = two_pair_files
+        err = assert_config_rejected(
+            capsys, tmp_path, ["--metric", metric, "--hyp", str(hyp),
+                               "--ref", str(ref), "--lexicon", str(lex)],
+            "--max-ngram", value,
+        )
+        assert f"must be in 1..1000, got {value}" in err
+        # before any file is read
+        assert_config_rejected(
+            capsys, tmp_path, ["--metric", metric, "--hyp", str(tmp_path / "missing.txt"),
+                               "--ref", str(ref), "--lexicon", str(lex)],
+            "--max-ngram", value,
+        )
+
     # NaN fails every comparison, so a `<` range check alone lets it
     # through, and an infinite epsilon or bonus clamps each order score
     # to 1: either would print EBLEU 100.00 with exit 0.

@@ -257,6 +257,11 @@ def test_smoothing_epsilon_of_one_or_more_rejected(config, value):
         config(smoothing_epsilon=value)
 
 
+def test_bleu_config_carries_the_order_and_smoothing():
+    cfg = EbleuConfig(max_order=3, synonym_score=0.5, smoothing_epsilon=0.1)
+    assert cfg.bleu_config() == BleuConfig(3, smoothing_epsilon=0.1)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_bleu_weight_rejected(value):
     with pytest.raises(ValueError):

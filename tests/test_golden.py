@@ -5,13 +5,20 @@
 golden corpus, and ``bench/golden/digests.json`` holds the sha256 of each
 benchmark workload's output per corpus seed. Every benchmark run checks
 its output against them byte for byte, so a last-bit float drift in any
-scorer fails here first. The benchmark's files are only read.
+scorer fails here first. The golden file is also checked on every other
+Python 3.10-3.13 interpreter found on this host. The benchmark's files
+are only read.
 """
 
 from __future__ import annotations
 
+import glob
 import importlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +27,8 @@ from mteval import bleu, corpus, ebleu, ngram, refmetrics
 from mteval.cli import main
 from helpers import compensated_sum
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -62,3 +70,44 @@ def test_golden_file_does_not_depend_on_the_builtin_sum(run_bench, tmp_path, mon
         run_bench, run_bench.GOLDEN_WORKLOAD, run_bench.GOLDEN_SEED, tmp_path, monkeypatch
     )
     assert got == (BENCH / "golden" / "seven_metrics.json").read_bytes()
+
+
+def other_interpreters() -> list[str]:
+    """One interpreter per minor version of Python 3.10-3.13 other than the
+    running one: pyenv's builds under ``$PYENV_ROOT``, then ``python3.1X``
+    on ``PATH``. One that fails to start, as a pyenv shim may, is left out."""
+    root = os.environ.get("PYENV_ROOT")
+    candidates = sorted(glob.glob(f"{root}/versions/3.1*/bin/python3")) if root else []
+    candidates += filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 14)))
+    found: dict[tuple[int, ...], str] = {}
+    for exe in candidates:
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=30,
+            )
+            version = tuple(map(int, probe.stdout.split()))
+        except (OSError, subprocess.TimeoutExpired, ValueError):
+            continue
+        if probe.returncode == 0 and (3, 10) <= version <= (3, 13):
+            found.setdefault(version, exe)
+    found.pop(tuple(sys.version_info[:2]), None)
+    return list(found.values())
+
+
+def test_golden_file_on_every_other_interpreter(run_bench, tmp_path):
+    """README's claim: outputs are byte-identical on Python 3.10 to 3.13.
+    All of them share this host's C library, so its ``exp``, ``log`` and
+    ``log2``; other platforms are not covered."""
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python 3.10-3.13 interpreter found")
+    run_bench.generate(run_bench.GOLDEN_SEED, run_bench.GOLDEN_WORKLOAD.profile, tmp_path)
+    expected = (BENCH / "golden" / "seven_metrics.json").read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for k, exe in enumerate(interpreters):
+        out = f"out{k}.json"
+        argv = [exe, "-B", "-m", "mteval", *run_bench.GOLDEN_WORKLOAD.argv(out)]
+        child = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert child.returncode == 0, (exe, child.stderr)
+        assert (tmp_path / out).read_bytes() == expected, exe

@@ -24,7 +24,7 @@ from mteval.ngram import (
     window_counts,
     window_total,
 )
-from helpers import pair_of, small_corpora
+from helpers import corpus_of, pair_of, small_corpora
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
 ORDERS = st.integers(min_value=1, max_value=4)
@@ -88,6 +88,24 @@ class TestExtractNgrams:
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):
             modified_precision(pair_of("a", "a"), 0)
+
+    # Every entry point that takes an n-gram order bounds it above, naming
+    # its field: past the bound, BLEU's weights and every pair's order
+    # columns would grow with the order, not with the sentence.
+    @pytest.mark.parametrize(
+        "entry_point, field",
+        [
+            (lambda n: BleuConfig(max_order=n), "max_order"),
+            (lambda n: EbleuConfig(max_order=n), "max_order"),
+            (lambda n: nist_score(corpus_of(("a b c", "a b d")), n), "max_order"),
+            (lambda n: modified_precision(pair_of("a b c", "a b d"), n), "n-gram order"),
+        ],
+        ids=["BleuConfig", "EbleuConfig", "nist_score", "modified_precision"],
+    )
+    def test_order_above_the_bound_rejected(self, entry_point, field):
+        with pytest.raises(ValueError, match=f"^{field} must be in 1..1000, got 1001$"):
+            entry_point(ngram.MAX_ORDER + 1)
+        entry_point(ngram.MAX_ORDER)
 
     @given(TOKENS, ORDERS)
     def test_total_multiplicity(self, tokens, n):

@@ -132,6 +132,15 @@ class TestNist:
         for corpus in (same, corpus_of((LONG_MOVED_LINE, LONG_LINE))):
             assert nist_score(corpus) == oracle_nist_score(corpus)
 
+    def test_length_factor_squares_by_multiplication(self):
+        # Here log(7/83) ** 2, through the C library's pow(), and y * y give
+        # factors that differ in the last bits; the formula and the oracle
+        # both multiply.
+        ref = " ".join(f"w{i}" for i in range(83))
+        corpus = corpus_of((" ".join(ref.split()[:7]), ref))
+        assert nist_score(corpus) == 4.044270462209442e-11
+        assert nist_score(corpus) == oracle_nist_score(corpus)
+
     def test_orders_past_the_longest_match_build_no_windows(self, monkeypatch):
         # The pooled reference counts stop at the longest matched n-gram
         # (order 3 here), so a large --max-ngram builds no window past it.

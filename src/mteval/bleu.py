@@ -12,6 +12,7 @@ no smoothing is enabled.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
@@ -26,9 +27,9 @@ class BleuConfig(NamedTuple):
     """Maximum n-gram order, per-order weights, and optional smoothing.
 
     ``weights`` defaults to uniform 1/N. A positive ``smoothing_epsilon``,
-    below 1, floors a zero pooled precision at ``epsilon / t``, t the
-    hypothesis n-gram total, but an order with no n-grams (t = 0) still
-    zeroes the score.
+    a normal float below 1, floors a zero pooled precision at
+    ``epsilon / t``, t the hypothesis n-gram total, but an order with no
+    n-grams (t = 0) still zeroes the score.
     """
 
     max_order: int = 4
@@ -40,8 +41,13 @@ class BleuConfig(NamedTuple):
         # Chained range checks: NaN fails every comparison, so it is rejected.
         # An epsilon of 1 or more floors a zero precision at 1/t or more and a
         # zero EBLEU order score at 1: a hypothesis sharing no word would match.
-        if not 0.0 <= self.smoothing_epsilon < 1.0:
-            raise ValueError("smoothing_epsilon must be finite and in [0, 1)")
+        # A subnormal epsilon can floor it at epsilon / t = 0.0, whose log fails.
+        eps = self.smoothing_epsilon
+        if not (eps == 0.0 or sys.float_info.min <= eps < 1.0):
+            raise ValueError(
+                "smoothing_epsilon must be finite, 0 or a normal float below 1,"
+                f" got {eps}"
+            )
         if self.weights is not None:
             if len(self.weights) != self.max_order:
                 raise ValueError(

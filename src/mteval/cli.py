@@ -6,10 +6,10 @@ and ``report`` concatenates score tables into one table for
 ``correlate``.
 
 ``score`` takes its metrics from one table, ``METRICS``: each entry
-holds the column label, the tsv scale, whether the metric needs the
-synonym lexicon, and how to run it. Each metric runs once per ``score``
-invocation; with ``--per-sentence`` its per-sentence scores come from
-that same corpus pass.
+holds the tsv scale, whether the metric needs the synonym lexicon, and
+how to run it; its column label is its name in capitals. Each metric
+runs once per ``score`` invocation; with ``--per-sentence`` its
+per-sentence scores come from that same corpus pass.
 
 Exit codes: 0 success, 1 data error, 2 usage error. Output is fully
 deterministic; identical inputs produce byte-identical output. In tsv
@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple
 
 from .bleu import bleu_score
 from .corpus import (
+    PER_SENTENCE_MARKER,
     ParallelCorpus,
     SynonymLexicon,
     TokenizerConfig,
@@ -78,7 +79,6 @@ class Metric(NamedTuple):
     when the table is built.
     """
 
-    label: str
     scale: int  # tsv cells show the score times this
     needs_lexicon: bool
     run: Callable[
@@ -91,26 +91,21 @@ class Metric(NamedTuple):
 # [0, 1] style score shown as a percentage.
 METRICS = {
     "ebleu": Metric(
-        "EBLEU", 100, True, lambda c, lex, cfg, s: ebleu_score(c, lex, cfg, per_sentence=s)
+        100, True, lambda c, lex, cfg, s: ebleu_score(c, lex, cfg, per_sentence=s)
     ),
     "bleu": Metric(
-        "BLEU", 100, False,
-        lambda c, _, cfg, s: bleu_score(c, cfg.bleu_config(), per_sentence=s),
+        100, False, lambda c, _, cfg, s: bleu_score(c, cfg.bleu_config(), per_sentence=s)
     ),
-    "nist": Metric(
-        "NIST", 1, False, lambda c, _, __, s: (nist_score(c, per_sentence=s), None)
-    ),
-    "ter": Metric(
-        "TER", 100, False, lambda c, _, __, s: (ter_score(c, per_sentence=s), None)
-    ),
+    "nist": Metric(1, False, lambda c, _, __, s: (nist_score(c, per_sentence=s), None)),
+    "ter": Metric(100, False, lambda c, _, __, s: (ter_score(c, per_sentence=s), None)),
     "meteor": Metric(
-        "METEOR", 100, True, lambda c, lex, _, s: meteor_score(c, lex, per_sentence=s)
+        100, True, lambda c, lex, _, s: meteor_score(c, lex, per_sentence=s)
     ),
     "lepor": Metric(
-        "LEPOR", 100, False, lambda c, _, __, s: (lepor_score(c, per_sentence=s), None)
+        100, False, lambda c, _, __, s: (lepor_score(c, per_sentence=s), None)
     ),
     "ribes": Metric(
-        "RIBES", 100, False, lambda c, _, __, s: (ribes_score(c, per_sentence=s), None)
+        100, False, lambda c, _, __, s: (ribes_score(c, per_sentence=s), None)
     ),
 }
 
@@ -200,11 +195,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         lines = [
             "# " + " ".join(f"{k}={v}" for k, v in stats.items()),
             "# " + " ".join(f"{k}={_echo_str(v)}" for k, v in config.items()),
-            "\t".join(METRICS[m].label for m in metrics),
+            "\t".join(m.upper() for m in metrics),
             cells(score for score, _, _ in results.values()),
         ]
         if args.per_sentence:
-            lines.append("# per-sentence")
+            lines.append(PER_SENTENCE_MARKER)
             lines += map(cells, zip(*(scores for _, scores, _ in results.values())))
         text = "\n".join(lines) + "\n"
     _write_output(text, args.out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -55,17 +56,8 @@ def tokenize(raw_line: str, cfg: TokenizerConfig = TokenizerConfig()) -> TokenSe
         return tuple(chunks)
     tokens: list[str] = []
     for chunk in chunks:
-        run: list[str] = []
-        for ch in chunk:
-            if _is_punctuation(ch):
-                if run:
-                    tokens.append("".join(run))
-                    run = []
-                tokens.append(ch)
-            else:
-                run.append(ch)
-        if run:
-            tokens.append("".join(run))
+        for punctuation, run in groupby(chunk, _is_punctuation):
+            tokens += run if punctuation else ["".join(run)]
     return tuple(tokens)
 
 
@@ -162,14 +154,19 @@ def read_lines(path: str | Path) -> list[str]:
         ) from None
 
 
-def content_lines(path: str | Path) -> list[tuple[int, str]]:
-    """The stripped lines of a ``read_lines`` file with their 1-based line
-    numbers, blank lines and ``#`` comment lines skipped."""
+def content_lines(lines: Sequence[str]) -> list[tuple[int, str]]:
+    """The stripped ``lines`` of a ``read_lines`` file with their 1-based
+    line numbers, blank lines and ``#`` comment lines skipped."""
     return [
         (lineno, text)
-        for lineno, line in enumerate(read_lines(path), start=1)
+        for lineno, line in enumerate(lines, start=1)
         if (text := line.strip()) and not text.startswith("#")
     ]
+
+
+PER_SENTENCE_MARKER = "# per-sentence"
+"""The line of ``score --per-sentence`` tsv output between the corpus row
+and the sentence rows; a score table that holds it is refused."""
 
 
 def load_parallel_corpus(
@@ -245,7 +242,7 @@ def load_synonym_lexicon(
     files (``read_lines``).
     """
     entries: dict[str, set[str]] = {}
-    for lineno, line in content_lines(path):
+    for lineno, line in content_lines(read_lines(path)):
         words: list[str] = []
         for field in line.split(","):
             tokens = tokenize(field, cfg)

@@ -3,16 +3,18 @@
 Score-table files and their reader, product-moment correlation, rank
 correlation with tie handling and its two-tailed Student-t significance
 (Lentz's continued fraction for the incomplete beta, Numerical Recipes
-6.4), and the asymmetric Goodman-Kruskal lambda for discretized scores.
+6.4), and the asymmetric Goodman-Kruskal lambda for discretized scores,
+counted from the observed category pairs, never a bins x bins table.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .corpus import content_lines
+from .corpus import PER_SENTENCE_MARKER, content_lines, read_lines
 from .errors import (
     DegenerateTableError,
     InsufficientDistinctValuesError,
@@ -60,9 +62,17 @@ def read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
     Lines end as in corpus files (``corpus.read_lines``). A leading byte
     order mark is dropped, and a metric name that appears twice in the
     header raises :class:`TableFormatError`, as does a bad row, naming
-    its file line.
+    its file line, and so does the marker line of ``score --per-sentence``
+    output, whose corpus row is no sentence row.
     """
-    content = content_lines(path)
+    lines = read_lines(path)
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() == PER_SENTENCE_MARKER:
+            raise TableFormatError(
+                f"{path}:{lineno}: {PER_SENTENCE_MARKER!r} marks score"
+                " --per-sentence output, not a score table"
+            )
+    content = content_lines(lines)
     if len(content) < 2:
         raise TableFormatError(f"{path}: need a header row and at least one data row")
     header = content[0][1].split()
@@ -273,24 +283,31 @@ def goodman_kruskal_lambda(table: ContingencyTable) -> tuple[float, float]:
     whose best column is the overall best column; argmax ties resolve to
     the lowest index.
     """
-    counts = table.counts
-    n = table.n
-    col_totals = [sum(row[j] for row in counts) for j in range(len(counts[0]))]
-    r = max(col_totals)
-    best_col = col_totals.index(r)
-    if n == r:
+    rows = enumerate(table.counts)
+    cells = {(i, j): c for i, row in rows for j, c in enumerate(row) if c}
+    lam, variance = _lambda(cells)
+    if lam is None:
         raise DegenerateTableError("no column variation, lambda undefined")
-    row_maxima = [max(row) for row in counts]
-    row_best_cols = [row.index(m) for row, m in zip(counts, row_maxima)]
-    sum_maxima = sum(row_maxima)
-    lam = (sum_maxima - r) / (n - r)
-    agreeing = sum(
-        m for m, j in zip(row_maxima, row_best_cols) if j == best_col
-    )
-    variance = (
-        (n - sum_maxima) * (sum_maxima + r - 2 * agreeing) / (n - r) ** 3
-    )
-    return lam, max(0.0, variance)
+    return lam, variance
+
+
+def _lambda(cells: Mapping[tuple[int, int], int]) -> tuple[float | None, float | None]:
+    """``goodman_kruskal_lambda`` of the table whose nonzero cells are
+    ``{(row, col): count}``, or ``(None, None)`` when one column holds
+    every count; it reads only the cells, never a whole row or column."""
+    col_totals: Counter[int] = Counter()
+    row_best: dict[int, tuple[int, int]] = {}  # row -> (-its maximum, lowest argmax)
+    for (i, j), count in cells.items():
+        col_totals[j] += count
+        row_best[i] = min(row_best.get(i, (-count, j)), (-count, j))
+    n, r = sum(col_totals.values()), max(col_totals.values(), default=0)
+    if n == r:
+        return None, None
+    best_col = min(j for j, total in col_totals.items() if total == r)
+    sum_maxima = -sum(m for m, _ in row_best.values())
+    agreeing = -sum(m for m, j in row_best.values() if j == best_col)
+    variance = (n - sum_maxima) * (sum_maxima + r - 2 * agreeing) / (n - r) ** 3
+    return (sum_maxima - r) / (n - r), max(0.0, variance)
 
 
 def discretize(values: Sequence[float], bin_count: int) -> list[int]:
@@ -340,14 +357,6 @@ def correlation_matrix(
     return matrix
 
 
-def _lambda_cell(row_cats: list[int], col_cats: list[int], bins: int):
-    try:
-        table = ContingencyTable.from_categories(row_cats, col_cats, bins)
-        return goodman_kruskal_lambda(table)
-    except DegenerateTableError:
-        return None, None
-
-
 def lambda_matrices(
     table: ScoreTable, bins: int
 ) -> tuple[list[list[float | None]], list[list[float | None]]]:
@@ -358,6 +367,6 @@ def lambda_matrices(
     for j, name in enumerate(table.metric_names):
         with prefixed(f"metric {name!r}"):
             categories.append(discretize(table.column_at(j), bins))
-    cells = [[_lambda_cell(r, c, bins) for c in categories] for r in categories]
+    cells = [[_lambda(Counter(zip(r, c))) for c in categories] for r in categories]
     values = [[lam for lam, _ in row] for row in cells]
     return values, [[var for _, var in row] for row in cells]

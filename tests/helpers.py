@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mteval import EvalPair, ParallelCorpus, tokenize
+from mteval.errors import DegenerateTableError
 
 
 def import_scipy_stats():
@@ -435,3 +436,26 @@ def oracle_kendall_tau(seq):
                 concordant += 1
     pairs = n * (n - 1) // 2
     return (2 * concordant - pairs) / pairs
+
+
+def oracle_goodman_kruskal_lambda(table):
+    """lambda(C|R) and its variance, scanning every cell of the dense
+    table; raises ``DegenerateTableError`` when one column holds every count."""
+    counts = table.counts
+    n = table.n
+    col_totals = [sum(row[j] for row in counts) for j in range(len(counts[0]))]
+    r = max(col_totals)
+    best_col = col_totals.index(r)
+    if n == r:
+        raise DegenerateTableError("no column variation, lambda undefined")
+    row_maxima = [max(row) for row in counts]
+    row_best_cols = [row.index(m) for row, m in zip(counts, row_maxima)]
+    sum_maxima = sum(row_maxima)
+    lam = (sum_maxima - r) / (n - r)
+    agreeing = sum(
+        m for m, j in zip(row_maxima, row_best_cols) if j == best_col
+    )
+    variance = (
+        (n - sum_maxima) * (sum_maxima + r - 2 * agreeing) / (n - r) ** 3
+    )
+    return lam, max(0.0, variance)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,15 @@ class TestBleuConfig:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             BleuConfig(max_order=2, weights=(1.2, -0.2))
+
+    # A subnormal epsilon can floor a zero precision at epsilon / t = 0.0.
+    def test_epsilon_is_zero_or_a_normal_float(self):
+        with pytest.raises(ValueError, match="smoothing_epsilon .* got 5e-324"):
+            BleuConfig(smoothing_epsilon=5e-324)
+        corpus = corpus_of(("the cat sat on", "a dog ran far"))
+        tiny = BleuConfig(smoothing_epsilon=sys.float_info.min)
+        assert 0.0 < bleu_score(corpus, tiny).corpus_score < sys.float_info.min
+        assert bleu_score(corpus, BleuConfig()).corpus_score == 0.0
 
     def test_explicit_weights_used(self):
         corpus = corpus_of(("a b c", "a b x"))

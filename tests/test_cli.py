@@ -395,6 +395,22 @@ class TestScoreCommand:
             "--epsilon", "1",
         )
 
+    # Below the smallest normal float, BLEU's floor epsilon / t can round to
+    # 0.0, whose logarithm it would take after the files are read.
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("value", ["5e-324", "1e-310"])
+    def test_subnormal_epsilon_is_usage_error_for_any_metric(
+        self, capsys, tmp_path, two_pair_files, metric, value
+    ):
+        hyp, ref, lex = two_pair_files
+        for hyp_path in (hyp, tmp_path / "missing.txt"):
+            err = assert_config_rejected(
+                capsys, tmp_path, ["--metric", metric, "--hyp", str(hyp_path),
+                                   "--ref", str(ref), "--lexicon", str(lex)],
+                "--epsilon", value,
+            )
+            assert f"got {value}" in err
+
     # --max-ngram is checked by EbleuConfig on every run, also for the
     # metrics that never read it.
     @pytest.mark.parametrize("metric", ["nist", "bleu", "ebleu", *OPTION_FREE_METRICS[1:]])
@@ -569,6 +585,23 @@ class TestCorrelateCommand:
         option = "--table" if command == "correlate" else "--in"
         assert main([command, option, str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
+    # A score --per-sentence tsv holds its corpus row above the marker line
+    # and one row per sentence below it: read as a score table, the corpus
+    # row would count as one more sentence.
+    @pytest.mark.parametrize("command", ["correlate", "report"])
+    def test_per_sentence_output_is_not_a_score_table(self, capsys, tmp_path, command):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("a b c\nb c d\nc d e\n", encoding="utf-8")
+        ref.write_text("a b c\nb c x\nx y e\n", encoding="utf-8")
+        table = tmp_path / "scores.tsv"
+        assert main(["score", "--metric", "bleu", "--metric", "ter", "--hyp", str(hyp),
+                     "--ref", str(ref), "--per-sentence", "--out", str(table)]) == 0
+        option = "--table" if command == "correlate" else "--in"
+        assert main([command, option, str(table), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}:5: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_is_data_error(self, capsys, tmp_path, cell):

@@ -85,6 +85,9 @@ INVALID = [
     (ContingencyTable(((1, 0), (0, 1))), {"counts": ((1,), (0,))}),
     (ContingencyTable(((1, 0), (0, 1))), {"counts": ((1, 0), (0,))}),
     (ContingencyTable(((1, 0), (0, 1))), {"counts": ((1, 0), (0, -1))}),
+    # Subnormal: BLEU's floor epsilon / t can round to 0.0, whose log it takes.
+    (BleuConfig(), {"smoothing_epsilon": 5e-324}),
+    (EbleuConfig(), {"smoothing_epsilon": 5e-324}),
 ]
 
 

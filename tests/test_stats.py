@@ -23,8 +23,10 @@ from mteval.errors import (
     TableFormatError,
     ZeroVarianceError,
 )
-from mteval.stats import _two_tailed_p
-from helpers import import_scipy_stats
+from mteval import stats
+from mteval.cli import main
+from mteval.stats import _two_tailed_p, lambda_matrices
+from helpers import import_scipy_stats, oracle_goodman_kruskal_lambda
 
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 VECTORS = st.lists(FLOATS, min_size=3, max_size=30)
@@ -223,6 +225,31 @@ class TestSpearman:
             spearman([1, 2, 3], [5, 5, 5])
 
 
+@st.composite
+def count_tables(draw) -> ContingencyTable:
+    """2-8 by 2-8 tables of counts 0-5: dense, mostly zero (zero rows and
+    columns), of two values (tied row maxima and column totals), or with
+    every count in one column (degenerate)."""
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "tied", "one column"]))
+    cell = {
+        "sparse": st.sampled_from([0, 0, 0, 0, 1, 5]),
+        "tied": st.sampled_from([0, 2]),
+    }.get(kind, st.integers(0, 5))
+    counts = [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+    if kind == "one column":
+        keep = draw(st.integers(0, cols - 1))
+        counts = [[c if j == keep else 0 for j, c in enumerate(row)] for row in counts]
+    return ContingencyTable(counts=tuple(map(tuple, counts)))
+
+
+def oracle_lambda_or_none(table: ContingencyTable):
+    try:
+        return oracle_goodman_kruskal_lambda(table)
+    except DegenerateTableError:
+        return None, None
+
+
 class TestGoodmanKruskalLambda:
     def test_perfect_prediction(self):
         lam, var = goodman_kruskal_lambda(ContingencyTable(counts=((5, 0), (0, 5))))
@@ -268,6 +295,59 @@ class TestGoodmanKruskalLambda:
             ContingencyTable(counts=((1, 2), (3,)))
         with pytest.raises(ValueError):
             ContingencyTable(counts=((1, -2), (3, 4)))
+
+    @settings(deadline=None, max_examples=500)
+    @given(table=count_tables())
+    def test_equals_the_dense_oracle(self, table):
+        expected = oracle_lambda_or_none(table)
+        if expected == (None, None):
+            with pytest.raises(DegenerateTableError):
+                goodman_kruskal_lambda(table)
+        else:
+            assert goodman_kruskal_lambda(table) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_lambda_matrices_equal_the_dense_oracle(self, data):
+        # Few distinct scores: the discretized tables have empty bins and ties.
+        n = data.draw(st.integers(2, 30))
+        column = st.lists(st.integers(0, 7), min_size=n, max_size=n)
+        columns = data.draw(
+            st.lists(column.filter(lambda c: len(set(c)) >= 2), min_size=1, max_size=4)
+        )
+        bins = data.draw(st.integers(2, min(len(set(c)) for c in columns)))
+        table = ScoreTable(
+            metric_names=tuple(f"m{j}" for j in range(len(columns))),
+            rows=tuple(tuple(map(float, row)) for row in zip(*columns)),
+        )
+        categories = [discretize(c, bins) for c in columns]
+        expected = [
+            [
+                oracle_lambda_or_none(ContingencyTable.from_categories(r, c, bins))
+                for c in categories
+            ]
+            for r in categories
+        ]
+        values, variances = lambda_matrices(table, bins)
+        assert values == [[lam for lam, _ in row] for row in expected]
+        assert variances == [[var for _, var in row] for row in expected]
+
+    def test_lambda_matrices_and_correlate_build_no_table(
+        self, monkeypatch, capsys, pl_en_table_path
+    ):
+        # The lambda reads the observed category pairs, never a bins x bins table.
+        class Refused:
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a ContingencyTable was built")
+
+            from_categories = classmethod(lambda cls, *args: cls())
+
+        monkeypatch.setattr(stats, "ContingencyTable", Refused)
+        values, _ = lambda_matrices(read_score_table(pl_en_table_path), 4)
+        assert values[0][1] is not None
+        argv = ["correlate", "--table", str(pl_en_table_path), "--lambda", "--bins", "4"]
+        assert main(argv) == 0
+        assert "# lambda bins=4" in capsys.readouterr().out
 
 
 class TestDiscretize:

@@ -211,6 +211,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    if args.bins < 2:
+        raise ValueError(f"--bins must be at least 2, got {args.bins}")
     from .stats import correlation_matrix, lambda_matrices, read_score_table
 
     table = read_score_table(args.table)

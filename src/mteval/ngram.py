@@ -11,9 +11,10 @@ orders, shorter orders first, and ``window_counts`` tallies them into
 one table per sentence; an n-gram's order is its length, so the orders
 share the table without a key of their own. ``max_ref_counts`` merges a
 pair's reference tables into the elementwise maximum that clipping caps
-at; ``summed_and_max_ref_counts`` also gives their sum, the pair's own
-pooled counts, from the same tables. ``pooled_counts`` counts n-grams
-over many sentences pooled, from each sentence's windows.
+at. NIST merges a pair's tables through ``_merge_max`` and weighs the
+pair on its own by the same tables, summed over its matched n-grams.
+``pooled_counts`` counts n-grams over many sentences pooled, from each
+sentence's windows.
 ``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
 BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU caps
 its weighted windows at ``max_ref_counts`` by a rule of its own,
@@ -114,29 +115,6 @@ def max_ref_counts(
         window_counts(refs[0], max_order, keep),
         (window_counts(ref, max_order, keep) for ref in refs[1:]),
     )
-
-
-def summed_and_max_ref_counts(
-    refs: Sequence[Sequence[str]], max_order: int, keep: Container[NGram]
-) -> tuple[dict[NGram, int], Counter]:
-    """The sum and the elementwise maximum of the ``window_counts`` tables
-    of ``refs``, each restricted to ``keep``, from one table per reference;
-    ``refs`` holds at least one sentence.
-
-    No window spans two references in either, so the sum equals
-    ``pooled_counts(refs, max_order, keep)``. With one reference its table
-    is both.
-    """
-    first, *rest = [window_counts(ref, max_order, keep) for ref in refs]
-    if not rest:
-        return first, first
-    # The maximum merges into ``first``, so the sum copies it beforehand.
-    summed = dict(first)
-    get = summed.get
-    for table in rest:
-        for gram, count in table.items():
-            summed[gram] = get(gram, 0) + count
-    return summed, _merge_max(first, rest)
 
 
 def clipped_counts(hyp_counts: Counter, best: Counter) -> list[tuple[NGram, int]]:

@@ -9,8 +9,8 @@ METEOR returns a ``MetricScore``, the others a bare score. Only given a
 ``per_sentence`` list does a scorer append every pair's own score to it
 from the same pass: the formula applied to that pair's columns alone.
 TER, METEOR, LEPOR and RIBES leave that to ``reduce_pairs``; NIST scores
-each pair inside its ``pair_stats``, where the pair's own reference
-tables give the weights.
+each pair inside its ``pair_stats``, weighing it by the reference tables
+that clip it, summed over its matched n-grams.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from .bleu import MetricScore, brevity_penalty, effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import (
     NGram,
+    _merge_max,
     check_order,
     clipped_counts,
-    max_ref_counts,
     pooled_counts,
-    summed_and_max_ref_counts,
     window_counts,
     window_total,
 )
@@ -106,10 +105,12 @@ def nist_score(
 
     A per-sentence score is the formula applied to that pair's columns
     alone, its information weights taken from its own references.
-    ``pair_stats`` computes it, not ``reduce_pairs``: the pair's reference
-    tables, restricted to its hypothesis n-grams, clip it by their maximum
-    and weigh it by their sum, which holds every count the weights divide
-    by, so its references are counted once.
+    ``pair_stats`` computes it, not ``reduce_pairs``. Each reference is
+    counted once, into a table restricted to the hypothesis n-grams; the
+    tables' elementwise maximum clips the pair in every run, and the same
+    tables summed over its matched n-grams weigh it. A matched n-gram's
+    prefix is matched too, so the sums hold every count the weights divide
+    by.
 
     Raises ``ValueError`` when ``max_order`` is outside 1..``ngram.MAX_ORDER``.
     """
@@ -121,11 +122,15 @@ def nist_score(
         top = min(max_order, c)
         totals = [window_total(c, n) for n in range(1, max_order + 1)]
         avg_ref_len = _average_length(pair.references)
-        if per_sentence is None:
-            matches = clipped_counts(hyp, max_ref_counts(pair.references, top, hyp))
-        else:
-            summed, best = summed_and_max_ref_counts(pair.references, top, hyp)
-            matches = clipped_counts(hyp, best)
+        first, *rest = [window_counts(ref, top, hyp) for ref in pair.references]
+        best = _merge_max(first.copy(), rest) if rest else first
+        matches = clipped_counts(hyp, best)
+        if per_sentence is not None:
+            # The tables hold the matched n-grams alone, so this sums over them.
+            summed = dict(first)
+            for table in rest:
+                for gram, count in table.items():
+                    summed[gram] = summed.get(gram, 0) + count
             ref_tokens = sum(map(len, pair.references))
             per_sentence.append(
                 _nist_formula(matches, summed, ref_tokens, c, avg_ref_len, totals)

@@ -650,6 +650,22 @@ class TestCorrelateCommand:
         for name in names:
             assert name in err
 
+    # Like score's options, --bins is checked before the table is read, with
+    # or without --lambda.
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    @pytest.mark.parametrize("gk_lambda", [[], ["--lambda"]], ids=["plain", "lambda"])
+    def test_bins_below_two_is_usage_error(
+        self, capsys, tmp_path, pl_en_table_path, bins, gk_lambda
+    ):
+        for table in (pl_en_table_path, tmp_path / "missing.tsv"):
+            run = ["correlate", "--table", str(table), *gk_lambda, "--bins", bins]
+            assert main(run) == 2, run
+            captured = capsys.readouterr()
+            assert captured.out == "", run
+            assert captured.err.startswith("usage error: "), run
+            assert captured.err.count("\n") == 1, run
+            assert "--bins" in captured.err, run
+
     def test_duplicate_metric_name_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("A\tA\tB\n1\t2\t3\n2\t1\t5\n", encoding="utf-8")

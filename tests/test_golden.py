@@ -6,8 +6,9 @@ golden corpus, and ``bench/golden/digests.json`` holds the sha256 of each
 benchmark workload's output per corpus seed. Every benchmark run checks
 its output against them byte for byte, so a last-bit float drift in any
 scorer fails here first. The golden file is also checked on every other
-Python 3.10-3.13 interpreter found on this host. The benchmark's files
-are only read.
+Python 3.10-3.13 interpreter found on this host, as is a corpus written
+here whose sentences differ in length from their references. The
+benchmark's files are only read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import glob
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -108,6 +110,80 @@ def test_golden_file_on_every_other_interpreter(run_bench, tmp_path):
     for k, exe in enumerate(interpreters):
         out = f"out{k}.json"
         argv = [exe, "-B", "-m", "mteval", *run_bench.GOLDEN_WORKLOAD.argv(out)]
+        child = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert child.returncode == 0, (exe, child.stderr)
+        assert (tmp_path / out).read_bytes() == expected, exe
+
+
+# Every hypothesis of the golden corpus has its references' length, so it
+# leaves the length terms at their neutral values: NIST's ``y * y`` factor,
+# BLEU's brevity penalty, EBLEU's length score and LEPOR's length penalty.
+UNEQUAL_VOCAB = "the a cat dog sat ran on far mat home big old".split()
+UNEQUAL_ARGV = [
+    "score", "--hyp", "hyp.txt", "--ref", "ref0.txt", "--ref", "ref1.txt",
+    "--lexicon", "lexicon.txt", "--format", "json", "--per-sentence",
+    *(flag for metric in ("ebleu", "bleu", "nist", "ter", "meteor", "lepor", "ribes")
+      for flag in ("--metric", metric)),
+]
+
+
+def write_unequal_length_corpus(work: Path) -> None:
+    """Write 60 pairs into ``work`` for ``UNEQUAL_ARGV``: short, long and
+    empty hypotheses, each with two references of other lengths, which in
+    every fourth pair are equally close to the hypothesis length; and a
+    two-line lexicon."""
+    rng = random.Random(23)
+
+    def reference(hyp: list[str], length: int) -> str:
+        kept = [w if rng.random() < 0.7 else rng.choice(UNEQUAL_VOCAB) for w in hyp]
+        extra = [rng.choice(UNEQUAL_VOCAB) for _ in range(length - len(hyp))]
+        return " ".join((kept + extra)[:length])
+
+    lines: list[list[str]] = [[], [], []]
+    for i in range(60):
+        h = 0 if i == 0 else rng.choice((rng.randint(2, 4), rng.randint(12, 30)))
+        hyp = [rng.choice(UNEQUAL_VOCAB) for _ in range(h)]
+        if i % 4 == 1:
+            d = rng.randint(1, h - 1)
+            lengths = [h - d, h + d]
+        else:
+            lengths = [max(1, h + rng.randint(-2, 6)), h + rng.randint(3, 12)]
+        rng.shuffle(lengths)
+        texts = [" ".join(hyp)] + [reference(hyp, n) for n in lengths]
+        for column, text in zip(lines, texts):
+            column.append(text)
+    for name, column in zip(("hyp.txt", "ref0.txt", "ref1.txt"), lines):
+        (work / name).write_text("\n".join(column) + "\n", encoding="utf-8")
+    (work / "lexicon.txt").write_text("cat, dog\nsat, ran, on\n", encoding="utf-8")
+
+
+def score_unequal_lengths(work: Path, monkeypatch) -> bytes:
+    monkeypatch.chdir(work)
+    assert main([*UNEQUAL_ARGV, "--out", "out.json"]) == 0
+    return (work / "out.json").read_bytes()
+
+
+def test_unequal_lengths_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    write_unequal_length_corpus(tmp_path)
+    expected = score_unequal_lengths(tmp_path, monkeypatch)
+    metrics = json.loads(expected)["metrics"]
+    assert metrics["bleu"]["details"]["brevity_penalty"] < 1.0
+    assert metrics["ebleu"]["details"]["length_score"] < 0.0
+    for module in (refmetrics, ebleu, bleu, corpus, ngram):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert score_unequal_lengths(tmp_path, monkeypatch) == expected
+
+
+def test_unequal_lengths_on_every_other_interpreter(tmp_path, monkeypatch):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python 3.10-3.13 interpreter found")
+    write_unequal_length_corpus(tmp_path)
+    expected = score_unequal_lengths(tmp_path, monkeypatch)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for k, exe in enumerate(interpreters):
+        out = f"out{k}.json"
+        argv = [exe, "-B", "-m", "mteval", *UNEQUAL_ARGV, "--out", out]
         child = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
         assert child.returncode == 0, (exe, child.stderr)
         assert (tmp_path / out).read_bytes() == expected, exe

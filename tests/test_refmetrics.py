@@ -161,6 +161,31 @@ class TestNist:
         run += [("a b c d", 3), ("c b c", 3)]
         assert slices == run * 2
 
+    def test_per_sentence_scores_window_each_sentence_once(self, monkeypatch):
+        # One table per reference both clips a pair and weighs it, so a run
+        # with per-sentence scores builds the windows of a corpus-only run.
+        slices = []
+        original = ngram.order_windows
+
+        def recording(tokens, max_order):
+            orders = original(tokens, max_order)
+            slices.append((" ".join(tokens), len(orders)))
+            return orders
+
+        monkeypatch.setattr(ngram, "order_windows", recording)
+        corpus = corpus_of(("a b c", "a b c d", "b c a"), ("b c", "c b c", "b"))
+        sink = []
+        nist_score(corpus, per_sentence=sink)
+        # Each hypothesis and its references up to the hypothesis length,
+        # then every reference pooled up to the longest match.
+        run = [("a b c", 3), ("a b c d", 3), ("b c a", 3)]
+        run += [("b c", 2), ("c b c", 2), ("b", 1)]
+        run += [("a b c d", 3), ("b c a", 3), ("c b c", 3), ("b", 1)]
+        assert slices == run and len(sink) == 2
+        slices.clear()
+        nist_score(corpus)
+        assert slices == run
+
     def test_no_ngram_spans_two_references(self):
         # References end in "a" where the next begins with "b", within a
         # pair and across pairs, and every hypothesis holds "a b": the
@@ -200,6 +225,9 @@ class TestNist:
     )
     # "a b" occurs twice in one reference and once in the other.
     @example(corpus_of(("a b a b", "a b a b a", "b a b"), ("a", "b", "a")), 3)
+    # "a" occurs once, twice and three times in the three references, so
+    # its sum, its maximum and its first reference's count all differ.
+    @example(corpus_of(("a b", "a b", "a a b", "a a a b"), ("b a", "b", "a", "b a")), 2)
     def test_per_sentence_equals_one_pair_oracle(self, corpus, max_order):
         # Two-word vocabularies repeat matched n-grams within and across
         # references, so a pair's summed counts differ from its clipping

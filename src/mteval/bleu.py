@@ -7,6 +7,8 @@ for corpus scoring: each pair gives its statistics as the columns of
 formula scores the totals. The score is ``bp * exp(sum_n w_n *
 log(p_n))`` and collapses to zero when any pooled precision is zero and
 no smoothing is enabled.
+A pair's clipped matches are NIST's (Doddington 2002) summed per order,
+so ``bleu_score`` can read them from ``refmetrics.nist_score``'s pass.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
-from .ngram import check_order, clipped_counts, max_ref_counts, window_total
-# bench/traced.py times BLEU's n-gram counting through this module-global name.
+from .ngram import check_order, clipped_counts, matches_per_order, max_ref_counts
+from .ngram import window_total
+# bench/traced.py times hypothesis n-gram counting, BLEU's and NIST's, through
+# this module-global name.
 from .ngram import window_counts as extract_ngrams
 from .records import checked
 
@@ -89,19 +93,22 @@ def effective_reference_length(hyp_length: int, ref_lengths: Sequence[int]) -> i
     return min(ref_lengths, key=lambda rl: (abs(rl - hyp_length), rl))
 
 
-def _pair_order_stats(pair: EvalPair, max_order: int) -> list[tuple[int, int]]:
+def _pair_order_stats(
+    pair: EvalPair, max_order: int, matched: Sequence[int] | None = None
+) -> list[tuple[int, int]]:
     """(clipped matches, hypothesis total) per order 1..max_order for one pair.
 
-    The reference tables count only the hypothesis n-grams (``keep``), so
-    they stop at the hypothesis length.
+    The matches are read from ``matched`` when it is given. The reference
+    tables count only the hypothesis n-grams (``keep``), so they stop at
+    the hypothesis length.
     """
-    hyp = extract_ngrams(pair.hypothesis, max_order)
-    best = max_ref_counts(pair.references, min(max_order, len(pair.hypothesis)), hyp)
-    matched = [0] * max_order
-    for gram, m in clipped_counts(hyp, best):
-        matched[len(gram) - 1] += m
+    if matched is None:
+        hyp = extract_ngrams(pair.hypothesis, max_order)
+        top = min(max_order, len(pair.hypothesis))
+        best = max_ref_counts(pair.references, top, hyp)
+        matched = matches_per_order(clipped_counts(hyp, best), max_order)
     c = len(pair.hypothesis)
-    return [(m, window_total(c, n)) for n, m in enumerate(matched, start=1)]
+    return [(matched[n - 1], window_total(c, n)) for n in range(1, max_order + 1)]
 
 
 def modified_precision(pair: EvalPair, n: int) -> float:
@@ -128,6 +135,7 @@ def bleu_score(
     cfg: BleuConfig = BleuConfig(),
     *,
     per_sentence: list[float] | None = None,
+    matched_per_order: Sequence[Sequence[int]] | None = None,
 ) -> MetricScore:
     """Corpus BLEU with pooled per-order statistics.
 
@@ -136,12 +144,23 @@ def bleu_score(
     corpus. Given a ``per_sentence`` list, each pair's score, the formula
     applied to that pair's columns alone (see ``order_columns``), is
     appended to it from the same pass.
+
+    Given ``matched_per_order``, as ``refmetrics.nist_score`` fills it,
+    each pair's clipped matches are the first ``cfg.max_order`` of its
+    entry, the same as counting them, and no n-gram is counted. Raises
+    ``ValueError`` unless it has one entry per pair, each that long.
     """
     weights = cfg.resolved_weights()
     n = cfg.max_order
+    if matched_per_order is not None and (
+        len(matched_per_order) != len(corpus)
+        or any(len(matched) < n for matched in matched_per_order)
+    ):
+        raise ValueError(f"need matches of {n} orders for each of {len(corpus)} pairs")
+    entries = iter(matched_per_order or ())  # reduce_pairs runs in corpus order
 
     def pair_stats(pair):
-        return order_columns(pair, _pair_order_stats(pair, n))
+        return order_columns(pair, _pair_order_stats(pair, n, next(entries, None)))
 
     def score(columns):
         matched, totals = columns[:n], columns[n : 2 * n]

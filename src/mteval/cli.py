@@ -9,7 +9,9 @@ and ``report`` concatenates score tables into one table for
 holds the tsv scale, whether the metric needs the synonym lexicon, and
 how to run it; its column label is its name in capitals. Each metric
 runs once per ``score`` invocation; with ``--per-sentence`` its
-per-sentence scores come from that same corpus pass.
+per-sentence scores come from that same corpus pass. Metrics run in the
+table's order, NIST before BLEU, whose matches NIST's pass gives; the
+output keeps ``--metric`` order.
 
 Exit codes: 0 success, 1 data error, 2 usage error. Output is fully
 deterministic; identical inputs produce byte-identical output. In tsv
@@ -69,43 +71,54 @@ def _json_score(value: float) -> float | None:
 class Metric(NamedTuple):
     """How ``score`` runs one metric and shows its result.
 
-    ``run(corpus, lexicon, cfg, per_sentence)`` takes the run's one
-    validated ``EbleuConfig``, which holds every scorer option, and
+    ``run(corpus, lexicon, cfg, per_sentence, matched)`` takes the run's
+    one validated ``EbleuConfig``, which holds every scorer option, and
     returns ``(score, details or None)``, a ``MetricScore`` where the
     scorer gives one. It hands ``per_sentence`` to the scorer, which,
     given a list, appends each pair's score to it, in corpus order, from
-    the same corpus pass. It calls its scorer once, by this module's
-    global name, so the scorer is looked up when the metric runs, not
-    when the table is built.
+    the same corpus pass. NIST fills the run's one ``matched`` list with
+    each pair's clipped matches per order, and BLEU reads them from it up
+    to NIST's order 5. It calls its scorer once, by this module's global
+    name, so the scorer is looked up when the metric runs, not when the
+    table is built.
     """
 
     scale: int  # tsv cells show the score times this
     needs_lexicon: bool
     run: Callable[
-        [ParallelCorpus, SynonymLexicon, EbleuConfig, list[float] | None],
+        [ParallelCorpus, SynonymLexicon, EbleuConfig, list[float] | None, list],
         tuple[float, dict | None],
     ]
 
 
-# NIST is unbounded and reported on its own scale; everything else is a
-# [0, 1] style score shown as a percentage.
+# Metrics run in this order. NIST is unbounded and reported on its own
+# scale; everything else is a [0, 1] style score shown as a percentage.
 METRICS = {
     "ebleu": Metric(
-        100, True, lambda c, lex, cfg, s: ebleu_score(c, lex, cfg, per_sentence=s)
+        100, True, lambda c, lex, cfg, s, m: ebleu_score(c, lex, cfg, per_sentence=s)
+    ),
+    "nist": Metric(
+        1, False, lambda c, lex, cfg, s, m: (
+            nist_score(c, per_sentence=s, matched_per_order=m), None
+        )
     ),
     "bleu": Metric(
-        100, False, lambda c, _, cfg, s: bleu_score(c, cfg.bleu_config(), per_sentence=s)
+        100, False, lambda c, lex, cfg, s, m: bleu_score(
+            c, cfg.bleu_config(), per_sentence=s,
+            matched_per_order=m if m and cfg.max_order <= len(m[0]) else None,
+        )
     ),
-    "nist": Metric(1, False, lambda c, _, __, s: (nist_score(c, per_sentence=s), None)),
-    "ter": Metric(100, False, lambda c, _, __, s: (ter_score(c, per_sentence=s), None)),
+    "ter": Metric(
+        100, False, lambda c, lex, cfg, s, m: (ter_score(c, per_sentence=s), None)
+    ),
     "meteor": Metric(
-        100, True, lambda c, lex, _, s: meteor_score(c, lex, per_sentence=s)
+        100, True, lambda c, lex, cfg, s, m: meteor_score(c, lex, per_sentence=s)
     ),
     "lepor": Metric(
-        100, False, lambda c, _, __, s: (lepor_score(c, per_sentence=s), None)
+        100, False, lambda c, lex, cfg, s, m: (lepor_score(c, per_sentence=s), None)
     ),
     "ribes": Metric(
-        100, False, lambda c, _, __, s: (ribes_score(c, per_sentence=s), None)
+        100, False, lambda c, lex, cfg, s, m: (ribes_score(c, per_sentence=s), None)
     ),
 }
 
@@ -153,11 +166,13 @@ def cmd_score(args: argparse.Namespace) -> int:
         if args.lexicon
         else SynonymLexicon.empty()
     )
+    matched: list[list[int]] = []
     results = {}
-    for name in metrics:
+    for name in sorted(metrics, key=list(METRICS).index):
         per_sentence = [] if args.per_sentence else None
-        score, details = METRICS[name].run(corpus, lexicon, cfg, per_sentence)
+        score, details = METRICS[name].run(corpus, lexicon, cfg, per_sentence, matched)
         results[name] = score, per_sentence, details
+    results = {name: results[name] for name in metrics}
     stats = {
         "pairs": len(corpus),
         "ref_count": corpus.ref_count,

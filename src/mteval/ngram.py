@@ -16,7 +16,8 @@ pair on its own by the same tables, summed over its matched n-grams.
 ``pooled_counts`` counts n-grams over many sentences pooled, from each
 sentence's windows.
 ``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
-BLEU's and NIST's matches and ``bleu.modified_precision``. EBLEU caps
+BLEU's and NIST's matches and ``bleu.modified_precision``, and
+``matches_per_order`` sums a pair's matches per order for BLEU. EBLEU caps
 its weighted windows at ``max_ref_counts`` by a rule of its own,
 dropping the lowest weights first. All functions are pure and safe for
 per-sentence data parallelism.
@@ -133,3 +134,13 @@ def clipped_counts(hyp_counts: Counter, best: Counter) -> list[tuple[NGram, int]
         for gram, count in hyp_counts.items()
         if (cap := get(gram))
     ]
+
+
+def matches_per_order(
+    matches: Iterable[tuple[NGram, int]], max_order: int
+) -> list[int]:
+    """The clipped counts of ``matches`` summed per order 1..``max_order``."""
+    matched = [0] * max_order
+    for gram, m in matches:
+        matched[len(gram) - 1] += m
+    return matched

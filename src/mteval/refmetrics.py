@@ -10,7 +10,8 @@ METEOR returns a ``MetricScore``, the others a bare score. Only given a
 from the same pass: the formula applied to that pair's columns alone.
 TER, METEOR, LEPOR and RIBES leave that to ``reduce_pairs``; NIST scores
 each pair inside its ``pair_stats``, weighing it by the reference tables
-that clip it, summed over its matched n-grams.
+that clip it, summed over its matched n-grams, and can hand BLEU its
+clipped matches per order (``matched_per_order``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from bisect import bisect_left
 from typing import Mapping, NamedTuple, Sequence
 
+from . import bleu
 from .bleu import MetricScore, brevity_penalty, effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import (
@@ -26,6 +28,7 @@ from .ngram import (
     _merge_max,
     check_order,
     clipped_counts,
+    matches_per_order,
     pooled_counts,
     window_counts,
     window_total,
@@ -79,6 +82,7 @@ def nist_score(
     max_order: int = 5,
     *,
     per_sentence: list[float] | None = None,
+    matched_per_order: list[list[int]] | None = None,
 ) -> float:
     """Information-weighted n-gram co-occurrence score.
 
@@ -112,19 +116,25 @@ def nist_score(
     prefix is matched too, so the sums hold every count the weights divide
     by.
 
+    Given a ``matched_per_order`` list, each pair's matches summed per
+    order 1..``max_order``, BLEU's clipped matches, are appended to it.
+    The hypothesis is counted through ``bleu.extract_ngrams``.
+
     Raises ``ValueError`` when ``max_order`` is outside 1..``ngram.MAX_ORDER``.
     """
     check_order(max_order)
 
     def pair_stats(pair):
         c = len(pair.hypothesis)
-        hyp = window_counts(pair.hypothesis, max_order)
+        hyp = bleu.extract_ngrams(pair.hypothesis, max_order)
         top = min(max_order, c)
         totals = [window_total(c, n) for n in range(1, max_order + 1)]
         avg_ref_len = _average_length(pair.references)
         first, *rest = [window_counts(ref, top, hyp) for ref in pair.references]
         best = _merge_max(first.copy(), rest) if rest else first
         matches = clipped_counts(hyp, best)
+        if matched_per_order is not None:
+            matched_per_order.append(matches_per_order(matches, max_order))
         if per_sentence is not None:
             # The tables hold the matched n-grams alone, so this sums over them.
             summed = dict(first)
@@ -295,7 +305,7 @@ def _best_shift(
     return best
 
 
-def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
+def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) -> int:
     """Greedy best-first phrase shifts (one edit each) plus edit distance.
 
     A candidate moves a phrase current[i:i+L] equal to ref[j:j+L] to
@@ -323,6 +333,9 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     steps are exact, and a candidate that repeats an earlier sequence has
     that sequence's gain and so never wins; the chosen shifts are those
     of building and scoring every distinct candidate in full.
+    The result is at least ``edits + floor``, so once that reaches
+    ``cutoff`` the search returns it: not the count, but no smaller than
+    ``cutoff``, for a caller that keeps the smaller of the two.
     """
     ref_len = len(ref)
     if ref_len == 0:
@@ -333,6 +346,8 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq) -> int:
     current: tuple[str, ...] = tuple(hyp)
     edits = 0
     while True:
+        if edits + floor >= cutoff:
+            return edits + floor
         columns = [bits.start]
         distance = _advance(current, bits, bits.start, columns)
         if distance <= floor + 1:
@@ -362,9 +377,10 @@ def ter_score(
     size of its move bounds its gain to no more than the best so far,
     and the search ends when the distance is at most one above the bag
     distance of the two word multisets, which no shift can go below:
-    from there a shift would save no more than the edit it costs. All of
-    it is exact: scores equal those of scoring every candidate sequence in
-    full with the textbook O(n*m) dynamic program.
+    from there a shift would save no more than the edit it costs, and
+    once its edits plus that distance reach the pair's best count so far.
+    All of it is exact: scores equal those of scoring every candidate
+    sequence in full with the textbook O(n*m) dynamic program.
 
     The corpus score is the summed edits over the summed average
     reference lengths: 0 for no edits against a zero length, ``inf``
@@ -373,9 +389,9 @@ def ter_score(
     """
 
     def pair_stats(pair):
-        edits = min(
-            _shifted_edit_count(pair.hypothesis, ref) for ref in pair.references
-        )
+        edits = math.inf
+        for ref in pair.references:
+            edits = min(edits, _shifted_edit_count(pair.hypothesis, ref, edits))
         return edits, _average_length(pair.references)
 
     def score(columns):

@@ -5,8 +5,9 @@
 BLEU's ``extract_ngrams``) with timing wrappers, so removing or renaming
 any of them fails that run. This runs it on a tiny corpus with all
 seven metrics, checks the counters it records (pairs, tokens, lexicon
-words, rare words, substitutions) against the corpus text, and reads
-only ``bench/``.
+words, rare words, substitutions) against the corpus text, checks that
+each hypothesis's n-grams are counted once (one ``ngram.extract`` span
+per pair), and reads only ``bench/``.
 """
 
 import ast
@@ -65,6 +66,9 @@ def test_traced_run_records_every_hook(tmp_path):
         "ngram.extract",
     }
     assert expected <= spans, sorted(expected - spans)
+    # Each hypothesis is counted once, though BLEU and NIST both clip it.
+    extracts = [name for name, *_ in data["spans"] if name == "ngram.extract"]
+    assert len(extracts) == len(HYP.splitlines())
     # The counters, computed here from the text: EBLEU's default rare-word
     # share is 10% of the distinct reference words, and its one synonym
     # substitution is "exam" -> "quiz".

@@ -12,6 +12,7 @@ from mteval import (
     bleu_score,
     brevity_penalty,
     effective_reference_length,
+    nist_score,
 )
 from mteval import bleu
 from mteval.errors import EmptyCorpusError
@@ -141,6 +142,59 @@ class TestBleuScore:
         assert len(calls) == 1
         bleu_score(corpus, per_sentence=[])
         assert len(calls) == 1 + len(corpus) + 1
+
+
+class TestNistMatches:
+    """BLEU's clipped matches read from a list NIST filled."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        small_corpora(),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.1]),
+        st.booleans(),
+    )
+    def test_scores_equal_counting_them(self, corpus, max_order, epsilon, sentences):
+        # bit for bit, in score, details and per-sentence scores
+        cfg = BleuConfig(max_order=max_order, smoothing_epsilon=epsilon)
+        matched = []
+        nist_score(corpus, 5, matched_per_order=matched)
+        assert len(matched) == len(corpus)
+        counted_sink = [] if sentences else None
+        read_sink = [] if sentences else None
+        counted = bleu_score(corpus, cfg, per_sentence=counted_sink)
+        read = bleu_score(corpus, cfg, per_sentence=read_sink, matched_per_order=matched)
+        assert read.corpus_score == counted.corpus_score
+        assert read.details == counted.details
+        assert read_sink == counted_sink
+
+    def test_reads_the_entries_and_counts_no_ngram(self, monkeypatch):
+        corpus = corpus_of(("a b c", "a b c"), ("a b", "b a"))
+        matched = [[3, 2, 1, 0, 0], [2, 0, 0, 0, 0]]
+
+        def fail(*args):
+            raise AssertionError("counted an n-gram table")
+
+        monkeypatch.setattr(bleu, "extract_ngrams", fail)
+        monkeypatch.setattr(bleu, "max_ref_counts", fail)
+        score = bleu_score(corpus, BleuConfig(max_order=2), matched_per_order=matched)
+        assert score.details["matched"] == [5, 2]
+        assert score.details["totals"] == [5, 3]
+
+    @pytest.mark.parametrize(
+        "matched",
+        [
+            [],
+            [[1, 1, 0, 0, 0]],
+            [[1, 1, 0, 0, 0]] * 3,
+            [[1, 1, 0, 0, 0], [1, 1, 0]],
+            [[1, 1, 0], [1, 1, 0]],
+        ],
+    )
+    def test_wrong_length_or_short_entry_is_rejected(self, matched):
+        corpus = corpus_of(("a b c", "a b c"), ("a b", "b a"))
+        with pytest.raises(ValueError):
+            bleu_score(corpus, BleuConfig(max_order=4), matched_per_order=matched)
 
 
 class TestEdgeLines:

@@ -520,6 +520,83 @@ class TestScoreCommand:
         assert err.startswith(f"error: {hyp}: ") and err.count("\n") == 1
 
 
+# Hypotheses unlike their references, an empty one, and references of
+# other lengths, so BLEU and NIST both clip, and differ from order to order.
+BLEU_NIST_HYP = "a b c a b c d\nb a d c\n\nd d c b a b c a d\n"
+BLEU_NIST_REFS = (
+    "a b c d a b c\nb a d c e\na b\nd c b a b c a\n",
+    "c a b c a b d\nb a d\nb\nd d c b a b c a d a\n",
+)
+
+
+@pytest.fixture
+def bleu_nist_files(tmp_path):
+    hyp = tmp_path / "bn_hyp.txt"
+    hyp.write_text(BLEU_NIST_HYP, encoding="utf-8")
+    refs = []
+    for k, text in enumerate(BLEU_NIST_REFS):
+        refs.append(tmp_path / f"bn_ref{k}.txt")
+        refs[-1].write_text(text, encoding="utf-8")
+    return ["--hyp", str(hyp), *(arg for ref in refs for arg in ("--ref", str(ref)))]
+
+
+class TestBleuReadsNistMatches:
+    """With NIST selected, BLEU takes its clipped matches from NIST's pass."""
+
+    @pytest.mark.parametrize("per_sentence", [False, True])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("max_ngram", range(1, 7))
+    def test_both_equal_single_metric_runs_in_their_own_order(
+        self, capsys, bleu_nist_files, max_ngram, fmt, per_sentence
+    ):
+        options = [*bleu_nist_files, "--max-ngram", str(max_ngram), "--format", fmt]
+        options += ["--per-sentence"] if per_sentence else []
+
+        def run(*metrics):
+            code, out = run_cli(
+                capsys, "score", *(a for m in metrics for a in ("--metric", m)), *options
+            )
+            assert code == 0
+            if fmt == "json":
+                payload = strict_json(out)
+                return list(payload["metrics"]), payload["metrics"]
+            rows = [ln.split("\t") for ln in out.splitlines() if not ln.startswith("#")]
+            header, *rows = rows
+            return header, {m: [row[header.index(m.upper())] for row in rows] for m in metrics}
+
+        single = {m: run(m)[1][m] for m in ("bleu", "nist")}
+        for metrics in (("bleu", "nist"), ("nist", "bleu")):
+            names, values = run(*metrics)
+            assert names == [m if fmt == "json" else m.upper() for m in metrics]
+            assert values == single
+
+    @pytest.mark.parametrize("max_ngram, tables", [(4, 1), (5, 1), (6, 2)])
+    def test_one_hypothesis_table_per_pair(
+        self, monkeypatch, tmp_path, bleu_nist_files, max_ngram, tables
+    ):
+        from mteval import bleu, ebleu, ngram, refmetrics
+
+        counted = []
+        original = ngram.window_counts
+
+        def counting(tokens, *args):
+            counted.append(" ".join(tokens))
+            return original(tokens, *args)
+
+        for module in (ngram, bleu, ebleu, refmetrics):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        code = main(
+            ["score", "--metric", "bleu", "--metric", "nist", *bleu_nist_files,
+             "--max-ngram", str(max_ngram), "--out", str(tmp_path / "out.tsv")]
+        )
+        assert code == 0
+        hypotheses = BLEU_NIST_HYP.splitlines()
+        # NIST counts every hypothesis, BLEU only past NIST's order 5.
+        assert [h for h in counted if h in hypotheses] == hypotheses * tables
+
+
 class TestCorrelateCommand:
     def test_fixture_pearson_entry(self, capsys, pl_en_table_path):
         code, out = run_cli(

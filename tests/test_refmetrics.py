@@ -287,6 +287,45 @@ class TestTer:
         assert ter_score(corpus_of((LONG_LINE, LONG_LINE))) == 0.0
         assert ter_score(corpus_of((LONG_MOVED_LINE, LONG_LINE))) == 1 / 2000
 
+    def test_reference_at_the_cutoff_is_not_searched(self):
+        # The first reference is 1 edit away; the second's bag distance
+        # is 2, so its search stops before its first edit-distance column.
+        ref1, ref2 = ("a", "b", "c", "x"), ("b", "a", "y", "z")
+        searched = []
+        original = refmetrics._advance
+
+        def recording(seq, bits, *rest):
+            searched.append(bits)
+            return original(seq, bits, *rest)
+
+        with mock.patch.object(refmetrics, "_advance", recording):
+            assert ter_score(corpus_of(("a b c d", "a b c x", "b a y z"))) == 1 / 4
+        assert searched and all(bits == _reference_bits(ref1) for bits in searched)
+        assert _bag_distance(("a", "b", "c", "d"), _positions(ref2), 4) == 2
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=8),
+        st.lists(st.sampled_from("abc"), max_size=8),
+        st.integers(0, 9),
+    )
+    def test_cut_off_search_keeps_the_minimum(self, hyp, ref, cutoff):
+        # A search stopped at the cutoff returns no less than it, so the
+        # smaller of the two is the full search's, capped at the cutoff.
+        full = _shifted_edit_count(tuple(hyp), tuple(ref))
+        cut = _shifted_edit_count(tuple(hyp), tuple(ref), cutoff)
+        assert min(cutoff, cut) == min(cutoff, full)
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_corpora())
+    def test_multi_reference_edits_are_the_minimum_of_full_searches(self, corpus):
+        sink = []
+        ter_score(corpus, per_sentence=sink)
+        for pair, value in zip(corpus.pairs, sink):
+            edits = min(_shifted_edit_count(pair.hypothesis, r) for r in pair.references)
+            avg = sum(map(len, pair.references)) / len(pair.references)
+            assert value == (edits / avg if avg else (0.0 if edits == 0 else math.inf))
+
     @settings(deadline=None, max_examples=150)
     @given(
         st.lists(st.sampled_from("abcd"), max_size=6),

@@ -93,22 +93,16 @@ def effective_reference_length(hyp_length: int, ref_lengths: Sequence[int]) -> i
     return min(ref_lengths, key=lambda rl: (abs(rl - hyp_length), rl))
 
 
-def _pair_order_stats(
-    pair: EvalPair, max_order: int, matched: Sequence[int] | None = None
-) -> list[tuple[int, int]]:
-    """(clipped matches, hypothesis total) per order 1..max_order for one pair.
+def _clipped_matches(pair: EvalPair, max_order: int) -> list[int]:
+    """The clipped matches per order 1..max_order of one pair.
 
-    The matches are read from ``matched`` when it is given. The reference
-    tables count only the hypothesis n-grams (``keep``), so they stop at
-    the hypothesis length.
+    The reference tables count only the hypothesis n-grams (``keep``), so
+    they stop at the hypothesis length.
     """
-    if matched is None:
-        hyp = extract_ngrams(pair.hypothesis, max_order)
-        top = min(max_order, len(pair.hypothesis))
-        best = max_ref_counts(pair.references, top, hyp)
-        matched = matches_per_order(clipped_counts(hyp, best), max_order)
-    c = len(pair.hypothesis)
-    return [(matched[n - 1], window_total(c, n)) for n in range(1, max_order + 1)]
+    hyp = extract_ngrams(pair.hypothesis, max_order)
+    top = min(max_order, len(pair.hypothesis))
+    best = max_ref_counts(pair.references, top, hyp)
+    return matches_per_order(clipped_counts(hyp, best), max_order)
 
 
 def modified_precision(pair: EvalPair, n: int) -> float:
@@ -117,17 +111,19 @@ def modified_precision(pair: EvalPair, n: int) -> float:
     Zero when the hypothesis has no n-grams of that order.
     """
     check_order(n, "n-gram order")
-    matched, total = _pair_order_stats(pair, n)[-1]
-    return matched / total if total else 0.0
+    total = window_total(len(pair.hypothesis), n)
+    return _clipped_matches(pair, n)[-1] / total if total else 0.0
 
 
-def order_columns(pair: EvalPair, orders: Sequence[tuple]) -> list:
+def order_columns(pair: EvalPair, matched: Sequence[float]) -> list:
     """The columns ``m_1..m_N, t_1..t_N, c, r`` of a pair's BLEU-style
-    statistics, from its per-order ``(matched, total)``: ``c`` is the
-    hypothesis length and ``r`` its effective reference length."""
+    statistics, from its per-order ``matched``: ``t_n`` is the number of
+    order-``n`` hypothesis windows, ``c`` the hypothesis length and ``r``
+    its effective reference length."""
     c = len(pair.hypothesis)
     r = effective_reference_length(c, [len(ref) for ref in pair.references])
-    return [m for m, _ in orders] + [t for _, t in orders] + [c, r]
+    totals = [window_total(c, n) for n in range(1, len(matched) + 1)]
+    return [*matched, *totals, c, r]
 
 
 def bleu_score(
@@ -141,9 +137,9 @@ def bleu_score(
 
     The effective reference length of each pair is the reference length
     closest to its hypothesis length (ties to shorter), summed over the
-    corpus. Given a ``per_sentence`` list, each pair's score, the formula
-    applied to that pair's columns alone (see ``order_columns``), is
-    appended to it from the same pass.
+    corpus. A pair's columns are ``order_columns`` of its clipped matches.
+    Given a ``per_sentence`` list, each pair's score, the formula applied
+    to that pair's columns alone, is appended to it from the same pass.
 
     Given ``matched_per_order``, as ``refmetrics.nist_score`` fills it,
     each pair's clipped matches are the first ``cfg.max_order`` of its
@@ -152,15 +148,17 @@ def bleu_score(
     """
     weights = cfg.resolved_weights()
     n = cfg.max_order
-    if matched_per_order is not None and (
-        len(matched_per_order) != len(corpus)
-        or any(len(matched) < n for matched in matched_per_order)
+    if matched_per_order is None:
+        matches = (_clipped_matches(pair, n) for pair in corpus.pairs)
+    elif len(matched_per_order) != len(corpus) or any(
+        len(matched) < n for matched in matched_per_order
     ):
         raise ValueError(f"need matches of {n} orders for each of {len(corpus)} pairs")
-    entries = iter(matched_per_order or ())  # reduce_pairs runs in corpus order
+    else:
+        matches = (matched[:n] for matched in matched_per_order)
 
-    def pair_stats(pair):
-        return order_columns(pair, _pair_order_stats(pair, n, next(entries, None)))
+    def pair_stats(pair):  # reduce_pairs runs in corpus order
+        return order_columns(pair, next(matches))
 
     def score(columns):
         matched, totals = columns[:n], columns[n : 2 * n]

@@ -37,7 +37,7 @@ from .corpus import (
     reduce_pairs,
 )
 from .errors import OrderMismatchError
-from .ngram import _merge_max, max_ref_counts, order_windows
+from .ngram import _merge_max, max_ref_counts, order_windows, window_total
 from .records import checked
 
 
@@ -110,8 +110,8 @@ def _pair_order_stats(
     max_order: int,
     rare: RareWordSet,
     cfg: EbleuConfig,
-) -> list[tuple[float, int]]:
-    """(weighted clipped matches, hypothesis n-gram total) per order 1..max_order.
+) -> list[float]:
+    """The weighted clipped matches per order 1..max_order of one pair.
 
     Each window of the modified hypothesis carries a weight: the synonym
     discount once per substituted position inside it, and the rare-word
@@ -123,7 +123,7 @@ def _pair_order_stats(
     instances of an n-gram may score at the pair's ``max_ref_counts``,
     dropping the lowest weights first. The reference tables count only
     the hypothesis's windows, and orders past the hypothesis length have
-    no windows and score ``(0.0, 0)`` without work.
+    no windows and score ``0.0`` without work.
     """
     hyp = trace.modified_hypothesis
     grams = [list(order) for order in order_windows(hyp, max_order)]
@@ -153,8 +153,8 @@ def _pair_order_stats(
             for weight in weights[:cap]:
                 kept += weight
             matched += kept
-        stats.append((matched, len(order)))
-    return stats + [(0.0, 0)] * (max_order - len(grams))
+        stats.append(matched)
+    return stats + [0.0] * (max_order - len(grams))
 
 
 def _clamped_precision(matched: float, total: int) -> float:
@@ -172,7 +172,8 @@ def ebleu_order_score(
     """Weighted modified precision for one order, clamped to [0, 1]."""
     if n < 1 or n > cfg.max_order:
         raise OrderMismatchError(f"order {n} outside 1..{cfg.max_order}")
-    return _clamped_precision(*_pair_order_stats(trace, pair.references, n, rare, cfg)[-1])
+    matched = _pair_order_stats(trace, pair.references, n, rare, cfg)[-1]
+    return _clamped_precision(matched, window_total(len(trace.modified_hypothesis), n))
 
 
 def ebleu_length_score(ref_length: float, hyp_length: int) -> float:
@@ -232,9 +233,8 @@ def ebleu_score(
 
     def pair_stats(pair):
         trace = synonym_substitute(pair, lexicon)
-        return order_columns(
-            pair, _pair_order_stats(trace, pair.references, n, rare_words, cfg)
-        )
+        matched = _pair_order_stats(trace, pair.references, n, rare_words, cfg)
+        return order_columns(pair, matched)
 
     def score(columns):
         matched, totals = columns[:n], columns[n : 2 * n]

@@ -257,15 +257,12 @@ def _best_shift(
     positions: dict[str, list[int]],
     bits: _ReferenceBits,
     columns: list[tuple[int, int, int]],
-    limit: int,
 ) -> tuple[int, int, int] | None:
     """The first candidate shift ``(i, length, pos)`` of ``current`` with
     the largest gain, or None when no candidate lowers the distance.
 
     ``columns`` holds the column state before each token of ``current``
-    and then after its last, so the distance is ``columns[-1][2]``. No
-    gain can exceed ``limit``, so the scan stops at the first candidate
-    that reaches it: any later one could at most tie, and ties lose.
+    and then after its last, so the distance is ``columns[-1][2]``.
     """
     ref_len = len(ref)
     distance = columns[-1][2]
@@ -300,8 +297,6 @@ def _best_shift(
                 gain = distance - _advance(window + current[q:], bits, columns[p])
                 if gain > best_gain:
                     best_gain, best = gain, (i, length, pos)
-                    if gain == limit:
-                        return best
     return best
 
 
@@ -326,9 +321,8 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) 
     one whose window equals ``current[p:q]`` (a move inside a run of
     repeated words, which leaves ``current`` as it is). A shift keeps the
     multiset of words, so no candidate is closer to ``ref`` than the bag
-    distance: a scan stops at the first candidate that reaches it
-    (``_best_shift``), and the search stops once the distance is at most
-    one above it. There a shift gains at most 1 and costs 1 edit, so
+    distance, and the search stops once the distance is at most one
+    above it. There a shift gains at most 1 and costs 1 edit, so
     ``edits + distance`` is the same whether it is taken or not. These
     steps are exact, and a candidate that repeats an earlier sequence has
     that sequence's gain and so never wins; the chosen shifts are those
@@ -352,7 +346,7 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) 
         distance = _advance(current, bits, bits.start, columns)
         if distance <= floor + 1:
             break
-        best = _best_shift(current, ref, positions, bits, columns, distance - floor)
+        best = _best_shift(current, ref, positions, bits, columns)
         if best is None:
             break
         i, length, pos = best

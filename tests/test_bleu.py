@@ -197,6 +197,29 @@ class TestNistMatches:
             bleu_score(corpus, BleuConfig(max_order=4), matched_per_order=matched)
 
 
+class TestOrderColumns:
+    """A pair's totals are its hypothesis windows of each order, however
+    many orders its matches cover."""
+
+    @staticmethod
+    def check(pair, max_order):
+        columns = bleu.order_columns(pair, bleu._clipped_matches(pair, max_order))
+        c = len(pair.hypothesis)
+        expected = [max(0, c - n + 1) for n in range(1, max_order + 1)]
+        assert columns[max_order : 2 * max_order] == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_corpora(), st.integers(1, 8))
+    def test_small_corpora(self, corpus, max_order):
+        for pair in corpus.pairs:
+            self.check(pair, max_order)
+
+    @pytest.mark.parametrize("max_order", range(1, 9))
+    @pytest.mark.parametrize("line", EDGE_LINES)
+    def test_edge_lines(self, line, max_order):
+        self.check(corpus_of(line).pairs[0], max_order)
+
+
 class TestEdgeLines:
     # An empty line matches nothing and a one-token line has no n-gram above
     # order 1, so without smoothing BLEU-4 reads zero on every one of them.

@@ -21,6 +21,7 @@ from mteval import (
     synonym_substitute,
 )
 from mteval import ebleu
+from mteval.bleu import order_columns
 from mteval.ebleu import _pair_order_stats
 from mteval.errors import EmptyCorpusError, OrderMismatchError
 from helpers import (
@@ -172,14 +173,17 @@ class TestOrderScore:
 
 
 def assert_order_stats_match_oracle(corpus, lexicon, rare, cfg):
-    """Every order of every pair's one-pass statistics equals the oracle's."""
+    """Every order of every pair's one-pass matches, and of the totals of
+    its columns, equals the oracle's."""
+    n = cfg.max_order
     for pair in corpus.pairs:
         trace = synonym_substitute(pair, lexicon)
-        got = _pair_order_stats(trace, pair.references, cfg.max_order, rare, cfg)
-        assert got == [
-            oracle_ebleu_order_stats(trace, pair, n, rare, cfg)
-            for n in range(1, cfg.max_order + 1)
+        got = _pair_order_stats(trace, pair.references, n, rare, cfg)
+        expected = [
+            oracle_ebleu_order_stats(trace, pair, k, rare, cfg) for k in range(1, n + 1)
         ]
+        assert got == [matched for matched, _ in expected]
+        assert order_columns(pair, got)[n : 2 * n] == [total for _, total in expected]
 
 
 class TestOrderStatsBitIdentity:

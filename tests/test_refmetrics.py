@@ -478,8 +478,11 @@ class TestShiftSearch:
             refmetrics, "_best_shift", wraps=refmetrics._best_shift
         ) as scan:
             assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
-        limits = [call.args[-1] for call in scan.call_args_list]
-        assert limits and min(limits) >= 2
+        gaps = []
+        for call in scan.call_args_list:
+            current, ref, positions, _, columns = call.args
+            gaps.append(columns[-1][2] - _bag_distance(current, positions, len(ref)))
+        assert gaps and min(gaps) >= 2
 
     def check_resumed_moves(self, current, ref, moves):
         """A candidate's distance resumes from ``current``'s stored column

@@ -24,7 +24,7 @@ from mteval import (
     read_score_table,
     spearman,
 )
-from mteval.stats import ContingencyTable, ScoreTable
+from mteval.stats import ScoreTable
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -91,9 +91,7 @@ def main() -> None:
     ebleu_cats = discretize(ebleu, bins)
     for metric in ("BLEU", "NIST", "TER", "METEOR", "RIBES"):
         cats = discretize(merged.column(metric), bins)
-        lam, var = goodman_kruskal_lambda(
-            ContingencyTable.from_categories(cats, ebleu_cats, bins)
-        )
+        lam, var = goodman_kruskal_lambda(cats, ebleu_cats)
         print(f"  lambda(EBLEU | {metric:8s}) = {lam:.3f} (var {var:.4f})")
 
 

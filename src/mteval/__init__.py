@@ -30,7 +30,6 @@ from .ebleu import (
     SubstitutionTrace,
     ebleu_cumulative,
     ebleu_length_score,
-    ebleu_order_score,
     ebleu_score,
     synonym_substitute,
 )
@@ -58,7 +57,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BleuConfig",
-    "ContingencyTable",
     "CorrelationResult",
     "EbleuConfig",
     "EvalPair",
@@ -79,7 +77,6 @@ __all__ = [
     "discretize",
     "ebleu_cumulative",
     "ebleu_length_score",
-    "ebleu_order_score",
     "ebleu_score",
     "effective_reference_length",
     "goodman_kruskal_lambda",

@@ -36,8 +36,7 @@ from .corpus import (
     build_rare_word_set,
     reduce_pairs,
 )
-from .errors import OrderMismatchError
-from .ngram import _merge_max, max_ref_counts, order_windows, window_total
+from .ngram import _merge_max, max_ref_counts, order_windows
 from .records import checked
 
 
@@ -160,20 +159,6 @@ def _pair_order_stats(
 def _clamped_precision(matched: float, total: int) -> float:
     """``matched / total`` clamped to 1, and 0 for an order with no n-grams."""
     return min(1.0, matched / total) if total else 0.0
-
-
-def ebleu_order_score(
-    trace: SubstitutionTrace,
-    pair: EvalPair,
-    n: int,
-    rare: RareWordSet,
-    cfg: EbleuConfig,
-) -> float:
-    """Weighted modified precision for one order, clamped to [0, 1]."""
-    if n < 1 or n > cfg.max_order:
-        raise OrderMismatchError(f"order {n} outside 1..{cfg.max_order}")
-    matched = _pair_order_stats(trace, pair.references, n, rare, cfg)[-1]
-    return _clamped_precision(matched, window_total(len(trace.modified_hypothesis), n))
 
 
 def ebleu_length_score(ref_length: float, hyp_length: int) -> float:

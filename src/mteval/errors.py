@@ -32,20 +32,16 @@ class InvalidPercentError(MTEvalError):
     """Rare-word percentage outside (0, 1]."""
 
 
-class OrderMismatchError(MTEvalError):
-    """An EBLEU order score was asked for an order outside 1..max_order."""
-
-
 class EmptyCorpusError(MTEvalError):
     """A metric was asked to score a corpus with no sentence pairs."""
 
 
 class LengthMismatchError(MTEvalError):
-    """Correlation inputs differ in length or are shorter than two."""
+    """Paired inputs differ in length, or a correlation has fewer than two."""
 
 
 class NonFiniteValueError(MTEvalError):
-    """A correlation input holds NaN or an infinity."""
+    """A correlation or discretization input holds NaN or an infinity."""
 
 
 class ZeroVarianceError(MTEvalError):
@@ -53,7 +49,7 @@ class ZeroVarianceError(MTEvalError):
 
 
 class DegenerateTableError(MTEvalError):
-    """All contingency mass sits in one column, so lambda is undefined."""
+    """Every observed pair has the same column category, so lambda is undefined."""
 
 
 class InsufficientDistinctValuesError(MTEvalError):

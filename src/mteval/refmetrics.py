@@ -1,4 +1,4 @@
-"""Reference metrics: NIST, TER, METEOR, LEPOR, and RIBES.
+"""Reference metrics: NIST, TER, METEOR, LEPOR, and RIBES (as NKT).
 
 Faithful reimplementations of the published formulas, not bug-for-bug
 ports of the original tools. Each scorer is one ``pair_stats``, a pure
@@ -605,16 +605,13 @@ def lepor_score(
 
 @checked
 class RibesConfig(NamedTuple):
-    """Precision exponent and the rank correlation used on word order."""
+    """The exponent of unigram precision in RIBES's NKT score."""
 
     alpha: float = 0.25
-    correlation_kind: str = "kendall"
 
     def _check(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.correlation_kind not in ("kendall", "spearman"):
-            raise ValueError("correlation_kind must be 'kendall' or 'spearman'")
 
 
 def _order_alignment(hyp: TokenSeq, ref: TokenSeq) -> list[int]:
@@ -641,27 +638,18 @@ def _kendall_tau(seq: Sequence[int]) -> float:
     return (2 * concordant - pairs) / pairs
 
 
-def _spearman_rho(seq: Sequence[int]) -> float:
-    n = len(seq)
-    order = sorted(range(n), key=seq.__getitem__)
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r + 1
-    d2 = sum((rank[i] - (i + 1)) ** 2 for i in range(n))
-    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
-
-
 def ribes_score(
     corpus: ParallelCorpus,
     cfg: RibesConfig = RibesConfig(),
     *,
     per_sentence: list[float] | None = None,
 ) -> float:
-    """Normalized rank correlation of word order, scaled by precision^alpha.
+    """RIBES as NKT (Isozaki et al. 2010): normalized Kendall's tau of word
+    order, scaled by precision^alpha.
 
     Each word aligns to the leftmost free reference position of the same
     word, the head of that word's ascending list of free positions (see
-    ``_order_alignment``). Per pair the correlation over aligned
+    ``_order_alignment``). Per pair Kendall's tau over aligned
     reference positions is mapped to [0, 1] via (coefficient + 1) / 2 and
     multiplied by unigram precision raised to ``alpha``; the best
     reference wins and pairs with fewer than two aligned words score
@@ -669,7 +657,6 @@ def ribes_score(
     corpus score is the mean over pairs, and a per-sentence score, the
     formula applied to one pair's columns, is that pair's best score.
     """
-    correlate = _kendall_tau if cfg.correlation_kind == "kendall" else _spearman_rho
 
     def pair_stats(pair):
         best = 0.0
@@ -677,7 +664,7 @@ def ribes_score(
             aligned = _order_alignment(pair.hypothesis, ref)
             if len(aligned) < 2:
                 continue
-            normalized = (correlate(aligned) + 1.0) / 2.0
+            normalized = (_kendall_tau(aligned) + 1.0) / 2.0
             precision = len(aligned) / len(pair.hypothesis)
             best = max(best, normalized * precision**cfg.alpha)
         return best, 1

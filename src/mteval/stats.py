@@ -3,8 +3,9 @@
 Score-table files and their reader, product-moment correlation, rank
 correlation with tie handling and its two-tailed Student-t significance
 (Lentz's continued fraction for the incomplete beta, Numerical Recipes
-6.4), and the asymmetric Goodman-Kruskal lambda for discretized scores,
-counted from the observed category pairs, never a bins x bins table.
+6.4), and the asymmetric Goodman-Kruskal lambda of two category
+sequences such as discretized scores, counted from the observed category
+pairs, never a bins x bins table.
 """
 
 from __future__ import annotations
@@ -244,48 +245,22 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     )
 
 
-@checked
-class ContingencyTable(NamedTuple):
-    """Cross-tabulation of two categorical variables."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def _check(self) -> None:
-        if len(self.counts) < 2 or any(len(row) < 2 for row in self.counts):
-            raise ValueError("need at least a 2x2 table")
-        width = len(self.counts[0])
-        if any(len(row) != width for row in self.counts):
-            raise ValueError("ragged contingency table")
-        if any(c < 0 for row in self.counts for c in row):
-            raise ValueError("negative cell count")
-
-    @property
-    def n(self) -> int:
-        return sum(c for row in self.counts for c in row)
-
-    @classmethod
-    def from_categories(
-        cls, a: Sequence[int], b: Sequence[int], size: int
-    ) -> "ContingencyTable":
-        counts = [[0] * size for _ in range(size)]
-        for i, j in zip(a, b):
-            counts[i][j] += 1
-        return cls(counts=tuple(tuple(row) for row in counts))
-
-
-def goodman_kruskal_lambda(table: ContingencyTable) -> tuple[float, float]:
-    """Asymmetric lambda(C|R): proportional error reduction in predicting the
-    column category once the row category is known, with its asymptotic
-    variance.
+def goodman_kruskal_lambda(
+    rows: Sequence[int], cols: Sequence[int]
+) -> tuple[float, float]:
+    """Asymmetric lambda(C|R) of the paired categories ``rows[k]``, ``cols[k]``
+    (such as two ``discretize`` outputs): proportional error reduction in
+    predicting the column category once the row category is known, with
+    its asymptotic variance.
 
     lambda = (sum of row maxima - max column marginal) / (n - max column
-    marginal). The variance term restricts the row-maxima sum to rows
-    whose best column is the overall best column; argmax ties resolve to
-    the lowest index.
+    marginal) over the table of observed pairs. The variance term
+    restricts the row-maxima sum to rows whose best column is the overall
+    best column; argmax ties resolve to the lowest category.
     """
-    rows = enumerate(table.counts)
-    cells = {(i, j): c for i, row in rows for j, c in enumerate(row) if c}
-    lam, variance = _lambda(cells)
+    if len(rows) != len(cols):
+        raise LengthMismatchError(f"categories of length {len(rows)} and {len(cols)}")
+    lam, variance = _lambda(Counter(zip(rows, cols)))
     if lam is None:
         raise DegenerateTableError("no column variation, lambda undefined")
     return lam, variance
@@ -314,10 +289,13 @@ def discretize(values: Sequence[float], bin_count: int) -> list[int]:
     """Equal-frequency bin labels 0..bin_count-1, ties going to the lower bin.
 
     Every occurrence of a value gets the bin of its first position in
-    sorted order.
+    sorted order. NaN and infinities raise :class:`NonFiniteValueError`,
+    as they do for the correlations.
     """
     if bin_count < 2:
         raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteValueError("discretize input holds NaN or an infinity")
     if len(set(values)) < bin_count:
         raise InsufficientDistinctValuesError(
             f"{len(set(values))} distinct values for {bin_count} bins"

@@ -438,11 +438,11 @@ def oracle_kendall_tau(seq):
     return (2 * concordant - pairs) / pairs
 
 
-def oracle_goodman_kruskal_lambda(table):
+def oracle_goodman_kruskal_lambda(counts):
     """lambda(C|R) and its variance, scanning every cell of the dense
-    table; raises ``DegenerateTableError`` when one column holds every count."""
-    counts = table.counts
-    n = table.n
+    table ``counts[row][col]``; raises ``DegenerateTableError`` when one
+    column holds every count."""
+    n = sum(map(sum, counts))
     col_totals = [sum(row[j] for row in counts) for j in range(len(counts[0]))]
     r = max(col_totals)
     best_col = col_totals.index(r)

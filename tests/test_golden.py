@@ -7,7 +7,8 @@ benchmark workload's output per corpus seed. Every benchmark run checks
 its output against them byte for byte, so a last-bit float drift in any
 scorer fails here first. The golden file is also checked on every other
 Python 3.10-3.13 interpreter found on this host, as is a corpus written
-here whose sentences differ in length from their references. The
+here whose sentences differ in length from their references, and that
+corpus is scored again under three ``PYTHONHASHSEED`` values. The
 benchmark's files are only read.
 """
 
@@ -187,3 +188,16 @@ def test_unequal_lengths_on_every_other_interpreter(tmp_path, monkeypatch):
         child = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
         assert child.returncode == 0, (exe, child.stderr)
         assert (tmp_path / out).read_bytes() == expected, exe
+
+
+def test_seven_metrics_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """Sets and dicts of words iterate in an order that ``PYTHONHASHSEED``
+    decides; no score, per-sentence score or detail may follow it."""
+    write_unequal_length_corpus(tmp_path)
+    expected = score_unequal_lengths(tmp_path, monkeypatch)
+    for seed in ("0", "1", "4294967295"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed}
+        argv = [sys.executable, "-B", "-m", "mteval", *UNEQUAL_ARGV, "--out", f"out{seed}.json"]
+        child = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert child.returncode == 0, (seed, child.stderr)
+        assert (tmp_path / f"out{seed}.json").read_bytes() == expected, seed

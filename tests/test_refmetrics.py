@@ -35,7 +35,6 @@ from mteval.refmetrics import (
     _positions,
     _reference_bits,
     _shifted_edit_count,
-    _spearman_rho,
 )
 from mteval import EvalPair, ParallelCorpus
 from helpers import (
@@ -46,7 +45,6 @@ from helpers import (
     block_moved_pair,
     corpus_of,
     dp_edit_distance,
-    import_scipy_stats,
     optimal_shift_edits,
     oracle_align_unigrams,
     oracle_kendall_tau,
@@ -653,11 +651,6 @@ class TestRibes:
         lax = ribes_score(corpus, RibesConfig(alpha=0.0))
         assert strict == pytest.approx(lax * (2 / 3), abs=1e-12)
 
-    def test_spearman_variant_agrees_on_extremes(self):
-        cfg = RibesConfig(alpha=0.25, correlation_kind="spearman")
-        assert ribes_score(corpus_of(("a b c d", "a b c d")), cfg) == 1.0
-        assert ribes_score(corpus_of(("d c b a", "a b c d")), cfg) == 0.0
-
     def test_fewer_than_two_aligned_words_scores_zero(self):
         assert ribes_score(corpus_of(("a", "a"))) == 0.0
 
@@ -667,8 +660,6 @@ class TestRibes:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             RibesConfig(alpha=2.0)
-        with pytest.raises(ValueError):
-            RibesConfig(correlation_kind="pearson")
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -679,13 +670,8 @@ class TestRibes:
 
 
 def alignment_scores(corpus, lexicon):
-    """METEOR, LEPOR and both RIBES variants of ``corpus``."""
-    return (
-        meteor_score(corpus, lexicon),
-        lepor_score(corpus),
-        ribes_score(corpus),
-        ribes_score(corpus, RibesConfig(correlation_kind="spearman")),
-    )
+    """METEOR, LEPOR and RIBES of ``corpus``."""
+    return meteor_score(corpus, lexicon), lepor_score(corpus), ribes_score(corpus)
 
 
 def oracle_alignment_scores(corpus, lexicon):
@@ -766,30 +752,6 @@ class TestAlignmentOracles:
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(-50, 50), unique=True, min_size=2, max_size=60))
-    def test_spearman_rho_equals_scipy(self, values):
-        scipy_stats = import_scipy_stats()
-        expected = scipy_stats.spearmanr(range(len(values)), values).statistic
-        assert _spearman_rho(values) == pytest.approx(expected, abs=1e-12)
-
-    @settings(deadline=None, max_examples=100)
-    @given(small_corpora(alphabet="abcd", max_len=12))
-    def test_spearman_ribes_equals_scipy(self, corpus):
-        scipy_stats = import_scipy_stats()
-
-        def scipy_rho(seq):
-            return float(scipy_stats.spearmanr(range(len(seq)), seq).statistic)
-
-        cfg = RibesConfig(alpha=0.5, correlation_kind="spearman")
-        sink = []
-        got = ribes_score(corpus, cfg, per_sentence=sink)
-        oracle_sink = []
-        with mock.patch.object(refmetrics, "_spearman_rho", scipy_rho):
-            want = ribes_score(corpus, cfg, per_sentence=oracle_sink)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert sink == pytest.approx(oracle_sink, abs=1e-12)
-
-    @settings(deadline=None, max_examples=200)
-    @given(st.lists(st.integers(-50, 50), unique=True, min_size=2, max_size=60))
     def test_kendall_tau_counts_every_pair(self, values):
         assert _kendall_tau(values) == oracle_kendall_tau(values)
 
@@ -833,9 +795,6 @@ _SINK_SCORERS = {
     "meteor": lambda c, **kw: meteor_score(c, _SMALL_LEXICON, **kw),
     "lepor": lambda c, **kw: lepor_score(c, LeporConfig(alpha=2.5, beta=0.5), **kw),
     "ribes-kendall": ribes_score,
-    "ribes-spearman": lambda c, **kw: ribes_score(
-        c, RibesConfig(alpha=0.5, correlation_kind="spearman"), **kw
-    ),
 }
 
 

@@ -6,6 +6,9 @@ import runpy
 from collections import Counter
 from pathlib import Path
 
+from mteval import ScoreTable, read_score_table
+from mteval.stats import lambda_matrices
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # metric, computed, published, delta: one row of the study's comparisons
@@ -30,3 +33,27 @@ def test_correlation_study_prints_a_delta_for_every_published_coefficient(
     assert Counter((metric, reference) for metric, _, reference, _ in rows) == expected
     for _, computed, reference, delta in rows:
         assert abs(abs(float(computed) - float(reference)) - float(delta)) <= 1e-4
+
+
+def test_correlation_study_lambda_lines_are_the_ebleu_column_of_lambda_matrices(
+    capsys, data_dir
+):
+    runpy.run_path(str(ROOT / "scripts" / "run_correlation_study.py"), run_name="__main__")
+    lines = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  lambda(EBLEU | ")
+    ]
+
+    pl_en = read_score_table(data_dir / "pl_en_scores.tsv")
+    en_pl = read_score_table(data_dir / "en_pl_scores.tsv")
+    merged = ScoreTable(pl_en.metric_names, pl_en.rows + en_pl.rows)
+    values, variances = lambda_matrices(merged, 4)
+    names = merged.metric_names
+    ebleu = names.index("EBLEU")
+    expected = [
+        f"  lambda(EBLEU | {metric:8s}) = {values[i][ebleu]:.3f}"
+        f" (var {variances[i][ebleu]:.4f})"
+        for metric in ("BLEU", "NIST", "TER", "METEOR", "RIBES")
+        for i in [names.index(metric)]
+    ]
+    assert lines == expected

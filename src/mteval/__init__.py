@@ -34,8 +34,6 @@ from .ebleu import (
     synonym_substitute,
 )
 from .refmetrics import (
-    LeporConfig,
-    RibesConfig,
     lepor_score,
     meteor_score,
     nist_score,
@@ -60,11 +58,9 @@ __all__ = [
     "CorrelationResult",
     "EbleuConfig",
     "EvalPair",
-    "LeporConfig",
     "MetricScore",
     "ParallelCorpus",
     "RareWordSet",
-    "RibesConfig",
     "ScoreTable",
     "SubstitutionTrace",
     "SynonymLexicon",

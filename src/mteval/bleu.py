@@ -1,12 +1,13 @@
-"""Corpus-level BLEU: brevity penalty times weighted geometric n-gram precision.
+"""Corpus-level BLEU: brevity penalty times geometric mean n-gram precision.
 
 Per-order statistics are pooled across the corpus (clipped matches and
 hypothesis totals are summed before dividing), the standard resolution
 for corpus scoring: each pair gives its statistics as the columns of
 ``order_columns``, and ``corpus.reduce_pairs`` adds them up before the
-formula scores the totals. The score is ``bp * exp(sum_n w_n *
-log(p_n))`` and collapses to zero when any pooled precision is zero and
-no smoothing is enabled.
+formula scores the totals. The score is ``bp * exp(sum_n w * log(p_n))``
+with the uniform weight ``w = 1/N`` of Papineni et al. (2002), as
+sacreBLEU fixes it (Post 2018), and collapses to zero when any pooled
+precision is zero and no smoothing is enabled.
 A pair's clipped matches are NIST's (Doddington 2002) summed per order,
 so ``bleu_score`` can read them from ``refmetrics.nist_score``'s pass.
 """
@@ -28,16 +29,15 @@ from .records import checked
 
 @checked
 class BleuConfig(NamedTuple):
-    """Maximum n-gram order, per-order weights, and optional smoothing.
+    """Maximum n-gram order N and optional smoothing.
 
-    ``weights`` defaults to uniform 1/N. A positive ``smoothing_epsilon``,
-    a normal float below 1, floors a zero pooled precision at
-    ``epsilon / t``, t the hypothesis n-gram total, but an order with no
-    n-grams (t = 0) still zeroes the score.
+    Every order weighs 1/N. A positive ``smoothing_epsilon``, a normal
+    float below 1, floors a zero pooled precision at ``epsilon / t``, t
+    the hypothesis n-gram total, but an order with no n-grams (t = 0)
+    still zeroes the score.
     """
 
     max_order: int = 4
-    weights: tuple[float, ...] | None = None
     smoothing_epsilon: float = 0.0
 
     def _check(self) -> None:
@@ -52,20 +52,6 @@ class BleuConfig(NamedTuple):
                 "smoothing_epsilon must be finite, 0 or a normal float below 1,"
                 f" got {eps}"
             )
-        if self.weights is not None:
-            if len(self.weights) != self.max_order:
-                raise ValueError(
-                    f"need {self.max_order} weights, got {len(self.weights)}"
-                )
-            if not all(0.0 < w < math.inf for w in self.weights):
-                raise ValueError("weights must be finite and positive")
-            if abs(math.fsum(self.weights) - 1.0) > 1e-9:
-                raise ValueError("weights must sum to one")
-
-    def resolved_weights(self) -> tuple[float, ...]:
-        if self.weights is not None:
-            return self.weights
-        return tuple(1.0 / self.max_order for _ in range(self.max_order))
 
 
 class MetricScore(NamedTuple):
@@ -146,8 +132,8 @@ def bleu_score(
     entry, the same as counting them, and no n-gram is counted. Raises
     ``ValueError`` unless it has one entry per pair, each that long.
     """
-    weights = cfg.resolved_weights()
     n = cfg.max_order
+    w = 1.0 / n
     if matched_per_order is None:
         matches = (_clipped_matches(pair, n) for pair in corpus.pairs)
     elif len(matched_per_order) != len(corpus) or any(
@@ -164,11 +150,11 @@ def bleu_score(
         matched, totals = columns[:n], columns[n : 2 * n]
         hyp_len, ref_len = columns[2 * n :]
         bp = brevity_penalty(hyp_len, ref_len)
-        # Weighted log-average of the per-order precisions, scaled by bp.
+        # Uniformly weighted log-average of the per-order precisions, scaled by bp.
         precisions = []
         log_sum = 0.0
         dead = False
-        for m, t, w in zip(matched, totals, weights):
+        for m, t in zip(matched, totals):
             p = m / t if t else 0.0
             precisions.append(p)
             if p == 0.0:

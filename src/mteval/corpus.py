@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -271,10 +271,6 @@ class RareWordSet(NamedTuple):
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
-    @classmethod
-    def empty(cls) -> "RareWordSet":
-        return cls(words=frozenset(), source_vocab_size=0, percent=1.0)
-
 
 def build_rare_word_set(references: Iterable[TokenSeq], percent: float) -> RareWordSet:
     """Select the rarest ``percent`` of the distinct reference vocabulary.
@@ -285,9 +281,7 @@ def build_rare_word_set(references: Iterable[TokenSeq], percent: float) -> RareW
     """
     if not 0.0 < percent <= 1.0:
         raise InvalidPercentError(f"percent must be in (0, 1], got {percent}")
-    freq: Counter[str] = Counter()
-    for ref in references:
-        freq.update(ref)
+    freq = Counter(chain.from_iterable(references))
     vocab = sorted(freq, key=lambda w: (-freq[w], w))
     take = math.ceil(percent * len(vocab))
     tail = vocab[len(vocab) - take :]

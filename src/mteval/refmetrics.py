@@ -26,18 +26,19 @@ from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
 from .ngram import (
     NGram,
     _merge_max,
-    check_order,
     clipped_counts,
     matches_per_order,
     pooled_counts,
     window_counts,
     window_total,
 )
-from .records import checked
 
 
 # ---------------------------------------------------------------------------
 # NIST
+
+# NIST's n-gram order, Doddington's (2002) N = 5.
+_NIST_ORDER = 5
 
 
 def _average_length(references: Sequence[TokenSeq]) -> float:
@@ -79,12 +80,12 @@ def _nist_formula(
 
 def nist_score(
     corpus: ParallelCorpus,
-    max_order: int = 5,
     *,
     per_sentence: list[float] | None = None,
     matched_per_order: list[list[int]] | None = None,
 ) -> float:
-    """Information-weighted n-gram co-occurrence score.
+    """Information-weighted n-gram co-occurrence score of n-grams up to
+    order 5 (Doddington 2002).
 
     A matched n-gram w1..wn carries log2(count(w1..wn-1) / count(w1..wn))
     computed over the pooled reference corpus, so rare word sequences
@@ -117,24 +118,21 @@ def nist_score(
     by.
 
     Given a ``matched_per_order`` list, each pair's matches summed per
-    order 1..``max_order``, BLEU's clipped matches, are appended to it.
-    The hypothesis is counted through ``bleu.extract_ngrams``.
-
-    Raises ``ValueError`` when ``max_order`` is outside 1..``ngram.MAX_ORDER``.
+    order 1..5, BLEU's clipped matches, are appended to it. The hypothesis
+    is counted through ``bleu.extract_ngrams``.
     """
-    check_order(max_order)
 
     def pair_stats(pair):
         c = len(pair.hypothesis)
-        hyp = bleu.extract_ngrams(pair.hypothesis, max_order)
-        top = min(max_order, c)
-        totals = [window_total(c, n) for n in range(1, max_order + 1)]
+        hyp = bleu.extract_ngrams(pair.hypothesis, _NIST_ORDER)
+        top = min(_NIST_ORDER, c)
+        totals = [window_total(c, n) for n in range(1, _NIST_ORDER + 1)]
         avg_ref_len = _average_length(pair.references)
         first, *rest = [window_counts(ref, top, hyp) for ref in pair.references]
         best = _merge_max(first.copy(), rest) if rest else first
         matches = clipped_counts(hyp, best)
         if matched_per_order is not None:
-            matched_per_order.append(matches_per_order(matches, max_order))
+            matched_per_order.append(matches_per_order(matches, _NIST_ORDER))
         if per_sentence is not None:
             # The tables hold the matched n-grams alone, so this sums over them.
             summed = dict(first)
@@ -501,19 +499,6 @@ def meteor_score(
 # LEPOR
 
 
-@checked
-class LeporConfig(NamedTuple):
-    """Weights on recall and precision inside the harmonic mean."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def _check(self) -> None:
-        # Chained range checks: NaN fails every comparison, so it is rejected.
-        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
-            raise ValueError("alpha and beta must be finite and positive")
-
-
 def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
     """Sum of |normalized position differences| and the match count.
 
@@ -558,12 +543,11 @@ def _position_alignment(hyp: TokenSeq, ref: TokenSeq) -> tuple[float, int]:
 
 
 def lepor_score(
-    corpus: ParallelCorpus,
-    cfg: LeporConfig = LeporConfig(),
-    *,
-    per_sentence: list[float] | None = None,
+    corpus: ParallelCorpus, *, per_sentence: list[float] | None = None
 ) -> float:
-    """Length penalty times position-difference penalty times harmonic(aR, bP).
+    """Length penalty times position-difference penalty times the harmonic
+    mean of recall and precision, LEPOR's Harmonic(alpha R, beta P) at
+    alpha = beta = 1 (Han et al. 2012).
 
     Matching is against the closest-length reference of each pair, the
     first of BLEU's effective reference length (ties to shorter), each
@@ -592,7 +576,7 @@ def lepor_score(
         precision = matches / hyp_total
         recall = matches / ref_total
         npd = total_diff / hyp_total
-        harmonic = (cfg.alpha + cfg.beta) / (cfg.alpha / recall + cfg.beta / precision)
+        harmonic = 2.0 / (1.0 / recall + 1.0 / precision)
         penalty = brevity_penalty(min(hyp_total, ref_total), max(hyp_total, ref_total))
         return penalty * math.exp(-npd) * harmonic, None
 
@@ -601,17 +585,6 @@ def lepor_score(
 
 # ---------------------------------------------------------------------------
 # RIBES
-
-
-@checked
-class RibesConfig(NamedTuple):
-    """The exponent of unigram precision in RIBES's NKT score."""
-
-    alpha: float = 0.25
-
-    def _check(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
 
 
 def _order_alignment(hyp: TokenSeq, ref: TokenSeq) -> list[int]:
@@ -639,19 +612,16 @@ def _kendall_tau(seq: Sequence[int]) -> float:
 
 
 def ribes_score(
-    corpus: ParallelCorpus,
-    cfg: RibesConfig = RibesConfig(),
-    *,
-    per_sentence: list[float] | None = None,
+    corpus: ParallelCorpus, *, per_sentence: list[float] | None = None
 ) -> float:
     """RIBES as NKT (Isozaki et al. 2010): normalized Kendall's tau of word
-    order, scaled by precision^alpha.
+    order, scaled by precision^0.25, the paper's alpha.
 
     Each word aligns to the leftmost free reference position of the same
     word, the head of that word's ascending list of free positions (see
     ``_order_alignment``). Per pair Kendall's tau over aligned
     reference positions is mapped to [0, 1] via (coefficient + 1) / 2 and
-    multiplied by unigram precision raised to ``alpha``; the best
+    multiplied by unigram precision raised to 0.25; the best
     reference wins and pairs with fewer than two aligned words score
     zero. A pair's columns are its best score and a count of 1, so the
     corpus score is the mean over pairs, and a per-sentence score, the
@@ -666,7 +636,7 @@ def ribes_score(
                 continue
             normalized = (_kendall_tau(aligned) + 1.0) / 2.0
             precision = len(aligned) / len(pair.hypothesis)
-            best = max(best, normalized * precision**cfg.alpha)
+            best = max(best, normalized * precision**0.25)
         return best, 1
 
     def score(columns):

@@ -438,6 +438,86 @@ def oracle_kendall_tau(seq):
     return (2 * concordant - pairs) / pairs
 
 
+# --- Oracles: BLEU, LEPOR and RIBES as they stood when their weights were
+# config fields (``BleuConfig.weights``, ``LeporConfig(alpha, beta)``,
+# ``RibesConfig(alpha)``): the score formulas of ``mteval.bleu.bleu_score``,
+# ``mteval.refmetrics.lepor_score`` and ``ribes_score`` with the weights as
+# arguments, over statistics from the scanning oracles above, added up in
+# corpus order.
+
+
+def oracle_bleu_score(corpus, weights, smoothing_epsilon=0.0):
+    max_order = len(weights)
+    matched = [0] * max_order
+    totals = [0] * max_order
+    hyp_len = ref_len = 0
+    for pair in corpus.pairs:
+        c = len(pair.hypothesis)
+        hyp_len += c
+        ref_len += min((len(ref) for ref in pair.references), key=lambda rl: (abs(rl - c), rl))
+        for n in range(1, max_order + 1):
+            hyp = _oracle_window_counts(pair.hypothesis, n)
+            best = _oracle_pair_max_ref_counts(pair, n)
+            matched[n - 1] += sum(min(count, best[gram]) for gram, count in hyp.items())
+            totals[n - 1] += sum(hyp.values())
+    if hyp_len > ref_len:
+        bp = 1.0
+    elif hyp_len == 0:
+        bp = 0.0 if ref_len > 0 else 1.0
+    else:
+        bp = math.exp(1.0 - ref_len / hyp_len)
+    log_sum = 0.0
+    dead = False
+    for m, t, w in zip(matched, totals, weights):
+        p = m / t if t else 0.0
+        if p == 0.0:
+            if smoothing_epsilon > 0.0 and t > 0:
+                p = smoothing_epsilon / t
+            else:
+                dead = True
+                continue
+        log_sum += w * math.log(p)
+    return 0.0 if dead else bp * math.exp(log_sum)
+
+
+def oracle_lepor_score(corpus, alpha, beta):
+    total_diff = 0.0
+    matches = hyp_total = ref_total = 0
+    for pair in corpus.pairs:
+        c = len(pair.hypothesis)
+        r = min((len(ref) for ref in pair.references), key=lambda rl: (abs(rl - c), rl))
+        ref = next(ref for ref in pair.references if len(ref) == r)
+        diff, m = oracle_position_alignment(pair.hypothesis, ref)
+        total_diff += diff
+        matches += m
+        hyp_total += c
+        ref_total += r
+    if matches == 0 or hyp_total == 0 or ref_total == 0:
+        return 0.0
+    precision = matches / hyp_total
+    recall = matches / ref_total
+    npd = total_diff / hyp_total
+    harmonic = (alpha + beta) / (alpha / recall + beta / precision)
+    # BLEU's brevity penalty of the shorter length against the longer
+    penalty = math.exp(1.0 - max(hyp_total, ref_total) / min(hyp_total, ref_total))
+    return penalty * math.exp(-npd) * harmonic
+
+
+def oracle_ribes_score(corpus, alpha):
+    total = 0.0
+    for pair in corpus.pairs:
+        best = 0.0
+        for ref in pair.references:
+            aligned = oracle_order_alignment(pair.hypothesis, ref)
+            if len(aligned) < 2:
+                continue
+            normalized = (oracle_kendall_tau(aligned) + 1.0) / 2.0
+            precision = len(aligned) / len(pair.hypothesis)
+            best = max(best, normalized * precision**alpha)
+        total += best
+    return total / len(corpus.pairs)
+
+
 def oracle_goodman_kruskal_lambda(counts):
     """lambda(C|R) and its variance, scanning every cell of the dense
     table ``counts[row][col]``; raises ``DegenerateTableError`` when one

@@ -21,6 +21,7 @@ from helpers import (
     LONG_LINE,
     LONG_MOVED_LINE,
     corpus_of,
+    oracle_bleu_score,
     random_corpus,
     small_corpora,
 )
@@ -158,7 +159,7 @@ class TestNistMatches:
         # bit for bit, in score, details and per-sentence scores
         cfg = BleuConfig(max_order=max_order, smoothing_epsilon=epsilon)
         matched = []
-        nist_score(corpus, 5, matched_per_order=matched)
+        nist_score(corpus, matched_per_order=matched)
         assert len(matched) == len(corpus)
         counted_sink = [] if sentences else None
         read_sink = [] if sentences else None
@@ -248,20 +249,30 @@ class TestEdgeLines:
         assert moved == pytest.approx(math.exp(sum(log_precisions) / 4), rel=1e-12)
 
 class TestBleuConfig:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("max_order", range(1, 9))
+    @settings(deadline=None, max_examples=50)
+    @given(corpus=small_corpora())
+    def test_equals_the_formula_with_uniform_weights(self, corpus, max_order, epsilon):
+        # corpus and per-sentence scores, bit for bit, against the formula
+        # with BLEU's weights as an argument, each 1/N
+        weights = tuple(1.0 / max_order for _ in range(max_order))
+        cfg = BleuConfig(max_order=max_order, smoothing_epsilon=epsilon)
+        sink = []
+        score = bleu_score(corpus, cfg, per_sentence=sink).corpus_score
+        assert score == oracle_bleu_score(corpus, weights, epsilon)
+        assert sink == [
+            oracle_bleu_score(ParallelCorpus((pair,), corpus.ref_count), weights, epsilon)
+            for pair in corpus.pairs
+        ]
+
     def test_uniform_default_weights(self):
-        assert BleuConfig(max_order=4).resolved_weights() == (0.25,) * 4
-
-    def test_weight_count_must_match_order(self):
-        with pytest.raises(ValueError):
-            BleuConfig(max_order=2, weights=(1.0,))
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            BleuConfig(max_order=2, weights=(0.9, 0.2))
-
-    def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BleuConfig(max_order=2, weights=(1.2, -0.2))
+        # precisions 4/5, 3/4, 2/3 and 1/2, each weighing 1/4
+        corpus = corpus_of(("a b c d e", "a b c d x"))
+        log_sum = 0.0
+        for p in (4 / 5, 3 / 4, 2 / 3, 1 / 2):
+            log_sum += 0.25 * math.log(p)
+        assert bleu_score(corpus, BleuConfig(max_order=4)).corpus_score == math.exp(log_sum)
 
     # A subnormal epsilon can floor a zero precision at epsilon / t = 0.0.
     def test_epsilon_is_zero_or_a_normal_float(self):
@@ -271,9 +282,3 @@ class TestBleuConfig:
         tiny = BleuConfig(smoothing_epsilon=sys.float_info.min)
         assert 0.0 < bleu_score(corpus, tiny).corpus_score < sys.float_info.min
         assert bleu_score(corpus, BleuConfig()).corpus_score == 0.0
-
-    def test_explicit_weights_used(self):
-        corpus = corpus_of(("a b c", "a b x"))
-        skewed = bleu_score(corpus, BleuConfig(max_order=2, weights=(0.9, 0.1)))
-        uniform = bleu_score(corpus, BleuConfig(max_order=2))
-        assert skewed.corpus_score > uniform.corpus_score

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mteval
-from mteval import cli, read_score_table
+from mteval import BleuConfig, EbleuConfig, TokenizerConfig, cli, read_score_table
 from mteval.cli import main
 from mteval.errors import TableFormatError
 
@@ -888,6 +889,23 @@ def test_score_loads_only_what_scoring_runs(tmp_path, exam_files, pl_en_table_pa
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
     assert json.loads((tmp_path / "correlations.json").read_text(encoding="utf-8"))
+
+
+def test_every_config_field_is_a_score_flag():
+    # A config field that no ``score`` flag sets is a library-only knob.
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    actions = subparsers.choices["score"]._actions
+    dests = {action.dest for action in actions}
+    flags = {flag for action in actions for flag in action.option_strings}
+    tokenizer_flags = {"lowercase": "--lowercase", "split_punctuation": "--split-punct"}
+    for field in TokenizerConfig._fields:
+        assert tokenizer_flags.get(field) in flags, f"TokenizerConfig.{field}"
+    for config in (EbleuConfig, BleuConfig):
+        for field in config._fields:
+            assert field in dests, f"{config.__name__}.{field}"
 
 
 def test_read_score_table_rejects_header_only(tmp_path):

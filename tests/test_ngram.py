@@ -24,7 +24,7 @@ from mteval.ngram import (
     window_counts,
     window_total,
 )
-from helpers import corpus_of, pair_of, small_corpora
+from helpers import corpus_of, oracle_nist_score, pair_of, small_corpora
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
 ORDERS = st.integers(min_value=1, max_value=4)
@@ -90,17 +90,16 @@ class TestExtractNgrams:
             modified_precision(pair_of("a", "a"), 0)
 
     # Every entry point that takes an n-gram order bounds it above, naming
-    # its field: past the bound, BLEU's weights and every pair's order
-    # columns would grow with the order, not with the sentence.
+    # its field: past the bound, every pair's order columns would grow with
+    # the order, not with the sentence.
     @pytest.mark.parametrize(
         "entry_point, field",
         [
             (lambda n: BleuConfig(max_order=n), "max_order"),
             (lambda n: EbleuConfig(max_order=n), "max_order"),
-            (lambda n: nist_score(corpus_of(("a b c", "a b d")), n), "max_order"),
             (lambda n: modified_precision(pair_of("a b c", "a b d"), n), "n-gram order"),
         ],
-        ids=["BleuConfig", "EbleuConfig", "nist_score", "modified_precision"],
+        ids=["BleuConfig", "EbleuConfig", "modified_precision"],
     )
     def test_order_above_the_bound_rejected(self, entry_point, field):
         with pytest.raises(ValueError, match=f"^{field} must be in 1..1000, got 1001$"):
@@ -282,7 +281,7 @@ class TestOneTablePerSentence:
             "ebleu": lambda: ebleu_score(
                 corpus, SynonymLexicon.empty(), EbleuConfig(max_order=max_order)
             ),
-            "nist": lambda: nist_score(corpus, max_order),
+            "nist": lambda: nist_score(corpus),  # at its fixed order 5
         }[metric]
         tables = Counter()
         original = ngram.window_counts
@@ -304,8 +303,9 @@ class TestOneTablePerSentence:
 class TestOrdersPastTheHypothesis:
     @pytest.mark.parametrize("metric", ["bleu", "ebleu", "nist"])
     def test_build_no_windows(self, monkeypatch, metric):
-        # At order 50 a 3-token hypothesis has windows of orders 1-3 only,
-        # and no longer reference window can match one of them.
+        # At order 50, or NIST's 5, a 3-token hypothesis has windows of
+        # orders 1-3 only, and no longer reference window can match one of
+        # them.
         built = []
         original = ngram.order_windows
 
@@ -325,7 +325,7 @@ class TestOrdersPastTheHypothesis:
             details = ebleu_score(corpus, SynonymLexicon.empty(), cfg).details
             assert details["order_scores"] == [1.0] * 3 + [0.0] * 47
         else:
-            assert nist_score(corpus, 50) == nist_score(corpus, 3)
+            assert nist_score(corpus) == oracle_nist_score(corpus, 3)
         assert set(built) == {("a b c", 3), ("a b c d e f", 3)}
 
 

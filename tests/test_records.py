@@ -11,11 +11,9 @@ from mteval import (
     CorrelationResult,
     EbleuConfig,
     EvalPair,
-    LeporConfig,
     MetricScore,
     ParallelCorpus,
     RareWordSet,
-    RibesConfig,
     ScoreTable,
     SubstitutionTrace,
     SynonymLexicon,
@@ -37,8 +35,8 @@ PINNED = [
      "SynonymLexicon(entries={'exam': frozenset({'quiz'})})"),
     (lambda: RareWordSet(frozenset({"quiz"}), 4, 0.25),
      "RareWordSet(words=frozenset({'quiz'}), source_vocab_size=4, percent=0.25)"),
-    (lambda: BleuConfig(max_order=2, weights=(0.25, 0.75)),
-     "BleuConfig(max_order=2, weights=(0.25, 0.75), smoothing_epsilon=0.0)"),
+    (lambda: BleuConfig(max_order=2),
+     "BleuConfig(max_order=2, smoothing_epsilon=0.0)"),
     (lambda: MetricScore(0.5, {"matched": [1]}),
      "MetricScore(corpus_score=0.5, details={'matched': [1]})"),
     (lambda: EbleuConfig(smoothing_epsilon=0.1),
@@ -47,34 +45,30 @@ PINNED = [
     (lambda: SubstitutionTrace(("a", "quiz"), frozenset({1})),
      "SubstitutionTrace(modified_hypothesis=('a', 'quiz'),"
      " substituted_positions=frozenset({1}))"),
-    (lambda: LeporConfig(alpha=2.0), "LeporConfig(alpha=2.0, beta=1.0)"),
-    (lambda: RibesConfig(alpha=0.5), "RibesConfig(alpha=0.5)"),
     (lambda: CorrelationResult(0.5, 3),
      "CorrelationResult(coefficient=0.5, n=3, two_tailed_p=None)"),
     (lambda: ScoreTable(("a", "b"), ((1.0, 2.0),)),
      "ScoreTable(metric_names=('a', 'b'), rows=((1.0, 2.0),))"),
 ]
 IDS = [text[: text.index("(")] for _, text in PINNED]
-CONFIGS = [TokenizerConfig, BleuConfig, EbleuConfig, LeporConfig, RibesConfig]
+CONFIGS = [TokenizerConfig, BleuConfig, EbleuConfig]
 
 # A valid record and field changes that its constructor rejects.
 INVALID = [
     (BleuConfig(), {"max_order": 0}),
     (BleuConfig(), {"smoothing_epsilon": 1.0}),
     (BleuConfig(), {"smoothing_epsilon": math.nan}),
-    (BleuConfig(), {"weights": (1.0,)}),
-    (BleuConfig(max_order=2), {"weights": (1.5, -0.5)}),
-    (BleuConfig(max_order=2), {"weights": (0.5, 0.6)}),
+    (BleuConfig(), {"max_order": 1001}),
+    (BleuConfig(), {"smoothing_epsilon": -0.1}),
     (EbleuConfig(), {"max_order": 0}),
     (EbleuConfig(), {"synonym_score": 1.5}),
+    (EbleuConfig(), {"synonym_score": -0.1}),
     (EbleuConfig(), {"rare_words_percent": 0.0}),
+    (EbleuConfig(), {"rare_words_percent": 1.5}),
     (EbleuConfig(), {"rare_words_score": 0.5}),
     (EbleuConfig(), {"rare_words_score": math.inf}),
     # Unchecked, this epsilon scores a hypothesis that shares no word 100.00.
     (EbleuConfig(), {"smoothing_epsilon": 1.0}),
-    (LeporConfig(), {"alpha": 0.0}),
-    (LeporConfig(), {"beta": math.nan}),
-    (RibesConfig(), {"alpha": 2.0}),
     (PAIR, {"references": ()}),
     (ScoreTable(("a", "b"), ((1.0, 2.0),)), {"rows": ((1.0,),)}),
     # Subnormal: BLEU's floor epsilon / t can round to 0.0, whose log it takes.
@@ -117,6 +111,21 @@ def test_pickle_round_trip(build, text):
 def test_configs_hash(config):
     assert hash(config()) == hash(config())
     assert {config(): 1}[config()] == 1
+
+
+# The other records whose fields all hold hashable values.
+HASHABLE = ["EvalPair", "ParallelCorpus", "RareWordSet", "SubstitutionTrace",
+            "CorrelationResult", "ScoreTable"]
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [entry for entry, name in zip(PINNED, IDS) if name in HASHABLE],
+    ids=[name for name in IDS if name in HASHABLE],
+)
+def test_hashable_records_hash(build, text):
+    assert hash(build()) == hash(build())
+    assert {build(): 1}[build()] == 1
 
 
 @pytest.mark.parametrize("valid, change", INVALID)

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mteval import (
+    BleuConfig,
     EbleuConfig,
-    LeporConfig,
     MetricScore,
     RareWordSet,
-    RibesConfig,
     SynonymLexicon,
     bleu_score,
     ebleu_score,
@@ -48,10 +47,12 @@ from helpers import (
     optimal_shift_edits,
     oracle_align_unigrams,
     oracle_kendall_tau,
+    oracle_lepor_score,
     oracle_min_free_position_alignment,
     oracle_nist_score,
     oracle_order_alignment,
     oracle_position_alignment,
+    oracle_ribes_score,
     oracle_shifted_edit_count,
     random_corpus,
     small_corpora,
@@ -100,16 +101,10 @@ class TestNist:
         with pytest.raises(EmptyCorpusError):
             nist_score(ParallelCorpus(pairs=(), ref_count=1))
 
-    @pytest.mark.parametrize("max_order", [0, -1])
-    def test_order_below_one_rejected(self, max_order):
-        # A perfect match would otherwise score 0.0, a plausible wrong number.
-        with pytest.raises(ValueError):
-            nist_score(corpus_of(("a b c", "a b c")), max_order)
-
     @settings(deadline=None, max_examples=300)
-    @given(small_corpora(), st.integers(min_value=1, max_value=5))
-    def test_bit_identical_to_pooling_every_reference_ngram(self, corpus, max_order):
-        assert nist_score(corpus, max_order) == oracle_nist_score(corpus, max_order)
+    @given(small_corpora())
+    def test_bit_identical_to_pooling_every_reference_ngram(self, corpus):
+        assert nist_score(corpus) == oracle_nist_score(corpus)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bit_identical_on_longer_corpora(self, seed):
@@ -141,7 +136,7 @@ class TestNist:
 
     def test_orders_past_the_longest_match_build_no_windows(self, monkeypatch):
         # The pooled reference counts stop at the longest matched n-gram
-        # (order 3 here), so a large --max-ngram builds no window past it.
+        # (order 3 here), so NIST's order 5 builds no window past it.
         slices = []
         original = ngram.order_windows
 
@@ -152,12 +147,12 @@ class TestNist:
 
         monkeypatch.setattr(ngram, "order_windows", recording)
         corpus = corpus_of(("a b c", "a b c d"), ("b c", "c b c"))
-        assert nist_score(corpus, 1000) == nist_score(corpus, 3)
-        # Per run: each hypothesis and its reference up to the hypothesis
-        # length, then every reference pooled up to the longest match.
+        assert nist_score(corpus) == oracle_nist_score(corpus, 3)
+        # Each hypothesis and its reference up to the hypothesis length,
+        # then every reference pooled up to the longest match.
         run = [("a b c", 3), ("a b c d", 3), ("b c", 2), ("c b c", 2)]
         run += [("a b c d", 3), ("c b c", 3)]
-        assert slices == run * 2
+        assert slices == run
 
     def test_per_sentence_scores_window_each_sentence_once(self, monkeypatch):
         # One table per reference both clips a pair and weighs it, so a run
@@ -219,23 +214,20 @@ class TestNist:
         | st.lists(st.sampled_from(EDGE_LINES), min_size=1, max_size=4).map(
             lambda lines: corpus_of(*lines)
         ),
-        st.integers(min_value=1, max_value=7),
     )
     # "a b" occurs twice in one reference and once in the other.
-    @example(corpus_of(("a b a b", "a b a b a", "b a b"), ("a", "b", "a")), 3)
+    @example(corpus_of(("a b a b", "a b a b a", "b a b"), ("a", "b", "a")))
     # "a" occurs once, twice and three times in the three references, so
     # its sum, its maximum and its first reference's count all differ.
-    @example(corpus_of(("a b", "a b", "a a b", "a a a b"), ("b a", "b", "a", "b a")), 2)
-    def test_per_sentence_equals_one_pair_oracle(self, corpus, max_order):
+    @example(corpus_of(("a b", "a b", "a a b", "a a a b"), ("b a", "b", "a", "b a")))
+    def test_per_sentence_equals_one_pair_oracle(self, corpus):
         # Two-word vocabularies repeat matched n-grams within and across
         # references, so a pair's summed counts differ from its clipping
         # maxima; orders run past the hypothesis length.
         sink = []
-        assert nist_score(corpus, max_order, per_sentence=sink) == oracle_nist_score(
-            corpus, max_order
-        )
+        assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
         assert sink == [
-            oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count), max_order)
+            oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count))
             for pair in corpus.pairs
         ]
 
@@ -615,13 +607,6 @@ class TestLepor:
     def test_zero_overlap_scores_zero(self):
         assert lepor_score(corpus_of(("x y", "a b"))) == 0.0
 
-    def test_weights_shift_the_balance(self):
-        corpus = corpus_of(("a b x x", "a b"))
-        recall_heavy = lepor_score(corpus, LeporConfig(alpha=9.0, beta=1.0))
-        precision_heavy = lepor_score(corpus, LeporConfig(alpha=1.0, beta=9.0))
-        # precision is 1/2, recall is 1; weighting recall higher helps
-        assert recall_heavy > precision_heavy
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             lepor_score(ParallelCorpus(pairs=(), ref_count=1))
@@ -640,16 +625,14 @@ class TestRibes:
         assert ribes_score(corpus_of(("d c b a", "a b c d"))) == 0.0
 
     def test_one_adjacent_swap(self):
-        got = ribes_score(
-            corpus_of(("a b d c", "a b c d")), RibesConfig(alpha=0.0)
-        )
+        # every word aligns, so the precision factor is 1
+        got = ribes_score(corpus_of(("a b d c", "a b c d")))
         assert got == pytest.approx(5 / 6, abs=1e-12)
 
     def test_precision_exponent_discounts_noise(self):
+        # tau 1 over the two aligned words, precision 2/3 to the power 0.25
         corpus = corpus_of(("a b x", "a b"))
-        strict = ribes_score(corpus, RibesConfig(alpha=1.0))
-        lax = ribes_score(corpus, RibesConfig(alpha=0.0))
-        assert strict == pytest.approx(lax * (2 / 3), abs=1e-12)
+        assert ribes_score(corpus) == pytest.approx((2 / 3) ** 0.25, abs=1e-12)
 
     def test_fewer_than_two_aligned_words_scores_zero(self):
         assert ribes_score(corpus_of(("a", "a"))) == 0.0
@@ -657,13 +640,34 @@ class TestRibes:
     def test_duplicate_words_align_left_to_right(self):
         assert ribes_score(corpus_of(("a a b", "a a b"))) == 1.0
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            RibesConfig(alpha=2.0)
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             ribes_score(ParallelCorpus(pairs=(), ref_count=1))
+
+
+# --- LEPOR and RIBES at their published weights ------------------------------
+
+
+# LEPOR at alpha = beta = 1 (Han et al. 2012) and RIBES at alpha = 0.25
+# (Isozaki et al. 2010), by the formulas with the weights as arguments.
+_WEIGHTED_ORACLES = {
+    "lepor": (lepor_score, lambda corpus: oracle_lepor_score(corpus, 1.0, 1.0)),
+    "ribes": (ribes_score, lambda corpus: oracle_ribes_score(corpus, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHTED_ORACLES))
+@settings(deadline=None, max_examples=200)
+@given(corpus=small_corpora(alphabet="abcd", max_len=10))
+def test_equals_the_formula_at_the_published_weights(name, corpus):
+    # corpus and per-sentence scores, bit for bit, over pairs and
+    # references of unequal lengths
+    scorer, oracle = _WEIGHTED_ORACLES[name]
+    sink = []
+    assert scorer(corpus, per_sentence=sink) == oracle(corpus)
+    assert sink == [
+        oracle(ParallelCorpus((pair,), corpus.ref_count)) for pair in corpus.pairs
+    ]
 
 
 # --- word alignment against the old reference scans ---------------------------
@@ -787,13 +791,25 @@ _SINK_SCORERS = {
         c, _SMALL_LEXICON, EbleuConfig(rare_words_score=1.3), rare_words=_SMALL_RARE,
         **kw,
     ),
+    # BLEU and EBLEU at the other orders --max-ngram can set, past the
+    # hypothesis length included
     **{
-        f"nist-{n}": (lambda c, n=n, **kw: nist_score(c, n, **kw))
-        for n in range(1, 6)
+        f"bleu-{n}": (lambda c, n=n, **kw: bleu_score(c, BleuConfig(max_order=n), **kw))
+        for n in (1, 2, 3, 5)
     },
+    **{
+        f"ebleu-{n}": (
+            lambda c, n=n, **kw: ebleu_score(
+                c, _SMALL_LEXICON, EbleuConfig(max_order=n, rare_words_score=1.3),
+                rare_words=_SMALL_RARE, **kw,
+            )
+        )
+        for n in (1, 2, 3, 5)
+    },
+    "nist": nist_score,
     "ter": ter_score,
     "meteor": lambda c, **kw: meteor_score(c, _SMALL_LEXICON, **kw),
-    "lepor": lambda c, **kw: lepor_score(c, LeporConfig(alpha=2.5, beta=0.5), **kw),
+    "lepor": lepor_score,
     "ribes-kendall": ribes_score,
 }
 

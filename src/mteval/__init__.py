@@ -11,7 +11,6 @@ from .bleu import (
     bleu_score,
     brevity_penalty,
     effective_reference_length,
-    modified_precision,
 )
 from .corpus import (
     EvalPair,
@@ -80,7 +79,6 @@ __all__ = [
     "load_parallel_corpus",
     "load_synonym_lexicon",
     "meteor_score",
-    "modified_precision",
     "nist_score",
     "pearson",
     "read_score_table",

@@ -19,7 +19,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
-from .ngram import check_order, clipped_counts, matches_per_order, max_ref_counts
+from .ngram import MAX_ORDER, clipped_counts, matches_per_order, max_ref_counts
 from .ngram import window_total
 # bench/traced.py times hypothesis n-gram counting, BLEU's and NIST's, through
 # this module-global name.
@@ -41,7 +41,9 @@ class BleuConfig(NamedTuple):
     smoothing_epsilon: float = 0.0
 
     def _check(self) -> None:
-        check_order(self.max_order)
+        n = self.max_order
+        if not 1 <= n <= MAX_ORDER:
+            raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {n}")
         # Chained range checks: NaN fails every comparison, so it is rejected.
         # An epsilon of 1 or more floors a zero precision at 1/t or more and a
         # zero EBLEU order score at 1: a hypothesis sharing no word would match.
@@ -89,16 +91,6 @@ def _clipped_matches(pair: EvalPair, max_order: int) -> list[int]:
     top = min(max_order, len(pair.hypothesis))
     best = max_ref_counts(pair.references, top, hyp)
     return matches_per_order(clipped_counts(hyp, best), max_order)
-
-
-def modified_precision(pair: EvalPair, n: int) -> float:
-    """Clipped matches divided by total hypothesis n-grams of order ``n``.
-
-    Zero when the hypothesis has no n-grams of that order.
-    """
-    check_order(n, "n-gram order")
-    total = window_total(len(pair.hypothesis), n)
-    return _clipped_matches(pair, n)[-1] / total if total else 0.0
 
 
 def order_columns(pair: EvalPair, matched: Sequence[float]) -> list:

@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from .errors import (
     DecodeError,
     EmptyCorpusError,
-    InvalidPercentError,
     LineCountMismatchError,
     MalformedLineError,
 )
@@ -268,8 +267,13 @@ class RareWordSet(NamedTuple):
     source_vocab_size: int
     percent: float
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
+
+def _check_percent(percent: float) -> None:
+    """The one rule for a rare-word share, ``EbleuConfig``'s and
+    ``build_rare_word_set``'s: raise ``ValueError`` unless it is in (0, 1]."""
+    # A chained range check: NaN fails every comparison, so it is rejected.
+    if not 0.0 < percent <= 1.0:
+        raise ValueError("rare_words_percent must be in (0, 1]")
 
 
 def build_rare_word_set(references: Iterable[TokenSeq], percent: float) -> RareWordSet:
@@ -277,10 +281,10 @@ def build_rare_word_set(references: Iterable[TokenSeq], percent: float) -> RareW
 
     Distinct words are ordered by frequency descending with ties broken
     lexicographically ascending; the final ``ceil(percent * vocab)``
-    entries of that ordering form the set.
+    entries of that ordering form the set. Raises ``ValueError`` unless
+    ``percent`` is in (0, 1].
     """
-    if not 0.0 < percent <= 1.0:
-        raise InvalidPercentError(f"percent must be in (0, 1], got {percent}")
+    _check_percent(percent)
     freq = Counter(chain.from_iterable(references))
     vocab = sorted(freq, key=lambda w: (-freq[w], w))
     take = math.ceil(percent * len(vocab))

@@ -33,6 +33,7 @@ from .corpus import (
     RareWordSet,
     SynonymLexicon,
     TokenSeq,
+    _check_percent,
     build_rare_word_set,
     reduce_pairs,
 )
@@ -52,8 +53,7 @@ class EbleuConfig(NamedTuple):
         self.bleu_config()  # the order and the smoothing, by BLEU's rules
         if not 0.0 <= self.synonym_score <= 1.0:
             raise ValueError("synonym_score must be in [0, 1]")
-        if not 0.0 < self.rare_words_percent <= 1.0:
-            raise ValueError("rare_words_percent must be in (0, 1]")
+        _check_percent(self.rare_words_percent)
         # Chained range checks: NaN fails every comparison, so it is rejected.
         if not 1.0 <= self.rare_words_score < math.inf:
             raise ValueError("rare_words_score must be finite and >= 1")

@@ -28,10 +28,6 @@ class MalformedLineError(MTEvalError):
     """A synonym lexicon line does not hold at least two single words."""
 
 
-class InvalidPercentError(MTEvalError):
-    """Rare-word percentage outside (0, 1]."""
-
-
 class EmptyCorpusError(MTEvalError):
     """A metric was asked to score a corpus with no sentence pairs."""
 

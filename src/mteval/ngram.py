@@ -1,7 +1,7 @@
 """N-gram windows, per-sentence n-gram tables, and reference clipping.
 
-The one n-gram counting and clipping path of the package, and the one
-rule for an n-gram order: ``check_order`` accepts 1..``MAX_ORDER``.
+The one n-gram counting and clipping path of the package, and the
+bound ``MAX_ORDER`` on an n-gram order, which ``bleu.BleuConfig`` checks.
 ``order_windows`` gives the windows of every order 1..N of a sentence,
 built at C level from one set of shifted slices: the order-``n``
 windows zip the first ``n`` of them, so a sentence of N or more tokens
@@ -16,11 +16,11 @@ pair on its own by the same tables, summed over its matched n-grams.
 ``pooled_counts`` counts n-grams over many sentences pooled, from each
 sentence's windows.
 ``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind
-BLEU's and NIST's matches and ``bleu.modified_precision``, and
-``matches_per_order`` sums a pair's matches per order for BLEU. EBLEU caps
-its weighted windows at ``max_ref_counts`` by a rule of its own,
-dropping the lowest weights first. All functions are pure and safe for
-per-sentence data parallelism.
+BLEU's and NIST's matches, and ``matches_per_order`` sums a pair's
+matches per order for BLEU. EBLEU caps its weighted windows at
+``max_ref_counts`` by a rule of its own, dropping the lowest weights
+first. All functions are pure and safe for per-sentence data
+parallelism.
 
 Clipping only asks how often a reference holds an n-gram that the
 hypothesis has, so BLEU, EBLEU and NIST pass the hypothesis n-grams as
@@ -41,13 +41,6 @@ NGram = tuple[str, ...]
 
 # Each pair carries columns per order, whatever its length, so orders are capped.
 MAX_ORDER = 1000
-
-
-def check_order(order: int, name: str = "max_order") -> None:
-    """Raise ``ValueError``, naming the order ``name``, unless ``order`` is in
-    1..``MAX_ORDER``."""
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"{name} must be in 1..{MAX_ORDER}, got {order}")
 
 
 def window_total(length: int, n: int) -> int:

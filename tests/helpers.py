@@ -12,7 +12,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import strategies as st
 
-from mteval import EvalPair, ParallelCorpus, tokenize
+from mteval import BleuConfig, EvalPair, ParallelCorpus, bleu_score, tokenize
 from mteval.errors import DegenerateTableError
 
 
@@ -37,6 +37,13 @@ def corpus_of(*rows: tuple) -> ParallelCorpus:
     """Each row is (hypothesis, ref1[, ref2, ...]) as plain strings."""
     pairs = tuple(pair_of(*row) for row in rows)
     return ParallelCorpus(pairs=pairs, ref_count=len(pairs[0].references))
+
+
+def bleu_precision(pair: EvalPair, n: int) -> float:
+    """BLEU's modified precision of order ``n`` for one pair, as its one
+    entry point gives it: ``details["precisions"]`` of the one-pair corpus."""
+    corpus = ParallelCorpus((pair,), len(pair.references))
+    return bleu_score(corpus, BleuConfig(max_order=n)).details["precisions"][n - 1]
 
 
 def left_sum(values):

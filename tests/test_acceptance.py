@@ -26,7 +26,6 @@ from mteval import (
     ebleu_score,
     lepor_score,
     meteor_score,
-    modified_precision,
     nist_score,
     pearson,
     read_score_table,
@@ -38,6 +37,7 @@ from mteval.cli import main
 from mteval.ngram import clipped_counts, max_ref_counts, window_counts
 from mteval.refmetrics import _shifted_edit_count
 from helpers import (
+    bleu_precision,
     corpus_of,
     dp_edit_distance,
     import_scipy_stats,
@@ -120,10 +120,10 @@ def test_criterion_1_worked_example_exactness():
         "the cat is on the mat",
         "there is a cat on the mat",
     )
-    assert modified_precision(overgenerated, 1) == pytest.approx(2 / 7, abs=1e-12)
+    assert bleu_precision(overgenerated, 1) == pytest.approx(2 / 7, abs=1e-12)
 
     bigram_pair = pair_of("the cat is here", "the cat is on the mat")
-    assert modified_precision(bigram_pair, 2) == pytest.approx(2 / 3, abs=1e-12)
+    assert bleu_precision(bigram_pair, 2) == pytest.approx(2 / 3, abs=1e-12)
 
     exam = corpus_of(("this is a exam", "this is a quiz"))
     assert bleu_score(exam, BleuConfig(max_order=1)).corpus_score == pytest.approx(

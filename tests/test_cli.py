@@ -1,7 +1,12 @@
 import argparse
+import contextlib
+import importlib
+import inspect
+import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -906,6 +911,81 @@ def test_every_config_field_is_a_score_flag():
     for config in (EbleuConfig, BleuConfig):
         for field in config._fields:
             assert field in dests, f"{config.__name__}.{field}"
+
+
+def public_functions() -> dict:
+    """The code object of every public function and method that a module of
+    ``mteval`` defines, mapped to its ``module.qualname``; decorated ones by
+    the function they wrap. Code objects, not ``co_qualname``, which Python
+    3.10 lacks."""
+    names = {}
+    for info in pkgutil.iter_modules(mteval.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"mteval.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {name: obj}
+            if inspect.isclass(obj):
+                members = {
+                    f"{name}.{attr}": value for attr, value in vars(obj).items()
+                    if not attr.startswith("_")
+                }
+            for qualname, value in members.items():
+                function = inspect.unwrap(getattr(value, "__func__", value))
+                if hasattr(function, "__code__"):
+                    names[function.__code__] = f"{info.name}.{qualname}"
+    return names
+
+
+# Public functions that no CLI command calls, each with what calls it instead.
+NOT_REACHED_BY_THE_CLI = {
+    "cli.run": "the console entry point, which calls cli.main",
+    "records.checked": "decorates the validated records when their module is imported",
+    "stats.ScoreTable.column": "scripts/run_correlation_study.py",
+    "stats.goodman_kruskal_lambda": "scripts/run_correlation_study.py",
+}
+
+
+def test_every_public_function_is_reached_by_the_cli(
+    tmp_path, two_pair_files, pl_en_table_path, en_pl_table_path
+):
+    # A public function that no command reaches is a second path or a
+    # library-only knob: delete it or give it a caller.
+    hyp, ref, lex = two_pair_files
+    table = tmp_path / "merged.tsv"
+    score = ["score", "--hyp", str(hyp), "--ref", str(ref), "--ref", str(ref)]
+    every_metric = [arg for name in ALL_METRICS for arg in ("--metric", name)]
+    runs = [
+        [*score, *every_metric, "--lexicon", str(lex)],
+        [*score, *every_metric, "--lexicon", str(lex), "--per-sentence", "--format", "json"],
+        [*score, "--metric", "bleu", "--max-ngram", "6", "--epsilon", "0.1",
+         "--lowercase", "--split-punct"],
+        ["report", "--in", str(pl_en_table_path), "--in", str(en_pl_table_path),
+         "--out", str(table)],
+        ["correlate", "--table", str(table), "--kind", "both", "--lambda",
+         "--format", "json"],
+        ["correlate", "--table", str(table), "--kind", "both", "--lambda"],
+    ]
+    names = public_functions()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                code = main(argv)
+            finally:
+                sys.setprofile(previous)
+        assert code == 0, argv
+    not_reached = {name for code, name in names.items() if code not in called}
+    assert not_reached == set(NOT_REACHED_BY_THE_CLI)
 
 
 def test_read_score_table_rejects_header_only(tmp_path):

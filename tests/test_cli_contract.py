@@ -57,6 +57,9 @@ LIBRARY = {
     "ribes": lambda c, lex, s: ribes_score(c, per_sentence=s),
 }
 
+# The metrics whose scores do not depend on the order of the --ref files.
+ORDER_FREE_METRICS = ("bleu", "ebleu", "nist", "ter", "ribes")
+
 WORDS = st.sampled_from(["a", "b", "exam", "quiz", "A", "b.", "é"])
 INNER_SPACE = st.sampled_from(
     [" ", "\t", "\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"]
@@ -68,6 +71,8 @@ LINE = st.one_of(
     ),
     st.sampled_from(["", " ", "\t", "\u2028"]),
 )
+# A line of words only, so that most pairs score above zero.
+SCORED_LINE = st.lists(WORDS, max_size=6).map(" ".join)
 LEXICON_WORDS = ["a", "b", "exam", "quiz", "test"]
 LEXICON_LINE = st.one_of(
     st.builds(
@@ -219,6 +224,40 @@ class TestScoreContract:
                 assert got.get("details") == details
                 if "--per-sentence" in options:
                     assert got["per_sentence"] == [finite_or_none(v) for v in sink]
+
+
+    @SETTINGS
+    @given(st.data())
+    def test_reordering_the_ref_files_moves_no_score(self, data):
+        # Only the echoed refs move, as tests/test_metamorphic.py has it.
+        n = data.draw(st.integers(1, 4))
+        lines = st.lists(SCORED_LINE, min_size=n, max_size=n)
+        ref_count = data.draw(st.integers(2, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            hyp, lexicon = root / "hyp.txt", root / "syn.txt"
+            refs = [str(root / f"ref{k}.txt") for k in range(ref_count)]
+            for path in (hyp, *refs):
+                Path(path).write_bytes(data.draw(file_bytes(data.draw(lines))))
+            lex_lines = data.draw(st.lists(LEXICON_LINE, max_size=4))
+            lexicon.write_bytes(data.draw(file_bytes(lex_lines)))
+            flags = ("--lowercase", "--split-punct")
+            argv = ["score", "--hyp", str(hyp), "--lexicon", str(lexicon),
+                    "--format", "json", "--per-sentence"]
+            argv += [flag for flag in flags if data.draw(st.booleans())]
+            argv += [arg for name in ORDER_FREE_METRICS for arg in ("--metric", name)]
+
+            def run(ref_paths):
+                ref_args = [arg for ref in ref_paths for arg in ("--ref", ref)]
+                code, out, err = run_main(argv + ref_args)
+                assert (code, err) == (0, "")
+                return json.loads(out)
+
+            order = data.draw(st.permutations(refs))
+            forward, reordered = run(refs), run(order)
+        assert reordered["metrics"] == forward["metrics"]
+        assert reordered["corpus"] == forward["corpus"]
+        assert reordered["config"] == {**forward["config"], "refs": order}
 
 
 @st.composite

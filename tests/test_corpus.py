@@ -17,7 +17,6 @@ from mteval import (
 from mteval.corpus import reduce_pairs
 from mteval.errors import (
     EmptyCorpusError,
-    InvalidPercentError,
     LineCountMismatchError,
     MalformedLineError,
 )
@@ -411,7 +410,7 @@ class TestBuildRareWordSet:
 
     @pytest.mark.parametrize("percent", [0.0, -0.1, 1.5])
     def test_invalid_percent(self, percent):
-        with pytest.raises(InvalidPercentError):
+        with pytest.raises(ValueError, match=r"^rare_words_percent must be in \(0, 1\]$"):
             build_rare_word_set([tokenize("a")], percent)
 
     def test_ceil_keeps_at_least_one_word(self):

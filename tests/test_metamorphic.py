@@ -1,11 +1,22 @@
-"""Metamorphic relations: changes to the input that must leave every score
-as it is, compared by ``==``.
+"""Metamorphic relations (Chen, Cheung and Yiu 1998): changes to the input
+that must leave every score as it is, compared by ``==``.
 
 Reordering the references (the ``--ref`` files) of a corpus must not move
 a score. BLEU, EBLEU, NIST, TER and RIBES hold this today. LEPOR and
 METEOR break a tie by taking the first reference, so for them the
 relation stands as strict expected failures on the two smallest known
 counterexamples, until the tie rules of ROADMAP item 8 land.
+
+Renaming the words, the lexicon's too, by a map that keeps their order
+must not move any of the seven scores: a scorer reads words only by
+equality, and EBLEU and its rare-word set break ties by word order.
+
+A copy of the first reference added as the last must not move BLEU,
+METEOR, LEPOR or RIBES: the copy adds no n-gram count above the maximum,
+no new reference length, and no better score, and where METEOR and LEPOR
+break a tie by the first reference, the one that won before still comes
+first. NIST and TER pool or average over the references, and EBLEU's
+rare-word set counts them, so the copy moves those by definition.
 """
 
 import pytest
@@ -14,6 +25,7 @@ from hypothesis import strategies as st
 
 from mteval import (
     EbleuConfig,
+    EvalPair,
     ParallelCorpus,
     SynonymLexicon,
     bleu_score,
@@ -29,41 +41,91 @@ from helpers import corpus_of, small_corpora
 _LEXICON = SynonymLexicon(
     entries={"a": frozenset("bd"), "b": frozenset("a"), "d": frozenset("a")}
 )
-# name -> scorer(corpus, **kwargs) for each metric that holds the relation;
+# name -> scorer(corpus, lexicon, **kwargs) for each of the seven metrics;
 # EBLEU builds its rare-word set from the references.
-_ORDER_FREE_SCORERS = {
-    "bleu": bleu_score,
-    "ebleu": lambda c, **kw: ebleu_score(
-        c, _LEXICON, EbleuConfig(rare_words_percent=0.5, rare_words_score=1.3), **kw
+_SCORERS = {
+    "bleu": lambda c, lex, **kw: bleu_score(c, **kw),
+    "ebleu": lambda c, lex, **kw: ebleu_score(
+        c, lex, EbleuConfig(rare_words_percent=0.5, rare_words_score=1.3), **kw
     ),
-    "nist": nist_score,
-    "ter": ter_score,
-    "ribes": ribes_score,
+    "nist": lambda c, lex, **kw: nist_score(c, **kw),
+    "ter": lambda c, lex, **kw: ter_score(c, **kw),
+    "meteor": meteor_score,
+    "lepor": lambda c, lex, **kw: lepor_score(c, **kw),
+    "ribes": lambda c, lex, **kw: ribes_score(c, **kw),
 }
+_ORDER_FREE = ("bleu", "ebleu", "nist", "ribes", "ter")
+_COPY_FREE = ("bleu", "lepor", "meteor", "ribes")
+_SMALL_CORPORA = small_corpora(alphabet="abcd", max_len=10)
+
+
+def scores(name, corpus, lexicon=_LEXICON):
+    """The corpus result and the per-sentence scores of metric ``name``."""
+    sink = []
+    return _SCORERS[name](corpus, lexicon, per_sentence=sink), sink
+
+
+def with_pairs(corpus: ParallelCorpus, change) -> ParallelCorpus:
+    """``corpus`` with ``change(pair)`` in place of each pair."""
+    pairs = tuple(map(change, corpus.pairs))
+    return ParallelCorpus(pairs=pairs, ref_count=len(pairs[0].references))
 
 
 def with_references_in_order(corpus: ParallelCorpus, order) -> ParallelCorpus:
     """``corpus`` with reference ``order[k]`` of every pair in place ``k``,
     as when the ``--ref`` files are given in that order."""
-    pairs = tuple(
-        pair._replace(references=tuple(pair.references[k] for k in order))
-        for pair in corpus.pairs
+    return with_pairs(
+        corpus,
+        lambda pair: pair._replace(references=tuple(pair.references[k] for k in order)),
     )
-    return ParallelCorpus(pairs=pairs, ref_count=corpus.ref_count)
 
 
-@pytest.mark.parametrize("name", sorted(_ORDER_FREE_SCORERS))
+@pytest.mark.parametrize("name", _ORDER_FREE)
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
 def test_reordering_the_references_moves_no_score(name, data):
-    corpus = data.draw(small_corpora(alphabet="abcd", max_len=10))
+    corpus = data.draw(_SMALL_CORPORA)
     order = data.draw(st.permutations(range(corpus.ref_count)))
-    scorer = _ORDER_FREE_SCORERS[name]
-    sink, reordered_sink = [], []
-    result = scorer(corpus, per_sentence=sink)
-    reordered = scorer(with_references_in_order(corpus, order), per_sentence=reordered_sink)
-    assert reordered == result
-    assert reordered_sink == sink
+    assert scores(name, with_references_in_order(corpus, order)) == scores(name, corpus)
+
+
+# Four distinct words of one to three letters, sorted: the new names of
+# a, b, c and d, in their order.
+_NEW_NAMES = st.lists(
+    st.text("abcdxyz", min_size=1, max_size=3), min_size=4, max_size=4, unique=True
+).map(sorted)
+
+
+@pytest.mark.parametrize("name", sorted(_SCORERS))
+@settings(deadline=None, max_examples=150)
+@given(corpus=_SMALL_CORPORA, new_names=_NEW_NAMES)
+def test_renaming_the_words_in_order_moves_no_score(name, corpus, new_names):
+    rename = dict(zip("abcd", new_names)).__getitem__
+
+    def renamed_pair(pair):
+        return EvalPair(
+            tuple(map(rename, pair.hypothesis)),
+            tuple(tuple(map(rename, ref)) for ref in pair.references),
+        )
+
+    lexicon = SynonymLexicon(
+        entries={
+            rename(word): frozenset(map(rename, synonyms))
+            for word, synonyms in _LEXICON.entries.items()
+        }
+    )
+    renamed = scores(name, with_pairs(corpus, renamed_pair), lexicon)
+    assert renamed == scores(name, corpus)
+
+
+@pytest.mark.parametrize("name", _COPY_FREE)
+@settings(deadline=None, max_examples=150)
+@given(corpus=_SMALL_CORPORA)
+def test_a_copy_of_the_first_reference_added_last_moves_no_score(name, corpus):
+    def with_copy(pair):
+        return pair._replace(references=(*pair.references, pair.references[0]))
+
+    assert scores(name, with_pairs(corpus, with_copy)) == scores(name, corpus)
 
 
 @pytest.mark.xfail(

@@ -12,7 +12,6 @@ from mteval import (
     SynonymLexicon,
     bleu_score,
     ebleu_score,
-    modified_precision,
     nist_score,
     tokenize,
 )
@@ -24,7 +23,7 @@ from mteval.ngram import (
     window_counts,
     window_total,
 )
-from helpers import corpus_of, oracle_nist_score, pair_of, small_corpora
+from helpers import bleu_precision, corpus_of, oracle_nist_score, pair_of, small_corpora
 
 TOKENS = st.lists(st.sampled_from("abcde"), max_size=8)
 ORDERS = st.integers(min_value=1, max_value=4)
@@ -86,23 +85,23 @@ class TestExtractNgrams:
         assert [gram for gram in got if len(gram) == 3] == []
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            modified_precision(pair_of("a", "a"), 0)
+        with pytest.raises(ValueError, match="^max_order must be in 1..1000, got 0$"):
+            bleu_precision(pair_of("a", "a"), 0)
 
     # Every entry point that takes an n-gram order bounds it above, naming
     # its field: past the bound, every pair's order columns would grow with
-    # the order, not with the sentence.
+    # the order, not with the sentence. One order's precision is BLEU's.
     @pytest.mark.parametrize(
-        "entry_point, field",
+        "entry_point",
         [
-            (lambda n: BleuConfig(max_order=n), "max_order"),
-            (lambda n: EbleuConfig(max_order=n), "max_order"),
-            (lambda n: modified_precision(pair_of("a b c", "a b d"), n), "n-gram order"),
+            lambda n: BleuConfig(max_order=n),
+            lambda n: EbleuConfig(max_order=n),
+            lambda n: bleu_precision(pair_of("a b c", "a b d"), n),
         ],
-        ids=["BleuConfig", "EbleuConfig", "modified_precision"],
+        ids=["BleuConfig", "EbleuConfig", "bleu_precision"],
     )
-    def test_order_above_the_bound_rejected(self, entry_point, field):
-        with pytest.raises(ValueError, match=f"^{field} must be in 1..1000, got 1001$"):
+    def test_order_above_the_bound_rejected(self, entry_point):
+        with pytest.raises(ValueError, match="^max_order must be in 1..1000, got 1001$"):
             entry_point(ngram.MAX_ORDER + 1)
         entry_point(ngram.MAX_ORDER)
 
@@ -336,23 +335,23 @@ class TestModifiedPrecision:
             "the cat is on the mat",
             "there is a cat on the mat",
         )
-        assert modified_precision(pair, 1) == pytest.approx(2 / 7, abs=1e-12)
+        assert bleu_precision(pair, 1) == pytest.approx(2 / 7, abs=1e-12)
 
     def test_bigram_example(self):
         pair = pair_of("the cat is here", "the cat is on the mat")
-        assert modified_precision(pair, 2) == pytest.approx(2 / 3, abs=1e-12)
+        assert bleu_precision(pair, 2) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_identical_sentences(self):
         pair = pair_of("a b c d", "a b c d")
         for n in range(1, 5):
-            assert modified_precision(pair, n) == 1.0
+            assert bleu_precision(pair, n) == 1.0
 
     def test_empty_hypothesis_scores_zero(self):
-        assert modified_precision(pair_of("", "a b"), 1) == 0.0
+        assert bleu_precision(pair_of("", "a b"), 1) == 0.0
 
     @given(TOKENS, st.lists(TOKENS, min_size=1, max_size=3), ORDERS)
     def test_stays_in_unit_interval(self, hyp, refs, n):
-        p = modified_precision(pair_of(" ".join(hyp), *(" ".join(r) for r in refs)), n)
+        p = bleu_precision(pair_of(" ".join(hyp), *(" ".join(r) for r in refs)), n)
         assert 0.0 <= p <= 1.0
 
 
@@ -371,6 +370,5 @@ class TestOneClippingRule:
                 matched, total = details["matched"][n - 1], details["totals"][n - 1]
                 assert clipped_total(pair.hypothesis, pair.references, n) == matched
                 assert sum(c for g, c in hyp.items() if len(g) == n) == total
-                precision = modified_precision(pair, n)
+                precision = details["precisions"][n - 1]
                 assert precision == (matched / total if total else 0.0)
-                assert precision == details["precisions"][n - 1]

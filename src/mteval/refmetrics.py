@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Mapping, NamedTuple, Sequence
+from collections import Counter
+from typing import Mapping, Sequence
 
 from . import bleu
 from .bleu import MetricScore, brevity_penalty, effective_reference_length
@@ -168,55 +169,32 @@ _MAX_SHIFT_PHRASE = 10
 _MAX_SHIFT_DISTANCE = 50
 
 
-def _positions(ref: TokenSeq) -> dict[str, list[int]]:
-    """Each word of ``ref`` mapped to its positions in ascending order."""
-    positions: dict[str, list[int]] = {}
-    for j, word in enumerate(ref):
-        positions.setdefault(word, []).append(j)
-    return positions
-
-
-class _ReferenceBits(NamedTuple):
-    """A reference as the edit-distance recurrence of ``_advance`` reads it."""
-
-    masks: dict[str, int]  # per token: bit j set where ref[j] is the token
-    full: int  # one bit per reference token
-    last: int  # the top bit of ``full``
-    start: tuple[int, int, int]  # the column state of the empty prefix
-
-
-def _reference_bits(ref: Sequence[str]) -> _ReferenceBits:
-    """The bit layout of ``ref``, built once per reference."""
-    ref_len = len(ref)
-    masks: dict[str, int] = {}
-    for j, word in enumerate(ref):
-        masks[word] = masks.get(word, 0) | (1 << j)
-    full = (1 << ref_len) - 1
-    return _ReferenceBits(masks, full, full ^ (full >> 1), (full, 0, ref_len))
-
-
 def _advance(
-    seq: Sequence[str],
-    bits: _ReferenceBits,
-    state: tuple[int, int, int],
+    masks: Sequence[int],
+    full: int,
+    state: tuple[int, int, int] | None = None,
     columns: list[tuple[int, int, int]] | None = None,
 ) -> int:
-    """Feed ``seq`` through the edit-distance recurrence from a column state.
+    """Feed ``masks`` through the edit-distance recurrence from a column state.
 
     Bit-parallel form of Myers (1999) for global edit distance (Hyyrö
     2003): the reference is the pattern, one Python int per vertical
-    delta vector holds a whole DP column, so each token of ``seq`` costs
-    a constant number of big-int operations. ``state`` is ``(vp, vn,
+    delta vector holds a whole DP column, so each token costs a constant
+    number of big-int operations. A token is its pattern bit-vector, its
+    mask: bit j set where the reference's word j is the token's word.
+    ``full`` has one bit per reference word. ``state`` is ``(vp, vn,
     distance)``: ``vp``/``vn`` mark the +1/-1 differences down a column,
     ``hp``/``hn`` those across to the next, and ``distance`` follows the
-    column's last cell. ``bits`` is the reference's ``_reference_bits``.
+    column's last cell; it defaults to the column of the empty prefix.
     Returns the distance after the last token; when ``columns`` is given,
-    the state after each token is appended to it.
+    the state it starts from and the state after each token are appended
+    to it.
     """
-    masks, full, last, _ = bits
-    vp, vn, distance = state
-    for word in seq:
-        eq = masks.get(word, 0)
+    last = full ^ (full >> 1)
+    vp, vn, distance = (full, 0, full.bit_length()) if state is None else state
+    if columns is not None:
+        columns.append((vp, vn, distance))
+    for eq in masks:
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
         hp = vn | ~(xh | vp)
@@ -234,48 +212,44 @@ def _advance(
     return distance
 
 
-def _bag_distance(hyp: TokenSeq, positions: dict[str, list[int]], ref_len: int) -> int:
-    """max(|H - R|, |R - H|) over the word multisets of ``hyp`` and a
-    reference of ``ref_len`` words with these ``positions``: no sequence
-    with the words of ``hyp`` is fewer edits than this from it."""
-    unmatched = {word: len(slots) for word, slots in positions.items()}
-    surplus = 0
-    for word in hyp:
-        left = unmatched.get(word, 0)
-        if left:
-            unmatched[word] = left - 1
-        else:
-            surplus += 1
-    return max(surplus, surplus + ref_len - len(hyp))
+def _bag_distance(masks: Sequence[int], ref_len: int) -> int:
+    """max(|H - R|, |R - H|) over the word multisets of a hypothesis given
+    as its ``masks`` and a reference of ``ref_len`` words: no sequence with
+    the words of the hypothesis is fewer edits than this from it. A mask's
+    popcount is its word's count in the reference, 0 for a word it lacks."""
+    surplus = sum(
+        max(count - mask.bit_count(), 0) for mask, count in Counter(masks).items()
+    )
+    return max(surplus, surplus + ref_len - len(masks))
 
 
 def _best_shift(
-    current: tuple[str, ...],
-    ref: TokenSeq,
-    positions: dict[str, list[int]],
-    bits: _ReferenceBits,
-    columns: list[tuple[int, int, int]],
+    current: tuple[int, ...], full: int, columns: list[tuple[int, int, int]]
 ) -> tuple[int, int, int] | None:
-    """The first candidate shift ``(i, length, pos)`` of ``current`` with
-    the largest gain, or None when no candidate lowers the distance.
+    """The first candidate shift ``(i, length, pos)`` of ``current``, a
+    hypothesis as its masks, with the largest gain, or None when no
+    candidate lowers the distance.
 
-    ``columns`` holds the column state before each token of ``current``
-    and then after its last, so the distance is ``columns[-1][2]``.
+    Token i's candidate positions j are the set bits of its mask, in
+    ascending order, and a phrase extends while the next token's mask has
+    the next bit set. ``columns`` holds the column state before each token
+    of ``current`` and then after its last, so the distance is
+    ``columns[-1][2]``.
     """
-    ref_len = len(ref)
     distance = columns[-1][2]
     n = len(current)
     best_gain = 0
     best = None
-    for i, word in enumerate(current):
-        for j in positions.get(word, ()):
+    for i, mask in enumerate(current):
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
             if i == j or abs(i - j) > _MAX_SHIFT_DISTANCE:
                 continue
             run = 1
             while (
                 i + run < n
-                and j + run < ref_len
-                and current[i + run] == ref[j + run]
+                and current[i + run] >> (j + run) & 1
                 and run < _MAX_SHIFT_PHRASE
             ):
                 run += 1
@@ -292,7 +266,7 @@ def _best_shift(
                     window = current[i + length : q] + block
                 if window == current[p:q]:
                     continue
-                gain = distance - _advance(window + current[q:], bits, columns[p])
+                gain = distance - _advance(window + current[q:], full, columns[p])
                 if gain > best_gain:
                     best_gain, best = gain, (i, length, pos)
     return best
@@ -307,17 +281,22 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) 
     move distance cap. Candidates come in order of i, then j, then L, and
     one is chosen only if it strictly beats the best gain so far.
 
-    No candidate sequence is built. One pass over ``current`` stores the
-    column state before each of its tokens. A candidate equals
-    ``current`` before column ``p = min(i, pos)`` and from column
-    ``q = max(i, pos) + L`` on, so its distance resumes from the stored
-    state at ``p`` over its changed window and then ``current[q:]``. The
-    move is L deletions plus L insertions, or the same for the
-    ``|pos - i|`` tokens it jumps, so by the triangle inequality it lowers
-    the distance by at most ``2 * min(L, |pos - i|)``; a candidate whose
-    bound does not exceed the best gain is skipped unevaluated, and so is
-    one whose window equals ``current[p:q]`` (a move inside a run of
-    repeated words, which leaves ``current`` as it is). A shift keeps the
+    Each hypothesis word becomes its reference mask once (bit j set where
+    ``ref[j]`` is the word, 0 for a word ``ref`` lacks), and the search
+    works on these integers alone: two masks are equal exactly when their
+    reference words are, and the words ``ref`` lacks all cost the same in
+    the edit distance. No candidate sequence is built. One pass over
+    ``current`` stores the column state before each of its tokens. A
+    candidate equals ``current`` before column ``p = min(i, pos)`` and
+    from column ``q = max(i, pos) + L`` on, so its distance resumes from
+    the stored state at ``p`` over its changed window and then
+    ``current[q:]``. The move is L deletions plus L insertions, or the
+    same for the ``|pos - i|`` tokens it jumps, so by the triangle
+    inequality it lowers the distance by at most ``2 * min(L, |pos - i|)``;
+    a candidate whose bound does not exceed the best gain is skipped
+    unevaluated, and so is one whose window of masks equals
+    ``current[p:q]`` (a move inside a run of repeated words, or one that
+    swaps only words ``ref`` lacks), which gains nothing. A shift keeps the
     multiset of words, so no candidate is closer to ``ref`` than the bag
     distance, and the search stops once the distance is at most one
     above it. There a shift gains at most 1 and costs 1 edit, so
@@ -332,19 +311,21 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) 
     ref_len = len(ref)
     if ref_len == 0:
         return len(hyp)
-    bits = _reference_bits(ref)
-    positions = _positions(ref)
-    floor = _bag_distance(hyp, positions, ref_len)
-    current: tuple[str, ...] = tuple(hyp)
+    masks: dict[str, int] = {}
+    for j, word in enumerate(ref):
+        masks[word] = masks.get(word, 0) | 1 << j
+    current = tuple([masks.get(word, 0) for word in hyp])
+    full = (1 << ref_len) - 1
+    floor = _bag_distance(current, ref_len)
     edits = 0
     while True:
         if edits + floor >= cutoff:
             return edits + floor
-        columns = [bits.start]
-        distance = _advance(current, bits, bits.start, columns)
+        columns: list[tuple[int, int, int]] = []
+        distance = _advance(current, full, columns=columns)
         if distance <= floor + 1:
             break
-        best = _best_shift(current, ref, positions, bits, columns)
+        best = _best_shift(current, full, columns)
         if best is None:
             break
         i, length, pos = best
@@ -363,7 +344,10 @@ def ter_score(
     delete, substitute, and phrase shift each cost one. Shifts are chosen
     greedily, each step taking the first candidate with the largest drop
     in word edit distance. That distance comes from the bit-parallel
-    algorithm of Myers (1999) in Hyyrö's (2003) edit distance form. Each
+    algorithm of Myers (1999) in Hyyrö's (2003) edit distance form, and
+    the search runs on the hypothesis as its words' reference masks, each
+    word mapped once to the bit-vector of its positions in the reference
+    (0 for a word the reference lacks). Each
     candidate's distance resumes from the current sequence's stored
     column at its first changed word, a candidate is skipped when the
     size of its move bounds its gain to no more than the best so far,
@@ -397,6 +381,14 @@ def ter_score(
 
 # ---------------------------------------------------------------------------
 # METEOR
+
+
+def _positions(ref: TokenSeq) -> dict[str, list[int]]:
+    """Each word of ``ref`` mapped to its positions in ascending order."""
+    positions: dict[str, list[int]] = {}
+    for j, word in enumerate(ref):
+        positions.setdefault(word, []).append(j)
+    return positions
 
 
 def _exact_alignment(hyp: TokenSeq, free: dict[str, list[int]]) -> list[int | None]:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import builtins
+import contextlib
 import functools
 import math
 import operator
 import random
 from collections import Counter, deque
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -25,6 +27,21 @@ def import_scipy_stats():
         lines = str(exc).strip().splitlines() or [repr(exc)]
         pytest.skip(f"scipy.stats: {lines[-1]}")  # numpy's message ends with the cause
     return scipy.stats
+
+
+@contextlib.contextmanager
+def recorded_calls(module, name: str):
+    """Within the block, ``module.name`` records the positional arguments of
+    each call in the list it yields, then runs as before."""
+    original = getattr(module, name)
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(module, name, record):
+        yield calls
 
 
 def pair_of(hyp: str, *refs: str) -> EvalPair:

@@ -31,8 +31,6 @@ from mteval.refmetrics import (
     _kendall_tau,
     _order_alignment,
     _position_alignment,
-    _positions,
-    _reference_bits,
     _shifted_edit_count,
 )
 from mteval import EvalPair, ParallelCorpus
@@ -55,6 +53,7 @@ from helpers import (
     oracle_ribes_score,
     oracle_shifted_edit_count,
     random_corpus,
+    recorded_calls,
     small_corpora,
 )
 
@@ -280,18 +279,19 @@ class TestTer:
     def test_reference_at_the_cutoff_is_not_searched(self):
         # The first reference is 1 edit away; the second's bag distance
         # is 2, so its search stops before its first edit-distance column.
-        ref1, ref2 = ("a", "b", "c", "x"), ("b", "a", "y", "z")
-        searched = []
-        original = refmetrics._advance
-
-        def recording(seq, bits, *rest):
-            searched.append(bits)
-            return original(seq, bits, *rest)
-
-        with mock.patch.object(refmetrics, "_advance", recording):
+        # Both references have 4 words, so the masks tell them apart.
+        hyp, ref1, ref2 = ("a", "b", "c", "d"), ("a", "b", "c", "x"), ("b", "a", "y", "z")
+        with recorded_calls(refmetrics, "_advance") as searched:
             assert ter_score(corpus_of(("a b c d", "a b c x", "b a y z"))) == 1 / 4
-        assert searched and all(bits == _reference_bits(ref1) for bits in searched)
-        assert _bag_distance(("a", "b", "c", "d"), _positions(ref2), 4) == 2
+        assert [args[0] for args in searched] == [reference_masks(hyp, ref1)]
+        assert reference_masks(hyp, ref1) != reference_masks(hyp, ref2)
+        assert _bag_distance(reference_masks(hyp, ref2), 4) == 2
+
+    def test_builds_no_position_index(self):
+        corpus = corpus_of(("a b c d", "a b c x", "b a y z"), ("a a b", "b a a", "a b"))
+        with recorded_calls(refmetrics, "_positions") as calls:
+            ter_score(corpus, per_sentence=[])
+        assert len(calls) == 0
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -328,12 +328,19 @@ class TestTer:
         )
 
 
+def reference_masks(hyp, ref):
+    """Each word of ``hyp`` as its mask: bit j set where ``ref[j]`` is the word."""
+    masks = {}
+    for j, word in enumerate(ref):
+        masks[word] = masks.get(word, 0) | 1 << j
+    return tuple(masks.get(word, 0) for word in hyp)
+
+
 def bit_parallel_distance(hyp, ref):
     """Word edit distance by ``_advance`` from the empty prefix of ``ref``."""
     if not ref:
         return len(hyp)
-    bits = _reference_bits(ref)
-    return _advance(hyp, bits, bits.start)
+    return _advance(reference_masks(hyp, ref), (1 << len(ref)) - 1)
 
 
 def _sequences_over(vocab_size, max_len=140):
@@ -384,6 +391,18 @@ class TestTerEditDistance:
 
     def test_shifted_edit_count_pinned(self):
         assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
+
+    def test_advance_calls_stay_within_the_counted_baseline(self):
+        # The counts of the search that looked a word's mask up per token.
+        with recorded_calls(refmetrics, "_advance") as calls:
+            assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
+        assert len(calls) <= 23_761
+        r = random.Random(1)
+        hyp = tuple(r.choice("ab") for _ in range(40))
+        ref = tuple(r.choice("ab") for _ in range(40))
+        with recorded_calls(refmetrics, "_advance") as calls:
+            assert _shifted_edit_count(hyp, ref) == 9
+        assert len(calls) <= 6_327
 
 
 def _moves(n, m):
@@ -437,7 +456,7 @@ class TestShiftSearch:
     )
     def test_bag_distance_bounds_every_shifted_sequence(self, pair):
         hyp, ref = pair
-        floor = _bag_distance(hyp, _positions(ref), len(ref))
+        floor = _bag_distance(reference_masks(hyp, ref), len(ref))
         assert floor == max(
             sum((Counter(hyp) - Counter(ref)).values()),
             sum((Counter(ref) - Counter(hyp)).values()),
@@ -454,33 +473,44 @@ class TestShiftSearch:
             hyp, ref, bit_parallel_distance
         )
 
+    # Words the reference lacks all have mask 0, so candidates that differ
+    # only in which of them sits where are skipped as unchanged.
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.sampled_from("abcdxyz"), max_size=16).map(tuple),
+        st.lists(st.sampled_from("abcd"), max_size=16).map(tuple),
+    )
+    @example(("x", "b", "y", "a", "z"), ("a", "b"))
+    def test_equals_building_every_candidate_with_words_the_reference_lacks(
+        self, hyp, ref
+    ):
+        assert _shifted_edit_count(hyp, ref) == oracle_shifted_edit_count(
+            hyp, ref, dp_edit_distance
+        )
+
     def test_no_scan_one_above_the_bag_distance(self):
         # "a b" is 2 edits from "b c" and the bag distance is 1: a shift
         # could save at most 1 edit and costs 1, so the search stops unscanned.
-        with mock.patch.object(
-            refmetrics, "_best_shift", wraps=refmetrics._best_shift
-        ) as scan:
+        with recorded_calls(refmetrics, "_best_shift") as scans:
             assert _shifted_edit_count(("a", "b"), ("b", "c")) == 2
-        assert scan.call_count == 0
+        assert len(scans) == 0
 
     def test_every_scan_starts_two_above_the_bag_distance(self):
-        with mock.patch.object(
-            refmetrics, "_best_shift", wraps=refmetrics._best_shift
-        ) as scan:
+        with recorded_calls(refmetrics, "_best_shift") as scans:
             assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
-        gaps = []
-        for call in scan.call_args_list:
-            current, ref, positions, _, columns = call.args
-            gaps.append(columns[-1][2] - _bag_distance(current, positions, len(ref)))
+        gaps = [
+            columns[-1][2] - _bag_distance(current, full.bit_length())
+            for current, full, columns in scans
+        ]
         assert gaps and min(gaps) >= 2
 
     def check_resumed_moves(self, current, ref, moves):
         """A candidate's distance resumes from ``current``'s stored column
         at its first changed word, and its gain is at most twice the
         smaller of the block length and the distance it moves."""
-        bits = _reference_bits(ref)
-        columns = [bits.start]
-        distance = _advance(current, bits, columns[0], columns)
+        full = (1 << len(ref)) - 1
+        columns = []
+        distance = _advance(reference_masks(current, ref), full, columns=columns)
         assert len(columns) == len(current) + 1
         assert distance == dp_edit_distance(current, ref)
         for i, j, length in moves:
@@ -488,7 +518,8 @@ class TestShiftSearch:
             p, q = min(i, pos), max(i, pos) + length
             assert candidate[:p] == current[:p] and candidate[q:] == current[q:]
             expected = bit_parallel_distance(candidate, ref)
-            assert _advance(candidate[p:], bits, columns[p]) == expected
+            masks = reference_masks(candidate[p:], ref)
+            assert _advance(masks, full, columns[p]) == expected
             assert distance - expected <= 2 * min(length, abs(pos - i))
 
     @settings(deadline=None, max_examples=100)

@@ -10,8 +10,8 @@ holds the tsv scale, whether the metric needs the synonym lexicon, and
 how to run it; its column label is its name in capitals. Each metric
 runs once per ``score`` invocation; with ``--per-sentence`` its
 per-sentence scores come from that same corpus pass. Metrics run in the
-table's order, NIST before BLEU, whose matches NIST's pass gives; the
-output keeps ``--metric`` order.
+table's order, NIST before BLEU, which reads NIST's matches when both
+run at ``--max-ngram`` 5 or below; the output keeps ``--metric`` order.
 
 Exit codes: 0 success, 1 data error, 2 usage error. Output is fully
 deterministic; identical inputs produce byte-identical output. In tsv
@@ -42,6 +42,7 @@ from .ebleu import EbleuConfig, ebleu_score
 from .errors import EmptyCorpusError, MTEvalError, TableFormatError, prefixed
 from .ngram import MAX_ORDER
 from .refmetrics import (
+    NIST_ORDER,
     lepor_score,
     meteor_score,
     nist_score,
@@ -76,17 +77,17 @@ class Metric(NamedTuple):
     returns ``(score, details or None)``, a ``MetricScore`` where the
     scorer gives one. It hands ``per_sentence`` to the scorer, which,
     given a list, appends each pair's score to it, in corpus order, from
-    the same corpus pass. NIST fills the run's one ``matched`` list with
-    each pair's clipped matches per order, and BLEU reads them from it up
-    to NIST's order 5. It calls its scorer once, by this module's global
-    name, so the scorer is looked up when the metric runs, not when the
-    table is built.
+    the same corpus pass. ``matched`` is one list when both NIST and BLEU
+    run and ``--max-ngram`` is at most NIST's order 5, else ``None``:
+    NIST fills it with each pair's clipped matches per order, BLEU reads
+    them. It calls its scorer once, by this module's global name, so the
+    scorer is looked up when the metric runs, not when the table is built.
     """
 
     scale: int  # tsv cells show the score times this
     needs_lexicon: bool
     run: Callable[
-        [ParallelCorpus, SynonymLexicon, EbleuConfig, list[float] | None, list],
+        [ParallelCorpus, SynonymLexicon, EbleuConfig, list[float] | None, list | None],
         tuple[float, dict | None],
     ]
 
@@ -104,8 +105,7 @@ METRICS = {
     ),
     "bleu": Metric(
         100, False, lambda c, lex, cfg, s, m: bleu_score(
-            c, cfg.bleu_config(), per_sentence=s,
-            matched_per_order=m if m and cfg.max_order <= len(m[0]) else None,
+            c, cfg.bleu_config(), per_sentence=s, matched_per_order=m
         )
     ),
     "ter": Metric(
@@ -166,7 +166,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         if args.lexicon
         else SynonymLexicon.empty()
     )
-    matched: list[list[int]] = []
+    both = {"nist", "bleu"} <= set(metrics)
+    matched = [] if both and cfg.max_order <= NIST_ORDER else None
     results = {}
     for name in sorted(metrics, key=list(METRICS).index):
         per_sentence = [] if args.per_sentence else None
@@ -175,7 +176,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     results = {name: results[name] for name in metrics}
     stats = {
         "pairs": len(corpus),
-        "ref_count": corpus.ref_count,
+        "ref_count": len(args.ref),
         "hypothesis_tokens": corpus.hypothesis_token_count(),
         "reference_tokens": corpus.reference_token_count(),
     }
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help=f"n-gram order from 1 to {MAX_ORDER}, of BLEU and EBLEU only; "
-        "NIST always uses order 5",
+        f"NIST always uses order {NIST_ORDER}",
     )
     score.add_argument("--synonym-score", type=float, metavar="F")
     score.add_argument("--rare-words-percent", type=float, metavar="F")

@@ -73,12 +73,12 @@ class EvalPair(NamedTuple):
 
 
 class ParallelCorpus(Frozen):
-    """Line-aligned hypothesis/reference pairs with a uniform reference count."""
+    """Line-aligned hypothesis/reference pairs."""
 
-    __slots__ = ("pairs", "ref_count")
+    __slots__ = ("pairs",)
 
-    def __init__(self, pairs: tuple[EvalPair, ...], ref_count: int) -> None:
-        self._set(pairs, ref_count)
+    def __init__(self, pairs: tuple[EvalPair, ...]) -> None:
+        self._set(pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -205,7 +205,7 @@ def load_parallel_corpus(
         )
         for i, line in enumerate(hyp_lines)
     )
-    return ParallelCorpus(pairs=pairs, ref_count=len(ref_paths))
+    return ParallelCorpus(pairs)
 
 
 class SynonymLexicon(Frozen):
@@ -264,8 +264,6 @@ class RareWordSet(NamedTuple):
     """The lowest-frequency tail of the distinct reference vocabulary."""
 
     words: frozenset[str]
-    source_vocab_size: int
-    percent: float
 
 
 def _check_percent(percent: float) -> None:
@@ -289,6 +287,4 @@ def build_rare_word_set(references: Iterable[TokenSeq], percent: float) -> RareW
     vocab = sorted(freq, key=lambda w: (-freq[w], w))
     take = math.ceil(percent * len(vocab))
     tail = vocab[len(vocab) - take :]
-    return RareWordSet(
-        words=frozenset(tail), source_vocab_size=len(vocab), percent=percent
-    )
+    return RareWordSet(frozenset(tail))

@@ -39,7 +39,7 @@ from .ngram import (
 # NIST
 
 # NIST's n-gram order, Doddington's (2002) N = 5.
-_NIST_ORDER = 5
+NIST_ORDER = 5
 
 
 def _average_length(references: Sequence[TokenSeq]) -> float:
@@ -125,15 +125,15 @@ def nist_score(
 
     def pair_stats(pair):
         c = len(pair.hypothesis)
-        hyp = bleu.extract_ngrams(pair.hypothesis, _NIST_ORDER)
-        top = min(_NIST_ORDER, c)
-        totals = [window_total(c, n) for n in range(1, _NIST_ORDER + 1)]
+        hyp = bleu.extract_ngrams(pair.hypothesis, NIST_ORDER)
+        top = min(NIST_ORDER, c)
+        totals = [window_total(c, n) for n in range(1, NIST_ORDER + 1)]
         avg_ref_len = _average_length(pair.references)
         first, *rest = [window_counts(ref, top, hyp) for ref in pair.references]
         best = _merge_max(first.copy(), rest) if rest else first
         matches = clipped_counts(hyp, best)
         if matched_per_order is not None:
-            matched_per_order.append(matches_per_order(matches, _NIST_ORDER))
+            matched_per_order.append(matches_per_order(matches, NIST_ORDER))
         if per_sentence is not None:
             # The tables hold the matched n-grams alone, so this sums over them.
             summed = dict(first)

@@ -53,13 +53,13 @@ def pair_of(hyp: str, *refs: str) -> EvalPair:
 def corpus_of(*rows: tuple) -> ParallelCorpus:
     """Each row is (hypothesis, ref1[, ref2, ...]) as plain strings."""
     pairs = tuple(pair_of(*row) for row in rows)
-    return ParallelCorpus(pairs=pairs, ref_count=len(pairs[0].references))
+    return ParallelCorpus(pairs=pairs)
 
 
 def bleu_precision(pair: EvalPair, n: int) -> float:
     """BLEU's modified precision of order ``n`` for one pair, as its one
     entry point gives it: ``details["precisions"]`` of the one-pair corpus."""
-    corpus = ParallelCorpus((pair,), len(pair.references))
+    corpus = ParallelCorpus((pair,))
     return bleu_score(corpus, BleuConfig(max_order=n)).details["precisions"][n - 1]
 
 
@@ -111,15 +111,15 @@ EDGE_LINES = [("", "a b"), ("a b", ""), ("", ""), ("a", "a"), ("a", "b")]
 
 @st.composite
 def small_corpora(draw, alphabet: str = "abc", max_pairs: int = 4, max_len: int = 12):
-    """Corpora of 1-``max_pairs`` pairs and 1-3 references per pair over a
-    vocabulary of the first 1-``len(alphabet)`` letters: repeated tokens,
-    empty hypotheses and references, and one-pair corpora are all common."""
+    """Corpora of 1-``max_pairs`` pairs over a vocabulary of the first
+    1-``len(alphabet)`` letters, each pair drawing its own 1-3 references:
+    repeated tokens, empty hypotheses and references, one-pair corpora
+    and pairs with different numbers of references are all common."""
     vocab = alphabet[: draw(st.integers(1, len(alphabet)))]
-    ref_count = draw(st.integers(1, 3))
     sentence = st.lists(st.sampled_from(vocab), max_size=max_len).map(tuple)
-    refs = st.lists(sentence, min_size=ref_count, max_size=ref_count).map(tuple)
+    refs = st.lists(sentence, min_size=1, max_size=3).map(tuple)
     pairs = draw(st.lists(st.builds(EvalPair, sentence, refs), min_size=1, max_size=max_pairs))
-    return ParallelCorpus(pairs=tuple(pairs), ref_count=ref_count)
+    return ParallelCorpus(pairs=tuple(pairs))
 
 
 def block_moved_pair(

@@ -81,13 +81,13 @@ class TestBleuScore:
         sink = []
         bleu_score(corpus, cfg, per_sentence=sink)
         assert sink == [
-            bleu_score(ParallelCorpus((pair,), corpus.ref_count), cfg).corpus_score
+            bleu_score(ParallelCorpus((pair,)), cfg).corpus_score
             for pair in corpus.pairs
         ]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            bleu_score(ParallelCorpus(pairs=(), ref_count=1))
+            bleu_score(ParallelCorpus(pairs=()))
 
     def test_uniform_weight_geometric_mean_identity(self):
         rng = random.Random(7)
@@ -108,7 +108,7 @@ class TestBleuScore:
         corpus = random_corpus(rng, VOCAB, max_pairs=8, max_len=10, min_len=2)
         shuffled = list(corpus.pairs)
         rng.shuffle(shuffled)
-        permuted = ParallelCorpus(pairs=tuple(shuffled), ref_count=1)
+        permuted = ParallelCorpus(pairs=tuple(shuffled))
         assert bleu_score(permuted).corpus_score == pytest.approx(
             bleu_score(corpus).corpus_score, abs=1e-12
         )
@@ -116,7 +116,7 @@ class TestBleuScore:
     def test_duplicating_every_pair_is_a_no_op(self):
         rng = random.Random(13)
         corpus = random_corpus(rng, VOCAB, max_pairs=6, max_len=10, min_len=2)
-        doubled = ParallelCorpus(pairs=corpus.pairs + corpus.pairs, ref_count=1)
+        doubled = ParallelCorpus(pairs=corpus.pairs + corpus.pairs)
         assert bleu_score(doubled).corpus_score == pytest.approx(
             bleu_score(corpus).corpus_score, abs=1e-12
         )
@@ -262,7 +262,7 @@ class TestBleuConfig:
         score = bleu_score(corpus, cfg, per_sentence=sink).corpus_score
         assert score == oracle_bleu_score(corpus, weights, epsilon)
         assert sink == [
-            oracle_bleu_score(ParallelCorpus((pair,), corpus.ref_count), weights, epsilon)
+            oracle_bleu_score(ParallelCorpus((pair,)), weights, epsilon)
             for pair in corpus.pairs
         ]
 

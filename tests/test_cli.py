@@ -17,6 +17,7 @@ import mteval
 from mteval import BleuConfig, EbleuConfig, TokenizerConfig, cli, read_score_table
 from mteval.cli import main
 from mteval.errors import TableFormatError
+from helpers import recorded_calls
 
 
 @pytest.fixture
@@ -276,6 +277,24 @@ class TestScoreCommand:
         )
         assert code == 0
         assert tsv_scores(out)["BLEU"] == 100.00
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("names", [("r0",), ("r0", "r1"), ("r0", "r0"), ("r0", "r1", "r0")])
+    def test_echoed_ref_count_is_the_number_of_ref_flags(self, capsys, tmp_path, names, fmt):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("a b\nc\n", encoding="utf-8")
+        refs = []
+        for name in names:  # a file given twice is written twice, the same
+            refs += ["--ref", str(tmp_path / f"{name}.txt")]
+            Path(refs[-1]).write_text("a b\nc d\n", encoding="utf-8")
+        code, out = run_cli(
+            capsys, "score", "--metric", "bleu", "--hyp", str(hyp), *refs, "--format", fmt
+        )
+        assert code == 0
+        if fmt == "json":
+            assert strict_json(out)["corpus"]["ref_count"] == len(names)
+        else:
+            assert out.split("\n")[0].split()[2] == f"ref_count={len(names)}"
 
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         ref = tmp_path / "ref.txt"
@@ -601,6 +620,25 @@ class TestBleuReadsNistMatches:
         hypotheses = BLEU_NIST_HYP.splitlines()
         # NIST counts every hypothesis, BLEU only past NIST's order 5.
         assert [h for h in counted if h in hypotheses] == hypotheses * tables
+
+
+    @pytest.mark.parametrize(
+        "metrics, max_ngram, calls",
+        [(("nist",), 4, 0), (("nist", "bleu"), 6, 0), (("nist", "bleu"), 4, 3)],
+    )
+    def test_nist_sums_its_matches_per_order_only_for_bleu(
+        self, tmp_path, metrics, max_ngram, calls
+    ):
+        from mteval import refmetrics
+
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("a b c d\nb a d c\nd d c b\n", encoding="utf-8")
+        ref.write_text("a b c d a\nb a d\nd c b a\n", encoding="utf-8")
+        argv = ["score", *(a for m in metrics for a in ("--metric", m))]
+        argv += ["--hyp", str(hyp), "--ref", str(ref), "--max-ngram", str(max_ngram)]
+        with recorded_calls(refmetrics, "matches_per_order") as recorded:
+            assert main([*argv, "--out", str(tmp_path / "out.tsv")]) == 0
+        assert len(recorded) == calls
 
 
 class TestCorrelateCommand:

@@ -54,7 +54,7 @@ class TestTokenize:
 def reduce_rows(rows, score, per_sentence=None):
     """``reduce_pairs`` over a corpus whose i-th pair has the columns ``rows[i]``."""
     corpus = ParallelCorpus(
-        tuple(EvalPair((str(i),), (("ref",),)) for i in range(len(rows))), 1
+        tuple(EvalPair((str(i),), (("ref",),)) for i in range(len(rows)))
     )
     return reduce_pairs(
         corpus, lambda pair: rows[int(pair.hypothesis[0])], score, per_sentence
@@ -95,7 +95,7 @@ class TestReducePairs:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            reduce_pairs(ParallelCorpus((), 1), lambda pair: [1], first_column)
+            reduce_pairs(ParallelCorpus(()), lambda pair: [1], first_column)
 
 
 class TestLoadParallelCorpus:
@@ -108,7 +108,7 @@ class TestLoadParallelCorpus:
         ref2.write_text("p\nq\nr\n", encoding="utf-8")
         corpus = load_parallel_corpus(hyp, [ref1, ref2])
         assert len(corpus) == 3
-        assert corpus.ref_count == 2
+        assert all(len(pair.references) == 2 for pair in corpus)
         assert corpus.pairs[1].hypothesis == ("c", "d")
         assert corpus.pairs[1].references == (("c", "y"), ("q",))
 
@@ -291,7 +291,7 @@ class TestParserFuzz:
                 load_parallel_corpus(paths[0], paths[1:])
             return
         corpus = load_parallel_corpus(paths[0], paths[1:])
-        assert corpus.ref_count == len(ref_texts)
+        assert all(len(pair.references) == len(ref_texts) for pair in corpus)
         assert [pair.hypothesis for pair in corpus] == expected[0]
         assert [pair.references for pair in corpus] == list(zip(*expected[1:]))
 
@@ -397,16 +397,13 @@ class TestBuildRareWordSet:
         refs = [tokenize("the cat the"), tokenize("the dog")]
         rare = build_rare_word_set(refs, 0.5)
         assert rare.words == frozenset({"cat", "dog"})
-        assert rare.source_vocab_size == 3
 
     def test_full_percent_takes_everything(self):
         refs = [tokenize("a b b")]
         assert build_rare_word_set(refs, 1.0).words == frozenset({"a", "b"})
 
     def test_empty_references(self):
-        rare = build_rare_word_set([], 0.5)
-        assert rare.words == frozenset()
-        assert rare.source_vocab_size == 0
+        assert build_rare_word_set([], 0.5).words == frozenset()
 
     @pytest.mark.parametrize("percent", [0.0, -0.1, 1.5])
     def test_invalid_percent(self, percent):

@@ -42,7 +42,7 @@ EXAM_LEXICON = SynonymLexicon(
         "examination": frozenset({"exam"}),
     }
 )
-NO_RARE = RareWordSet(words=frozenset(), source_vocab_size=0, percent=1.0)
+NO_RARE = RareWordSet(words=frozenset())
 NEUTRAL_RARE = EbleuConfig(max_order=1, synonym_score=0.9, rare_words_score=1.0)
 VOCAB = list("abcdefgh")
 
@@ -117,7 +117,7 @@ class TestSynonymSubstitute:
 
 def order_score(pair, lexicon, n, rare, cfg):
     """EBLEU's order-``n`` score of the one-pair corpus of ``pair``."""
-    corpus = ParallelCorpus(pairs=(pair,), ref_count=len(pair.references))
+    corpus = ParallelCorpus(pairs=(pair,))
     result = ebleu_score(corpus, lexicon, cfg, rare_words=rare)
     return result.details["order_scores"][n - 1]
 
@@ -136,17 +136,13 @@ class TestOrderScore:
 
     def test_rare_bonus_is_clamped_to_one(self):
         pair = pair_of("roman empire", "roman empire")
-        rare = RareWordSet(
-            words=frozenset({"roman"}), source_vocab_size=2, percent=0.5
-        )
+        rare = RareWordSet(words=frozenset({"roman"}))
         cfg = EbleuConfig(max_order=2, rare_words_score=1.1)
         assert order_score(pair, SynonymLexicon.empty(), 2, rare, cfg) == 1.0
 
     def test_rare_bonus_counts_once_per_ngram(self):
         pair = pair_of("roman empire x", "roman empire y")
-        rare = RareWordSet(
-            words=frozenset({"roman", "empire"}), source_vocab_size=3, percent=0.9
-        )
+        rare = RareWordSet(words=frozenset({"roman", "empire"}))
         cfg = EbleuConfig(max_order=2, rare_words_score=1.5)
         # one matched bigram holding two rare words still gets the bonus once
         assert order_score(pair, SynonymLexicon.empty(), 2, rare, cfg) == pytest.approx(
@@ -194,7 +190,7 @@ class TestOrderStatsBitIdentity:
         cfg = EbleuConfig(
             max_order=max_order, synonym_score=synonym, rare_words_score=bonus
         )
-        rare = RareWordSet(words=rare_words, source_vocab_size=6, percent=1.0)
+        rare = RareWordSet(words=rare_words)
         assert_order_stats_match_oracle(corpus, PAIRED_LEXICON, rare, cfg)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -328,7 +324,7 @@ class TestEbleuScore:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
             ebleu_score(
-                ParallelCorpus(pairs=(), ref_count=1), SynonymLexicon.empty()
+                ParallelCorpus(pairs=()), SynonymLexicon.empty()
             )
 
     def test_smoothing_floors_zero_orders(self):
@@ -352,7 +348,7 @@ class TestEbleuScore:
         ebleu_score(corpus, PAIRED_LEXICON, cfg, per_sentence=sink)
         assert sink == [
             ebleu_score(
-                ParallelCorpus((pair,), corpus.ref_count),
+                ParallelCorpus((pair,)),
                 PAIRED_LEXICON,
                 cfg,
                 rare_words=rare,

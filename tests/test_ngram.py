@@ -274,7 +274,7 @@ class TestOneTablePerSentence:
     @pytest.mark.parametrize("max_order", [1, 4])
     @pytest.mark.parametrize("metric", ["bleu", "ebleu", "nist"])
     def test_one_table_per_reference_and_hypothesis(self, monkeypatch, metric, max_order):
-        corpus = ParallelCorpus((pair_of(self.HYP, self.REF1, self.REF2),), 2)
+        corpus = ParallelCorpus((pair_of(self.HYP, self.REF1, self.REF2),))
         run = {
             "bleu": lambda: bleu_score(corpus, BleuConfig(max_order=max_order)),
             "ebleu": lambda: ebleu_score(
@@ -315,7 +315,7 @@ class TestOrdersPastTheHypothesis:
 
         for module in (ngram, ebleu):
             monkeypatch.setattr(module, "order_windows", recording)
-        corpus = ParallelCorpus((pair_of("a b c", "a b c d e f"),), 1)
+        corpus = ParallelCorpus((pair_of("a b c", "a b c d e f"),))
         if metric == "bleu":
             details = bleu_score(corpus, BleuConfig(max_order=50)).details
             assert details["precisions"] == [1.0] * 3 + [0.0] * 47
@@ -363,7 +363,7 @@ class TestOneClippingRule:
         # the one-pair corpus agree exactly.
         for pair in corpus.pairs:
             details = bleu_score(
-                ParallelCorpus((pair,), corpus.ref_count), BleuConfig(max_order=order)
+                ParallelCorpus((pair,)), BleuConfig(max_order=order)
             ).details
             hyp = window_counts(pair.hypothesis, order)
             for n in range(1, order + 1):

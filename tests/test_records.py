@@ -22,19 +22,18 @@ from mteval import (
 
 PAIR = EvalPair(("a", "b"), (("a",),))
 
-# Each record type built from fixed values, with the repr it has always had.
+# Each record type built from fixed values, with its repr.
 PINNED = [
     (lambda: TokenizerConfig(lowercase=True),
      "TokenizerConfig(lowercase=True, split_punctuation=False)"),
     (lambda: EvalPair(("a", "b"), (("a",),)),
      "EvalPair(hypothesis=('a', 'b'), references=(('a',),))"),
-    (lambda: ParallelCorpus((PAIR,), 1),
-     "ParallelCorpus(pairs=(EvalPair(hypothesis=('a', 'b'), references=(('a',),)),),"
-     " ref_count=1)"),
+    (lambda: ParallelCorpus((PAIR,)),
+     "ParallelCorpus(pairs=(EvalPair(hypothesis=('a', 'b'), references=(('a',),)),))"),
     (lambda: SynonymLexicon({"exam": frozenset({"quiz"})}),
      "SynonymLexicon(entries={'exam': frozenset({'quiz'})})"),
-    (lambda: RareWordSet(frozenset({"quiz"}), 4, 0.25),
-     "RareWordSet(words=frozenset({'quiz'}), source_vocab_size=4, percent=0.25)"),
+    (lambda: RareWordSet(frozenset({"quiz"})),
+     "RareWordSet(words=frozenset({'quiz'}))"),
     (lambda: BleuConfig(max_order=2),
      "BleuConfig(max_order=2, smoothing_epsilon=0.0)"),
     (lambda: MetricScore(0.5, {"matched": [1]}),
@@ -140,7 +139,7 @@ def test_validators_run_on_every_build(valid, change):
 
 def test_corpus_and_lexicon_sizes_count_their_items():
     other = EvalPair(("c",), (("c",),))
-    corpus = ParallelCorpus((PAIR, other, PAIR), 1)
+    corpus = ParallelCorpus((PAIR, other, PAIR))
     assert len(corpus) == 3
     assert list(corpus) == [PAIR, other, PAIR]
     lexicon = SynonymLexicon({"exam": frozenset({"quiz"}), "quiz": frozenset({"exam"})})

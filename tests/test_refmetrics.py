@@ -75,7 +75,7 @@ class TestNist:
 
     def test_duplicated_corpus_unchanged(self):
         corpus = corpus_of(("a b c", "a b x"), ("p q", "p r"))
-        doubled = ParallelCorpus(pairs=corpus.pairs + corpus.pairs, ref_count=1)
+        doubled = ParallelCorpus(pairs=corpus.pairs + corpus.pairs)
         assert nist_score(doubled) == pytest.approx(nist_score(corpus), abs=1e-12)
 
     def test_rarer_matches_weigh_more(self):
@@ -98,7 +98,7 @@ class TestNist:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            nist_score(ParallelCorpus(pairs=(), ref_count=1))
+            nist_score(ParallelCorpus(pairs=()))
 
     @settings(deadline=None, max_examples=300)
     @given(small_corpora())
@@ -186,7 +186,7 @@ class TestNist:
         sink = []
         assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
         assert sink == [
-            oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count))
+            oracle_nist_score(ParallelCorpus((pair,)))
             for pair in corpus.pairs
         ]
 
@@ -226,7 +226,7 @@ class TestNist:
         sink = []
         assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
         assert sink == [
-            oracle_nist_score(ParallelCorpus((pair,), corpus.ref_count))
+            oracle_nist_score(ParallelCorpus((pair,)))
             for pair in corpus.pairs
         ]
 
@@ -259,7 +259,7 @@ class TestTer:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            ter_score(ParallelCorpus(pairs=(), ref_count=1))
+            ter_score(ParallelCorpus(pairs=()))
 
     # Deleting or inserting every word costs one edit per word, and an
     # empty hypothesis against an empty reference needs none; a non-empty
@@ -589,7 +589,7 @@ class TestMeteor:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            meteor_score(ParallelCorpus(pairs=(), ref_count=1), EMPTY)
+            meteor_score(ParallelCorpus(pairs=()), EMPTY)
 
 
 # --- LEPOR -------------------------------------------------------------------
@@ -640,7 +640,7 @@ class TestLepor:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            lepor_score(ParallelCorpus(pairs=(), ref_count=1))
+            lepor_score(ParallelCorpus(pairs=()))
 
 
 # --- RIBES -------------------------------------------------------------------
@@ -673,7 +673,7 @@ class TestRibes:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
-            ribes_score(ParallelCorpus(pairs=(), ref_count=1))
+            ribes_score(ParallelCorpus(pairs=()))
 
 
 # --- LEPOR and RIBES at their published weights ------------------------------
@@ -697,7 +697,7 @@ def test_equals_the_formula_at_the_published_weights(name, corpus):
     sink = []
     assert scorer(corpus, per_sentence=sink) == oracle(corpus)
     assert sink == [
-        oracle(ParallelCorpus((pair,), corpus.ref_count)) for pair in corpus.pairs
+        oracle(ParallelCorpus((pair,))) for pair in corpus.pairs
     ]
 
 
@@ -795,14 +795,14 @@ class TestAlignmentOracles:
     def test_edge_pairs(self, name, lexicon):
         hyp, ref = _EDGE_PAIRS[name]
         check_alignments(hyp, ref, lexicon)
-        corpus = ParallelCorpus(pairs=(EvalPair(hyp, (ref,)),), ref_count=1)
+        corpus = ParallelCorpus(pairs=(EvalPair(hyp, (ref,)),))
         assert alignment_scores(corpus, lexicon) == oracle_alignment_scores(
             corpus, lexicon
         )
 
     def test_edge_pairs_as_one_corpus(self):
         pairs = tuple(EvalPair(hyp, (ref,)) for hyp, ref in _EDGE_PAIRS.values())
-        corpus = ParallelCorpus(pairs=pairs, ref_count=1)
+        corpus = ParallelCorpus(pairs=pairs)
         assert alignment_scores(corpus, _AB_SYNONYMS) == oracle_alignment_scores(
             corpus, _AB_SYNONYMS
         )
@@ -814,7 +814,7 @@ _SMALL_LEXICON = SynonymLexicon(
     entries={"a": frozenset("bd"), "b": frozenset("a"), "c": frozenset("c")}
 )
 # A fixed rare-word set, so that a one-pair corpus weighs as the whole corpus does.
-_SMALL_RARE = RareWordSet(frozenset("c"), 3, 0.34)
+_SMALL_RARE = RareWordSet(frozenset("c"))
 # name -> scorer(corpus, **kwargs), each one that takes a ``per_sentence`` sink
 _SINK_SCORERS = {
     "bleu": bleu_score,
@@ -859,7 +859,7 @@ class TestPerSentenceSink:
         sink = []
         assert scorer(corpus, per_sentence=sink) == scorer(corpus)
         assert sink == [
-            _value(scorer(ParallelCorpus((pair,), corpus.ref_count)))
+            _value(scorer(ParallelCorpus((pair,))))
             for pair in corpus.pairs
         ]
 

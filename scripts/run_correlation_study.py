@@ -52,13 +52,11 @@ def main() -> None:
     published = json.loads(
         (DATA / "published_correlations.json").read_text(encoding="utf-8")
     )
-    pl_en = read_score_table(DATA / "pl_en_scores.tsv")
-    en_pl = read_score_table(DATA / "en_pl_scores.tsv")
-    merged = ScoreTable(
-        metric_names=pl_en.metric_names, rows=pl_en.rows + en_pl.rows
-    )
+    pl_en_path, en_pl_path = DATA / "pl_en_scores.tsv", DATA / "en_pl_scores.tsv"
+    pl_en = read_score_table(pl_en_path)
+    merged = read_score_table(pl_en_path, en_pl_path)
 
-    print(f"loaded {len(pl_en.rows)} + {len(en_pl.rows)} runs, "
+    print(f"loaded {len(pl_en.rows)} + {len(merged.rows) - len(pl_en.rows)} runs, "
           f"{len(merged.metric_names)} metrics")
 
     print_matrix("Pearson, Polish to English runs", pl_en, "pearson")

@@ -1,9 +1,8 @@
 """Batch command line front end.
 
-Three subcommands: ``score`` runs metrics over hypothesis/reference
-files, ``correlate`` computes correlation matrices over a score table,
-and ``report`` concatenates score tables into one table for
-``correlate``.
+Two subcommands: ``score`` runs metrics over hypothesis/reference
+files, and ``correlate`` computes correlation matrices over the rows of
+one or more score tables, refusing tables scored differently.
 
 ``score`` takes its metrics from one table, ``METRICS``: each entry
 holds the tsv scale, whether the metric needs the synonym lexicon, and
@@ -39,7 +38,7 @@ from .corpus import (
     load_synonym_lexicon,
 )
 from .ebleu import EbleuConfig, ebleu_score
-from .errors import EmptyCorpusError, MTEvalError, TableFormatError, prefixed
+from .errors import EmptyCorpusError, MTEvalError, prefixed
 from .ngram import MAX_ORDER
 from .refmetrics import (
     NIST_ORDER,
@@ -231,10 +230,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         raise ValueError(f"--bins must be at least 2, got {args.bins}")
     from .stats import correlation_matrix, lambda_matrices, read_score_table
 
-    table = read_score_table(args.table)
+    table = read_score_table(*args.table)
     names = table.metric_names
     kinds = ["pearson", "spearman"] if args.kind == "both" else [args.kind]
-    with prefixed(args.table):
+    with prefixed(", ".join(args.table)):
         matrices = {kind: correlation_matrix(table, kind) for kind in kinds}
         lambdas = lambda_matrices(table, args.bins) if args.gk_lambda else None
     # (json key, json value, tsv title, tsv rows), in output order
@@ -253,7 +252,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
-        payload = dict(table=args.table, metrics=list(names), rows=len(table.rows))
+        payload = dict(tables=args.table, metrics=list(names), rows=len(table.rows))
         payload.update((key, value) for key, value, _, _ in blocks)
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
@@ -265,27 +264,6 @@ def cmd_correlate(args: argparse.Namespace) -> int:
                 lines.append(name + "\t" + "\t".join(cells))
         text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# report
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    from .stats import read_raw_table
-
-    tables = [read_raw_table(path) for path in args.inputs]
-    header = tables[0][0]
-    for path, (other_header, _) in zip(args.inputs, tables):
-        if other_header != header:
-            raise TableFormatError(
-                f"{path}: columns {other_header} do not match {header}"
-            )
-    lines = ["\t".join(header)]
-    for _, rows in tables:
-        lines += ["\t".join(row) for row in rows]
-    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -338,9 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     score.set_defaults(func=cmd_score, **EbleuConfig._field_defaults)
 
     correlate = sub.add_parser(
-        "correlate", help="correlation matrices over a score table"
+        "correlate", help="correlation matrices over merged score tables"
     )
-    correlate.add_argument("--table", required=True, metavar="PATH")
+    correlate.add_argument(
+        "--table", action="append", required=True, metavar="PATH",
+        help="score table, repeatable: the rows of every table, in order",
+    )
     correlate.add_argument(
         "--kind", choices=("pearson", "spearman", "both"), default="pearson"
     )
@@ -355,17 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     correlate.add_argument("--out", metavar="PATH")
     correlate.set_defaults(func=cmd_correlate)
 
-    report = sub.add_parser("report", help="concatenate score tables")
-    report.add_argument(
-        "--in",
-        dest="inputs",
-        action="append",
-        required=True,
-        metavar="PATH",
-        help="score table, repeatable",
-    )
-    report.add_argument("--out", metavar="PATH")
-    report.set_defaults(func=cmd_report)
     return parser
 
 

@@ -53,4 +53,5 @@ class InsufficientDistinctValuesError(MTEvalError):
 
 
 class TableFormatError(MTEvalError):
-    """A score table file is empty, ragged, or non-numeric."""
+    """A score table file is empty, ragged or non-numeric, or differs from the
+    first table of a merge in its header or in how its runs were scored."""

@@ -183,33 +183,27 @@ def _advance(
     number of big-int operations. A token is its pattern bit-vector, its
     mask: bit j set where the reference's word j is the token's word.
     ``full`` has one bit per reference word. ``state`` is ``(vp, vn,
-    distance)``: ``vp``/``vn`` mark the +1/-1 differences down a column,
-    ``hp``/``hn`` those across to the next, and ``distance`` follows the
-    column's last cell; it defaults to the column of the empty prefix.
-    Returns the distance after the last token; when ``columns`` is given,
-    the state it starts from and the state after each token are appended
-    to it.
+    k)``: ``vp``/``vn`` mark the +1/-1 differences down column ``k``,
+    ``hp``/``hn`` those across to the next; it defaults to the column of
+    the empty prefix. A column's top cell is ``k``, so its last cell, the
+    distance, is ``k`` plus its vertical differences. Returns the distance
+    after the last token; when ``columns`` is given, the state it starts
+    from and the state after each token are appended to it.
     """
-    last = full ^ (full >> 1)
-    vp, vn, distance = (full, 0, full.bit_length()) if state is None else state
+    vp, vn, k = (full, 0, 0) if state is None else state
     if columns is not None:
-        columns.append((vp, vn, distance))
+        columns.append((vp, vn, k))
     for eq in masks:
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        if hp & last:
-            distance += 1
-        elif hn & last:
-            distance -= 1
-        hp = (hp << 1) | 1
-        hn <<= 1
+        hp = (vn | ~(xh | vp)) << 1 | 1
+        hn = (vp & xh) << 1
         vp = (hn | ~(xv | hp)) & full
         vn = hp & xv
+        k += 1
         if columns is not None:
-            columns.append((vp, vn, distance))
-    return distance
+            columns.append((vp, vn, k))
+    return k + vp.bit_count() - vn.bit_count()
 
 
 def _bag_distance(masks: Sequence[int], ref_len: int) -> int:
@@ -233,10 +227,10 @@ def _best_shift(
     Token i's candidate positions j are the set bits of its mask, in
     ascending order, and a phrase extends while the next token's mask has
     the next bit set. ``columns`` holds the column state before each token
-    of ``current`` and then after its last, so the distance is
-    ``columns[-1][2]``.
+    of ``current`` and then after its last, whose last cell is the distance.
     """
-    distance = columns[-1][2]
+    vp, vn, k = columns[-1]
+    distance = k + vp.bit_count() - vn.bit_count()
     n = len(current)
     best_gain = 0
     best = None

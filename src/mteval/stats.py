@@ -1,11 +1,12 @@
 """Correlation statistics over metric score tables.
 
-Score-table files and their reader, product-moment correlation, rank
-correlation with tie handling and its two-tailed Student-t significance
-(Lentz's continued fraction for the incomplete beta, Numerical Recipes
-6.4), and the asymmetric Goodman-Kruskal lambda of two category
-sequences such as discretized scores, counted from the observed category
-pairs, never a bins x bins table.
+Score-table files and their one reader, which also merges them;
+product-moment correlation, rank correlation with tie handling and its
+two-tailed Student-t significance (Lentz's continued fraction for the
+incomplete beta, Numerical Recipes 6.4), and the asymmetric
+Goodman-Kruskal lambda of two category sequences such as discretized
+scores, counted from the observed category pairs, never a bins x bins
+table.
 """
 
 from __future__ import annotations
@@ -57,15 +58,22 @@ class ScoreTable(NamedTuple):
         return [row[j] for row in self.rows]
 
 
-def read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Header names and row cells of a score table; comments skipped.
+def _scored_with(lines: list[str]) -> dict[str, str] | None:
+    """The scoring options in the two echo lines that ``score`` writes atop
+    a table, or None for a table without them: ``ref_count`` from the
+    first, and every field after the second's last `` max_ngram=``, which
+    follows the hyp, refs and lexicon paths, so these split on spaces."""
+    first, second = (lines[:2] + ["", ""])[:2]
+    _, found, options = second.rpartition(" max_ngram=")
+    if not (first.startswith("# pairs=") and second.startswith("# metrics=") and found):
+        return None
+    counts = dict(field.partition("=")[::2] for field in first[2:].split())
+    fields = (field.partition("=")[::2] for field in ("max_ngram=" + options).split())
+    return {"ref_count": counts.get("ref_count"), **dict(fields)}
 
-    Lines end as in corpus files (``corpus.read_lines``). A leading byte
-    order mark is dropped, and a metric name that appears twice in the
-    header raises :class:`TableFormatError`, as does a bad row, naming
-    its file line, and so does the marker line of ``score --per-sentence``
-    output, whose corpus row is no sentence row.
-    """
+
+def _read_table(path: str | Path) -> tuple[list[str], dict | None, list[tuple]]:
+    """Header names, scoring options (``_scored_with``) and rows of a table."""
     lines = read_lines(path)
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == PER_SENTENCE_MARKER:
@@ -82,28 +90,50 @@ def read_raw_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
         raise TableFormatError(
             f"{path}: metric name {duplicates[0]!r} appears more than once in the header"
         )
-    rows = [line.split() for _, line in content[1:]]
-    for (lineno, _), row in zip(content[1:], rows):
-        where = f"{path}:{lineno}"
-        if len(row) != len(header):
+    rows = []
+    for lineno, line in content[1:]:
+        where, cells = f"{path}:{lineno}", line.split()
+        if len(cells) != len(header):
             raise TableFormatError(
-                f"{where}: row has {len(row)} cells, header has {len(header)}"
+                f"{where}: row has {len(cells)} cells, header has {len(header)}"
             )
-        for cell in row:
+        row = []
+        for cell in cells:
             try:
-                value = float(cell)
+                row.append(float(cell))
             except ValueError:
                 raise TableFormatError(f"{where}: non-numeric cell {cell!r}") from None
-            if not math.isfinite(value):
+            if not math.isfinite(row[-1]):
                 raise TableFormatError(f"{where}: non-finite cell {cell!r}")
-    return header, rows
+        rows.append(tuple(row))
+    return header, _scored_with(lines), rows
 
 
-def read_score_table(path: str | Path) -> ScoreTable:
-    """A score table file as a :class:`ScoreTable` (see ``read_raw_table``)."""
-    header, rows = read_raw_table(path)
-    data = tuple(tuple(float(cell) for cell in row) for row in rows)
-    return ScoreTable(metric_names=tuple(header), rows=data)
+def read_score_table(path: str | Path, *more_paths: str | Path) -> ScoreTable:
+    """The rows of one or more score table files, in order, as one table.
+
+    Lines end as in corpus files (``corpus.read_lines``); a leading byte
+    order mark is dropped, comments are skipped. :class:`TableFormatError`
+    names the file of a header naming a metric twice, the file line of a
+    bad row or of the marker line of ``score --per-sentence`` output, and
+    a table that differs from the first in its header, in a scoring
+    option that ``score`` echoes, or in having echo lines at all.
+    """
+    header, options, rows = _read_table(path)
+    for other in more_paths:
+        other_header, other_options, other_rows = _read_table(other)
+        if other_header != header:
+            raise TableFormatError(f"{other}: columns {other_header} do not match {header}")
+        if other_options != options:
+            if options is None or other_options is None:
+                differs = f"has {'no ' if other_options is None else ''}echo lines"
+            else:
+                both = {**options, **other_options}
+                key = next(k for k in both if options.get(k) != other_options.get(k))
+                differs = f"scored with {key}={other_options.get(key)}"
+            raise TableFormatError(f"{other}: {differs}, unlike {path}")
+        rows += other_rows
+    return ScoreTable(metric_names=tuple(header), rows=tuple(rows))
 
 
 def _check_vectors(x: Sequence[float], y: Sequence[float]) -> int:

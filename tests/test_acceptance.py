@@ -33,7 +33,6 @@ from mteval import (
     spearman,
     ter_score,
 )
-from mteval.cli import main
 from mteval.ngram import clipped_counts, max_ref_counts, window_counts
 from mteval.refmetrics import _shifted_edit_count
 from helpers import (
@@ -95,18 +94,8 @@ def pl_en_table(pl_en_table_path):
 
 
 @pytest.fixture(scope="module")
-def merged_table(tmp_path_factory, pl_en_table_path, en_pl_table_path):
-    out = tmp_path_factory.mktemp("merged") / "merged.tsv"
-    code = main(
-        [
-            "report",
-            "--in", str(pl_en_table_path),
-            "--in", str(en_pl_table_path),
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    return read_score_table(out)
+def merged_table(pl_en_table_path, en_pl_table_path):
+    return read_score_table(pl_en_table_path, en_pl_table_path)
 
 
 # --- criterion 1 -------------------------------------------------------------

@@ -17,6 +17,7 @@ import mteval
 from mteval import BleuConfig, EbleuConfig, TokenizerConfig, cli, read_score_table
 from mteval.cli import main
 from mteval.errors import TableFormatError
+from mteval.stats import ScoreTable, correlation_matrix
 from helpers import recorded_calls
 
 
@@ -687,7 +688,8 @@ class TestCorrelateCommand:
         path.write_text("a\tb\n1\toops\n", encoding="utf-8")
         assert main(["correlate", "--table", str(path)]) == 1
 
-    # Comment and blank lines count: each error names the file line.
+    # Comment and blank lines count: each error names the file line, for the
+    # table alone ("correlate") and for it merged after a good one ("report").
     @pytest.mark.parametrize("command", ["correlate", "report"])
     @pytest.mark.parametrize(
         "text, message",
@@ -699,27 +701,30 @@ class TestCorrelateCommand:
         ids=["ragged", "non-finite", "non-numeric"],
     )
     def test_table_error_names_its_file_line(
-        self, capsys, tmp_path, command, text, message
+        self, capsys, tmp_path, pl_en_table_path, command, text, message
     ):
         path = tmp_path / "bad.tsv"
         path.write_text(text, encoding="utf-8")
-        option = "--table" if command == "correlate" else "--in"
-        assert main([command, option, str(path)]) == 1
+        first = [] if command == "correlate" else ["--table", str(pl_en_table_path)]
+        assert main(["correlate", *first, "--table", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
     # A score --per-sentence tsv holds its corpus row above the marker line
     # and one row per sentence below it: read as a score table, the corpus
-    # row would count as one more sentence.
+    # row would count as one more sentence. "report" merges it after a table.
     @pytest.mark.parametrize("command", ["correlate", "report"])
-    def test_per_sentence_output_is_not_a_score_table(self, capsys, tmp_path, command):
+    def test_per_sentence_output_is_not_a_score_table(
+        self, capsys, tmp_path, pl_en_table_path, command
+    ):
         hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
         hyp.write_text("a b c\nb c d\nc d e\n", encoding="utf-8")
         ref.write_text("a b c\nb c x\nx y e\n", encoding="utf-8")
         table = tmp_path / "scores.tsv"
         assert main(["score", "--metric", "bleu", "--metric", "ter", "--hyp", str(hyp),
                      "--ref", str(ref), "--per-sentence", "--out", str(table)]) == 0
-        option = "--table" if command == "correlate" else "--in"
-        assert main([command, option, str(table), "--out", str(tmp_path / "o")]) == 1
+        first = [] if command == "correlate" else ["--table", str(pl_en_table_path)]
+        argv = ["correlate", *first, "--table", str(table), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {table}:5: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
@@ -787,59 +792,160 @@ class TestCorrelateCommand:
             assert captured.err.count("\n") == 1, run
             assert "--bins" in captured.err, run
 
-    def test_duplicate_metric_name_is_data_error(self, capsys, tmp_path):
+    def test_duplicate_metric_name_is_data_error(self, capsys, tmp_path, pl_en_table_path):
         path = tmp_path / "dup.tsv"
         path.write_text("A\tA\tB\n1\t2\t3\n2\t1\t5\n", encoding="utf-8")
         assert main(["correlate", "--table", str(path)]) == 1
         assert "'A'" in capsys.readouterr().err
-        assert main(["report", "--in", str(path)]) == 1
+        assert main(["correlate", "--table", str(pl_en_table_path), "--table", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: metric name 'A' ")
 
 
 class TestReportCommand:
+    """A report over several runs: ``correlate`` with one ``--table`` per
+    table reads the rows of every table, in order."""
+
     def test_merges_two_tables(self, capsys, pl_en_table_path, en_pl_table_path):
         code, out = run_cli(
             capsys,
-            "report", "--in", str(pl_en_table_path), "--in", str(en_pl_table_path),
+            "correlate", "--table", str(pl_en_table_path),
+            "--table", str(en_pl_table_path), "--format", "json",
         )
         assert code == 0
-        lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 1 + 24
-        assert lines[0].split("\t")[0] == "EBLEU"
+        payload = json.loads(out)
+        assert payload["rows"] == 24
+        assert payload["metrics"][0] == "EBLEU"
+        assert payload["tables"] == [str(pl_en_table_path), str(en_pl_table_path)]
 
-    def test_single_input_passes_through(self, capsys, tmp_path, pl_en_table_path):
-        code, out = run_cli(capsys, "report", "--in", str(pl_en_table_path))
+    def test_single_input_passes_through(self, capsys, pl_en_table_path):
+        code, out = run_cli(
+            capsys, "correlate", "--table", str(pl_en_table_path), "--format", "json"
+        )
         assert code == 0
-        merged = tmp_path / "merged.tsv"
-        merged.write_text(out, encoding="utf-8")
-        table = read_score_table(merged)
-        assert table.rows == read_score_table(pl_en_table_path).rows
+        payload = json.loads(out)
+        assert (payload["tables"], payload["rows"]) == ([str(pl_en_table_path)], 12)
 
     def test_mismatched_columns_is_data_error(self, capsys, tmp_path, pl_en_table_path):
         other = tmp_path / "other.tsv"
         other.write_text("X\tY\n1\t2\n", encoding="utf-8")
-        assert main(["report", "--in", str(pl_en_table_path), "--in", str(other)]) == 1
+        argv = ["correlate", "--table", str(pl_en_table_path), "--table", str(other)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {other}: columns ")
 
     def test_table_that_is_not_utf8_is_data_error_naming_it(
         self, capsys, tmp_path, pl_en_table_path
     ):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(b"\xff" + pl_en_table_path.read_bytes())
-        assert main(["report", "--in", str(pl_en_table_path), "--in", str(bad)]) == 1
+        argv = ["correlate", "--table", str(pl_en_table_path), "--table", str(bad)]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
 
-    def test_feeds_correlate(self, capsys, tmp_path, pl_en_table_path, en_pl_table_path):
-        merged = tmp_path / "merged.tsv"
-        code = main(
-            ["report", "--in", str(pl_en_table_path), "--in", str(en_pl_table_path),
-             "--out", str(merged)]
-        )
-        assert code == 0
+    def test_feeds_correlate(self, capsys, pl_en_table_path, en_pl_table_path):
         code, out = run_cli(
-            capsys, "correlate", "--table", str(merged), "--format", "json"
+            capsys,
+            "correlate", "--table", str(pl_en_table_path),
+            "--table", str(en_pl_table_path), "--kind", "both", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["rows"] == 24
+        payload = json.loads(out)
+        pl_en, en_pl = map(read_score_table, (pl_en_table_path, en_pl_table_path))
+        concatenated = ScoreTable(pl_en.metric_names, pl_en.rows + en_pl.rows)
+        for kind in ("pearson", "spearman"):
+            matrix = correlation_matrix(concatenated, kind)
+            assert payload[kind] == [[c.coefficient for c in row] for row in matrix]
+
+
+# The options that ``score`` echoes and a merge compares, each with score
+# arguments that set it off its default.
+SCORING_OPTIONS = {
+    "max_ngram": ["--max-ngram", "2"],
+    "synonym_score": ["--synonym-score", "0.5"],
+    "rare_words_percent": ["--rare-words-percent", "0.5"],
+    "rare_words_score": ["--rare-words-score", "1.0"],
+    "epsilon": ["--epsilon", "0.1"],
+    "lowercase": ["--lowercase"],
+    "split_punct": ["--split-punct"],
+    "ref_count": ["--ref", "ref.txt"],
+}
+
+
+class TestTablesScoredAlike:
+    """Scores computed under different settings are not comparable (Post
+    2018): a merge refuses a table whose scoring options differ from the
+    first table's, naming it and the first option that differs."""
+
+    # Hypotheses of three scores on ref.txt, under paths with a space and
+    # with the echo's `` max_ngram=`` in them.
+    HYPS = {
+        "hyp.txt": "the cat sat on the mat",
+        "my hyp.txt": "the cat sat on a mat",
+        "x max_ngram=2 y.txt": "a cat sat on a mat",
+    }
+
+    @pytest.fixture
+    def score(self, tmp_path, monkeypatch):
+        """``score(out, *options, hyp=..., refs=...)`` scores BLEU and NIST
+        into the table ``out`` in ``tmp_path``, and returns ``out``."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.HYPS.items():
+            Path(name).write_text(text + "\n", encoding="utf-8")
+        for name in ("ref.txt", "other ref.txt"):
+            Path(name).write_text("the cat sat on the mat\n", encoding="utf-8")
+        Path("syn max_ngram=9.txt").write_text("cat, kitten\n", encoding="utf-8")
+
+        def run(out: str, *options: str, hyp="hyp.txt", refs=("ref.txt",)) -> str:
+            argv = ["score", "--metric", "bleu", "--metric", "nist", "--hyp", hyp]
+            argv += [arg for ref in refs for arg in ("--ref", ref)]
+            assert main([*argv, *options, "--out", out]) == 0
+            return out
+
+        return run
+
+    def test_defaults_and_bleu_2_lowercased_is_data_error(self, capsys, score):
+        a, b = score("a.tsv"), score("b.tsv", "--max-ngram", "2", "--lowercase")
+        assert main(["correlate", "--table", a, "--table", b]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: b.tsv: scored with max_ngram=2, unlike a.tsv\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option", SCORING_OPTIONS)
+    def test_each_scoring_option_is_compared(self, capsys, score, option):
+        a, b = score("a.tsv"), score("b.tsv", *SCORING_OPTIONS[option])
+        assert main(["correlate", "--table", a, "--table", b]) == 1
+        assert capsys.readouterr().err.startswith(f"error: b.tsv: scored with {option}=")
+
+    @pytest.mark.parametrize(
+        "hyp, refs, lexicon",
+        [
+            ("my hyp.txt", ["ref.txt"], []),
+            ("x max_ngram=2 y.txt", ["ref.txt"], []),
+            ("my hyp.txt", ["other ref.txt"], []),
+            ("my hyp.txt", ["ref.txt"], ["--lexicon", "syn max_ngram=9.txt"]),
+        ],
+        ids=["hyp-with-space", "hyp-with-max_ngram", "refs", "lexicon"],
+    )
+    def test_tables_that_differ_only_in_paths_merge(
+        self, capsys, score, hyp, refs, lexicon
+    ):
+        a, b = score("a.tsv"), score("b.tsv", *lexicon, hyp=hyp, refs=refs)
+        code, out = run_cli(capsys, "correlate", "--table", a, "--table", b,
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"] == 2
+
+    @pytest.mark.parametrize("echo_first", [True, False], ids=["echo-first", "echo-last"])
+    def test_tables_with_and_without_echo_lines_do_not_merge(
+        self, capsys, score, echo_first
+    ):
+        echoed = score("a.tsv")
+        lines = Path(echoed).read_text(encoding="utf-8").splitlines(keepends=True)
+        Path("bare.tsv").write_text("".join(lines[2:]), encoding="utf-8")
+        first, second = (echoed, "bare.tsv") if echo_first else ("bare.tsv", echoed)
+        assert main(["correlate", "--table", first, "--table", second]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {second}: has ") and err.endswith(f", unlike {first}\n")
 
 
 def test_module_entry_point(tmp_path):
@@ -987,12 +1093,13 @@ NOT_REACHED_BY_THE_CLI = {
 
 
 def test_every_public_function_is_reached_by_the_cli(
-    tmp_path, two_pair_files, pl_en_table_path, en_pl_table_path
+    two_pair_files, pl_en_table_path, en_pl_table_path
 ):
     # A public function that no command reaches is a second path or a
     # library-only knob: delete it or give it a caller.
     hyp, ref, lex = two_pair_files
-    table = tmp_path / "merged.tsv"
+    correlate = ["correlate", "--table", str(pl_en_table_path),
+                 "--table", str(en_pl_table_path)]
     score = ["score", "--hyp", str(hyp), "--ref", str(ref), "--ref", str(ref)]
     every_metric = [arg for name in ALL_METRICS for arg in ("--metric", name)]
     runs = [
@@ -1000,11 +1107,8 @@ def test_every_public_function_is_reached_by_the_cli(
         [*score, *every_metric, "--lexicon", str(lex), "--per-sentence", "--format", "json"],
         [*score, "--metric", "bleu", "--max-ngram", "6", "--epsilon", "0.1",
          "--lowercase", "--split-punct"],
-        ["report", "--in", str(pl_en_table_path), "--in", str(en_pl_table_path),
-         "--out", str(table)],
-        ["correlate", "--table", str(table), "--kind", "both", "--lambda",
-         "--format", "json"],
-        ["correlate", "--table", str(table), "--kind", "both", "--lambda"],
+        [*correlate, "--kind", "both", "--lambda", "--format", "json"],
+        [*correlate, "--kind", "both", "--lambda"],
     ]
     names = public_functions()
     called = set()

@@ -35,9 +35,9 @@ from mteval import (
 from mteval.cli import main
 from mteval.errors import MTEvalError
 from mteval.stats import (
+    ScoreTable,
     correlation_matrix,
     lambda_matrices,
-    read_raw_table,
     read_score_table,
 )
 
@@ -260,10 +260,55 @@ class TestScoreContract:
         assert reordered["config"] == {**forward["config"], "refs": order}
 
 
+# The scoring options that ``score`` echoes, each with its default first.
+ECHOED = {
+    "ref_count": ("1", "2"),
+    "max_ngram": ("4", "2"),
+    "synonym_score": ("0.9", "0.5"),
+    "rare_words_percent": ("0.1", "0.5"),
+    "rare_words_score": ("1.1", "1.0"),
+    "epsilon": ("0.0", "0.1"),
+    "lowercase": ("False", "True"),
+    "split_punct": ("False", "True"),
+}
+DEFAULT_OPTIONS = {name: values[0] for name, values in ECHOED.items()}
+# Paths that differ from run to run, spaces and the echo's field names in them.
+ECHO_PATH = st.sampled_from(["h.txt", "my h.txt", "a max_ngram=2 b.txt", "-"])
+
+
 @st.composite
-def table_bytes(draw, names, clean):
-    """A score table for ``names``, and whether it is malformed: a clean one
-    has at least one data row and no malformed line."""
+def like_options(draw, first: dict | None) -> dict | None:
+    """The echoed options of a table merged after one scored with ``first``
+    (None: no echo lines): mostly the same, now and then with one option
+    changed, or with echo lines where ``first`` has none or the reverse."""
+    change = draw(st.integers(0, 5))
+    if change == 0:
+        return DEFAULT_OPTIONS if first is None else None
+    if change == 1 and first is not None:
+        name = draw(st.sampled_from(sorted(ECHOED)))
+        return {**first, name: ECHOED[name][first[name] == ECHOED[name][0]]}
+    return first
+
+
+@st.composite
+def echo_lines(draw, options: dict | None) -> list[str]:
+    """The two lines that ``score`` writes atop a table scored with
+    ``options``, under drawn paths; none for None."""
+    if options is None:
+        return []
+    hyp, ref, lexicon = (draw(ECHO_PATH) for _ in range(3))
+    scoring = " ".join(f"{k}={v}" for k, v in options.items() if k != "ref_count")
+    return [
+        f"# pairs=1 ref_count={options['ref_count']} hypothesis_tokens=3",
+        f"# metrics=bleu hyp={hyp} refs={ref} lexicon={lexicon} {scoring}",
+    ]
+
+
+@st.composite
+def table_bytes(draw, names, clean, echo=()):
+    """A score table for ``names`` under the ``echo`` lines, and whether it
+    is malformed: a clean one has at least one data row and no malformed
+    line."""
     row = st.lists(CELL, min_size=len(names), max_size=len(names))
     rows = draw(st.lists(row, min_size=int(clean), max_size=6))
     header = list(names)
@@ -287,12 +332,15 @@ def table_bytes(draw, names, clean):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(["", "# note", " "])))
     # A header needs at least one data row under it.
-    return draw(file_bytes(lines)), fault is not None or not rows
+    return draw(file_bytes([*echo, *lines])), fault is not None or not rows
 
 
-def library_correlate(path: str, kind: str, bins: int | None) -> dict:
-    """The correlations of ``mteval correlate --format json`` from the library."""
-    table = read_score_table(path)
+def library_correlate(paths: list[str], kind: str, bins: int | None) -> dict:
+    """The correlations of ``mteval correlate --format json`` from the library,
+    on the rows of every table read alone, concatenated."""
+    tables = [read_score_table(path) for path in paths]
+    rows = tuple(row for table in tables for row in table.rows)
+    table = ScoreTable(tables[0].metric_names, rows)
     kinds = ["pearson", "spearman"] if kind == "both" else [kind]
     matrices = {k: correlation_matrix(table, k) for k in kinds}
     payload = {
@@ -327,7 +375,7 @@ class TestTableContract:
                 assert_names_a_faulty_file(code, err, files)
                 return
             try:
-                expected = library_correlate(path, kind, bins)
+                expected = library_correlate([path], kind, bins)
             except MTEvalError:
                 # The table reads, but a statistic is undefined on it.
                 files.faulty.add(path)
@@ -341,32 +389,39 @@ class TestTableContract:
     @SETTINGS
     @given(st.data())
     def test_report_equals_the_tables_or_an_error_names_one(self, data):
+        # ``correlate`` over repeated --table options: the library on the
+        # tables' rows, or an error naming a table that does not read or
+        # that differs from the first in its header or its echoed options.
         with tempfile.TemporaryDirectory() as tmp:
             files = Files(Path(tmp), data.draw)
             names = data.draw(NAMES)
+            first = data.draw(st.sampled_from([None, DEFAULT_OPTIONS]))
             paths = []
             for k in range(data.draw(st.integers(1, 3))):
                 # Now and then a table whose columns differ from the first's.
                 same = k == 0 or data.draw(st.integers(0, 5))
                 own = names if same else names[::-1] + ["x"]
-                content, malformed = data.draw(table_bytes(own, files.clean))
+                options = first if k == 0 else data.draw(like_options(first))
+                echo = data.draw(echo_lines(options))
+                content, malformed = data.draw(table_bytes(own, files.clean, echo))
                 path = files.add(data.draw, f"t{k}.tsv", content, fault=malformed)
+                if not same or options != first:
+                    files.faulty.add(path)
                 paths.append(path)
-            code, out, err = run_main(
-                ["report", *(arg for path in paths for arg in ("--in", path))]
-            )
+            kind = data.draw(st.sampled_from(["pearson", "spearman", "both"]))
+            argv = ["correlate", *(arg for path in paths for arg in ("--table", path))]
+            code, out, err = run_main([*argv, "--kind", kind, "--format", "json"])
             if files.faulty:
                 assert_names_a_faulty_file(code, err, files)
                 return
-            tables = [read_raw_table(p) for p in paths]
-            first = tables[0][0]
-            if any(header != first for header, _ in tables):
-                files.faulty.update(
-                    path for path, (header, _) in zip(paths, tables) if header != first
-                )
+            try:
+                expected = library_correlate(paths, kind, None)
+            except MTEvalError:
+                files.faulty.update(paths)
                 assert_names_a_faulty_file(code, err, files)
                 return
             assert (code, err) == (0, "")
-            lines = ["\t".join(first)]
-            lines += ["\t".join(row) for _, rows in tables for row in rows]
-            assert out == "\n".join(lines) + "\n"
+            payload = json.loads(out)
+            rows = sum(len(read_score_table(path).rows) for path in paths)
+            assert (payload["tables"], payload["rows"]) == (paths, rows)
+            assert {key: payload[key] for key in expected} == expected

@@ -6,7 +6,7 @@ import runpy
 from collections import Counter
 from pathlib import Path
 
-from mteval import ScoreTable, read_score_table
+from mteval import read_score_table
 from mteval.stats import lambda_matrices
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,9 +44,7 @@ def test_correlation_study_lambda_lines_are_the_ebleu_column_of_lambda_matrices(
         if line.startswith("  lambda(EBLEU | ")
     ]
 
-    pl_en = read_score_table(data_dir / "pl_en_scores.tsv")
-    en_pl = read_score_table(data_dir / "en_pl_scores.tsv")
-    merged = ScoreTable(pl_en.metric_names, pl_en.rows + en_pl.rows)
+    merged = read_score_table(data_dir / "pl_en_scores.tsv", data_dir / "en_pl_scores.tsv")
     values, variances = lambda_matrices(merged, 4)
     names = merged.metric_names
     ebleu = names.index("EBLEU")

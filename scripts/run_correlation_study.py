@@ -56,7 +56,7 @@ def main() -> None:
     pl_en = read_score_table(pl_en_path)
     merged = read_score_table(pl_en_path, en_pl_path)
 
-    print(f"loaded {len(pl_en.rows)} + {len(merged.rows) - len(pl_en.rows)} runs, "
+    print(f"loaded {len(pl_en.rows)} + {len(read_score_table(en_pl_path).rows)} runs, "
           f"{len(merged.metric_names)} metrics")
 
     print_matrix("Pearson, Polish to English runs", pl_en, "pearson")

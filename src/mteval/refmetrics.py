@@ -218,7 +218,10 @@ def _bag_distance(masks: Sequence[int], ref_len: int) -> int:
 
 
 def _best_shift(
-    current: tuple[int, ...], full: int, columns: list[tuple[int, int, int]]
+    current: tuple[int, ...],
+    full: int,
+    columns: list[tuple[int, int, int]],
+    distance: int,
 ) -> tuple[int, int, int] | None:
     """The first candidate shift ``(i, length, pos)`` of ``current``, a
     hypothesis as its masks, with the largest gain, or None when no
@@ -227,10 +230,9 @@ def _best_shift(
     Token i's candidate positions j are the set bits of its mask, in
     ascending order, and a phrase extends while the next token's mask has
     the next bit set. ``columns`` holds the column state before each token
-    of ``current`` and then after its last, whose last cell is the distance.
+    of ``current`` and then after its last; ``distance`` is the edit
+    distance of ``current`` that they end at.
     """
-    vp, vn, k = columns[-1]
-    distance = k + vp.bit_count() - vn.bit_count()
     n = len(current)
     best_gain = 0
     best = None
@@ -319,7 +321,7 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) 
         distance = _advance(current, full, columns=columns)
         if distance <= floor + 1:
             break
-        best = _best_shift(current, full, columns)
+        best = _best_shift(current, full, columns, distance)
         if best is None:
             break
         i, length, pos = best

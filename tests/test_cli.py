@@ -688,8 +688,8 @@ class TestCorrelateCommand:
         path.write_text("a\tb\n1\toops\n", encoding="utf-8")
         assert main(["correlate", "--table", str(path)]) == 1
 
-    # Comment and blank lines count: each error names the file line, for the
-    # table alone ("correlate") and for it merged after a good one ("report").
+    # Comment and blank lines count: each error names the file line, whether
+    # the table is read alone or merged after a good one.
     @pytest.mark.parametrize("command", ["correlate", "report"])
     @pytest.mark.parametrize(
         "text, message",
@@ -711,7 +711,7 @@ class TestCorrelateCommand:
 
     # A score --per-sentence tsv holds its corpus row above the marker line
     # and one row per sentence below it: read as a score table, the corpus
-    # row would count as one more sentence. "report" merges it after a table.
+    # row would count as one more sentence, alone or merged after a table.
     @pytest.mark.parametrize("command", ["correlate", "report"])
     def test_per_sentence_output_is_not_a_score_table(
         self, capsys, tmp_path, pl_en_table_path, command

@@ -499,9 +499,10 @@ class TestShiftSearch:
         with recorded_calls(refmetrics, "_best_shift") as scans:
             assert [_shifted_edit_count(h, r) for h, r in _PINNED_PAIRS] == _PINNED_EDITS
         gaps = [
-            columns[-1][2] - _bag_distance(current, full.bit_length())
-            for current, full, columns in scans
+            distance - _bag_distance(current, full.bit_length())
+            for current, full, _, distance in scans
         ]
+        assert all(distance == _advance(c, f) for c, f, _, distance in scans)
         assert gaps and min(gaps) >= 2
 
     def check_resumed_moves(self, current, ref, moves):

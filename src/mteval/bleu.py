@@ -8,21 +8,23 @@ formula scores the totals. The score is ``bp * exp(sum_n w * log(p_n))``
 with the uniform weight ``w = 1/N`` of Papineni et al. (2002), as
 sacreBLEU fixes it (Post 2018), and collapses to zero when any pooled
 precision is zero and no smoothing is enabled.
-A pair's clipped matches are NIST's (Doddington 2002) summed per order,
-so ``bleu_score`` can read them from ``refmetrics.nist_score``'s pass.
+``clip_pair`` clips one pair for BLEU and for NIST (Doddington 2002),
+so a pair's clipped matches are NIST's summed per order, and
+``bleu_score`` can read them from ``refmetrics.nist_score``'s pass.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .corpus import EvalPair, ParallelCorpus, reduce_pairs
-from .ngram import MAX_ORDER, clipped_counts, matches_per_order, max_ref_counts
-from .ngram import window_total
+from .ngram import MAX_ORDER, _merge_max, clipped_counts, matches_per_order
+from .ngram import window_counts, window_total
 # bench/traced.py times hypothesis n-gram counting, BLEU's and NIST's, through
-# this module-global name.
+# this module-global name, which only ``clip_pair`` calls.
 from .ngram import window_counts as extract_ngrams
 from .records import checked
 
@@ -81,16 +83,19 @@ def effective_reference_length(hyp_length: int, ref_lengths: Sequence[int]) -> i
     return min(ref_lengths, key=lambda rl: (abs(rl - hyp_length), rl))
 
 
-def _clipped_matches(pair: EvalPair, max_order: int) -> list[int]:
-    """The clipped matches per order 1..max_order of one pair.
-
-    The reference tables count only the hypothesis n-grams (``keep``), so
-    they stop at the hypothesis length.
-    """
+def clip_pair(pair: EvalPair, max_order: int) -> tuple[list, list[Counter]]:
+    """One pair's clipped matches, BLEU's and NIST's, and its reference
+    tables, one per reference in order: ``ngram.clipped_counts`` of its
+    hypothesis n-grams of orders 1..max_order, counted through
+    ``extract_ngrams``, at the tables' elementwise maximum. A table counts
+    only the hypothesis n-grams (``keep``), so it stops at the hypothesis
+    length."""
     hyp = extract_ngrams(pair.hypothesis, max_order)
     top = min(max_order, len(pair.hypothesis))
-    best = max_ref_counts(pair.references, top, hyp)
-    return matches_per_order(clipped_counts(hyp, best), max_order)
+    tables = [window_counts(ref, top, hyp) for ref in pair.references]
+    first, *rest = tables
+    best = _merge_max(first.copy(), rest) if rest else first
+    return clipped_counts(hyp, best), tables
 
 
 def order_columns(pair: EvalPair, matched: Sequence[float]) -> list:
@@ -115,7 +120,8 @@ def bleu_score(
 
     The effective reference length of each pair is the reference length
     closest to its hypothesis length (ties to shorter), summed over the
-    corpus. A pair's columns are ``order_columns`` of its clipped matches.
+    corpus. A pair's columns are ``order_columns`` of its clipped matches,
+    ``clip_pair``'s summed per order.
     Given a ``per_sentence`` list, each pair's score, the formula applied
     to that pair's columns alone, is appended to it from the same pass.
 
@@ -127,7 +133,7 @@ def bleu_score(
     n = cfg.max_order
     w = 1.0 / n
     if matched_per_order is None:
-        matches = (_clipped_matches(pair, n) for pair in corpus.pairs)
+        matches = (matches_per_order(clip_pair(p, n)[0], n) for p in corpus.pairs)
     elif len(matched_per_order) != len(corpus) or any(
         len(matched) < n for matched in matched_per_order
     ):

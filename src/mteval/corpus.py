@@ -43,14 +43,17 @@ def _is_punctuation(ch: str) -> bool:
 def tokenize(raw_line: str, cfg: TokenizerConfig = TokenizerConfig()) -> TokenSeq:
     """Split a line of text into tokens.
 
+    Text that is the same is read the same: every U+FEFF is dropped and
+    the line is put in Normalization Form C (UAX #15), after case folding
+    with ``lowercase``. Other format characters, such as U+200B, stay.
     Tokens are whitespace delimited. With ``split_punctuation`` every
-    punctuation character becomes a token of its own; with ``lowercase``
-    the line is case-folded first. Deterministic, and idempotent on its
-    own space-joined output.
+    punctuation character becomes a token of its own. Deterministic, and
+    idempotent on its own space-joined output.
     """
+    raw_line = raw_line.replace("\ufeff", "")
     if cfg.lowercase:
         raw_line = raw_line.casefold()
-    chunks = raw_line.split()
+    chunks = unicodedata.normalize("NFC", raw_line).split()
     if not cfg.split_punctuation:
         return tuple(chunks)
     tokens: list[str] = []

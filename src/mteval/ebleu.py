@@ -106,11 +106,10 @@ def synonym_substitute(pair: EvalPair, lexicon: SynonymLexicon) -> SubstitutionT
 def _pair_order_stats(
     trace: SubstitutionTrace,
     references: Sequence[TokenSeq],
-    max_order: int,
     rare: RareWordSet,
     cfg: EbleuConfig,
 ) -> list[float]:
-    """The weighted clipped matches per order 1..max_order of one pair.
+    """The weighted clipped matches per order 1..``cfg.max_order`` of one pair.
 
     Each window of the modified hypothesis carries a weight: the synonym
     discount once per substituted position inside it, and the rare-word
@@ -125,7 +124,7 @@ def _pair_order_stats(
     no windows and score ``0.0`` without work.
     """
     hyp = trace.modified_hypothesis
-    grams = [list(order) for order in order_windows(hyp, max_order)]
+    grams = [list(order) for order in order_windows(hyp, cfg.max_order)]
     allowed = max_ref_counts(references, len(grams), set(chain.from_iterable(grams)))
     substituted = map(trace.substituted_positions.__contains__, range(len(hyp)))
     subs = list(accumulate(substituted, initial=0))
@@ -153,7 +152,7 @@ def _pair_order_stats(
                 kept += weight
             matched += kept
         stats.append(matched)
-    return stats + [0.0] * (max_order - len(grams))
+    return stats + [0.0] * (cfg.max_order - len(grams))
 
 
 def _clamped_precision(matched: float, total: int) -> float:
@@ -218,7 +217,7 @@ def ebleu_score(
 
     def pair_stats(pair):
         trace = synonym_substitute(pair, lexicon)
-        matched = _pair_order_stats(trace, pair.references, n, rare_words, cfg)
+        matched = _pair_order_stats(trace, pair.references, rare_words, cfg)
         return order_columns(pair, matched)
 
     def score(columns):

@@ -11,8 +11,9 @@ orders, shorter orders first, and ``window_counts`` tallies them into
 one table per sentence; an n-gram's order is its length, so the orders
 share the table without a key of their own. ``max_ref_counts`` merges a
 pair's reference tables into the elementwise maximum that clipping caps
-at. NIST merges a pair's tables through ``_merge_max`` and weighs the
-pair on its own by the same tables, summed over its matched n-grams.
+at. ``bleu.clip_pair``, which clips a pair for BLEU and NIST, merges
+them through ``_merge_max`` and keeps them, because NIST weighs the pair
+on its own by the same tables, summed over its matched n-grams.
 ``pooled_counts`` counts n-grams over many sentences pooled, from each
 sentence's windows.
 ``clipped_counts`` is the clipping rule (Papineni et al. 2002) behind

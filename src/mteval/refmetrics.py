@@ -8,10 +8,11 @@ by ``corpus.reduce_pairs``, which adds up the columns of every pair.
 METEOR returns a ``MetricScore``, the others a bare score. Only given a
 ``per_sentence`` list does a scorer append every pair's own score to it
 from the same pass: the formula applied to that pair's columns alone.
-TER, METEOR, LEPOR and RIBES leave that to ``reduce_pairs``; NIST scores
-each pair inside its ``pair_stats``, weighing it by the reference tables
-that clip it, summed over its matched n-grams, and can hand BLEU its
-clipped matches per order (``matched_per_order``).
+TER, METEOR, LEPOR and RIBES leave that to ``reduce_pairs``; NIST clips
+each pair through ``bleu.clip_pair``, scores it inside its ``pair_stats``,
+weighing it by the reference tables that clipped it, summed over its
+matched n-grams, and can hand BLEU its clipped matches per order
+(``matched_per_order``).
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from typing import Mapping, Sequence
 from . import bleu
 from .bleu import MetricScore, brevity_penalty, effective_reference_length
 from .corpus import ParallelCorpus, SynonymLexicon, TokenSeq, reduce_pairs
-from .ngram import (
-    NGram,
-    _merge_max,
-    clipped_counts,
-    matches_per_order,
-    pooled_counts,
-    window_counts,
-    window_total,
-)
+from .ngram import NGram, matches_per_order, pooled_counts, window_total
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +104,21 @@ def nist_score(
 
     A per-sentence score is the formula applied to that pair's columns
     alone, its information weights taken from its own references.
-    ``pair_stats`` computes it, not ``reduce_pairs``. Each reference is
-    counted once, into a table restricted to the hypothesis n-grams; the
-    tables' elementwise maximum clips the pair in every run, and the same
-    tables summed over its matched n-grams weigh it. A matched n-gram's
-    prefix is matched too, so the sums hold every count the weights divide
-    by.
+    ``pair_stats`` computes it, not ``reduce_pairs``. A pair is clipped
+    by ``bleu.clip_pair``, BLEU's rule, in every run, and the reference
+    tables it clipped at, each restricted to the hypothesis n-grams, summed
+    over its matched n-grams weigh it. A matched n-gram's prefix is matched
+    too, so the sums hold every count the weights divide by.
 
     Given a ``matched_per_order`` list, each pair's matches summed per
-    order 1..5, BLEU's clipped matches, are appended to it. The hypothesis
-    is counted through ``bleu.extract_ngrams``.
+    order 1..5, BLEU's clipped matches, are appended to it.
     """
 
     def pair_stats(pair):
         c = len(pair.hypothesis)
-        hyp = bleu.extract_ngrams(pair.hypothesis, NIST_ORDER)
-        top = min(NIST_ORDER, c)
         totals = [window_total(c, n) for n in range(1, NIST_ORDER + 1)]
         avg_ref_len = _average_length(pair.references)
-        first, *rest = [window_counts(ref, top, hyp) for ref in pair.references]
-        best = _merge_max(first.copy(), rest) if rest else first
-        matches = clipped_counts(hyp, best)
+        matches, (first, *rest) = bleu.clip_pair(pair, NIST_ORDER)
         if matched_per_order is not None:
             matched_per_order.append(matches_per_order(matches, NIST_ORDER))
         if per_sentence is not None:
@@ -305,8 +292,6 @@ def _shifted_edit_count(hyp: TokenSeq, ref: TokenSeq, cutoff: float = math.inf) 
     ``cutoff``, for a caller that keeps the smaller of the two.
     """
     ref_len = len(ref)
-    if ref_len == 0:
-        return len(hyp)
     masks: dict[str, int] = {}
     for j, word in enumerate(ref):
         masks[word] = masks.get(word, 0) | 1 << j

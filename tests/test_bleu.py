@@ -16,6 +16,12 @@ from mteval import (
 )
 from mteval import bleu
 from mteval.errors import EmptyCorpusError
+from mteval.ngram import (
+    clipped_counts,
+    matches_per_order,
+    max_ref_counts,
+    window_counts,
+)
 from helpers import (
     EDGE_LINES,
     LONG_LINE,
@@ -177,7 +183,7 @@ class TestNistMatches:
             raise AssertionError("counted an n-gram table")
 
         monkeypatch.setattr(bleu, "extract_ngrams", fail)
-        monkeypatch.setattr(bleu, "max_ref_counts", fail)
+        monkeypatch.setattr(bleu, "clip_pair", fail)
         score = bleu_score(corpus, BleuConfig(max_order=2), matched_per_order=matched)
         assert score.details["matched"] == [5, 2]
         assert score.details["totals"] == [5, 3]
@@ -198,13 +204,33 @@ class TestNistMatches:
             bleu_score(corpus, BleuConfig(max_order=4), matched_per_order=matched)
 
 
+class TestClipPair:
+    """One pair's clipped matches and the reference tables they clip at."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_corpora(), st.integers(1, 6))
+    def test_clips_at_the_maximum_and_keeps_each_table(self, corpus, max_order):
+        for pair in corpus.pairs:
+            matches, tables = bleu.clip_pair(pair, max_order)
+            hyp = window_counts(pair.hypothesis, max_order)
+            best = max_ref_counts(pair.references, max_order)
+            assert matches == clipped_counts(hyp, best)
+            # Each table is its own reference's, restricted to the hypothesis
+            # n-grams: merging the maximum left the first one as it was.
+            assert tables == [
+                {g: c for g, c in window_counts(ref, max_order).items() if g in hyp}
+                for ref in pair.references
+            ]
+
+
 class TestOrderColumns:
     """A pair's totals are its hypothesis windows of each order, however
     many orders its matches cover."""
 
     @staticmethod
     def check(pair, max_order):
-        columns = bleu.order_columns(pair, bleu._clipped_matches(pair, max_order))
+        matched = matches_per_order(bleu.clip_pair(pair, max_order)[0], max_order)
+        columns = bleu.order_columns(pair, matched)
         c = len(pair.hypothesis)
         expected = [max(0, c - n + 1) for n in range(1, max_order + 1)]
         assert columns[max_order : 2 * max_order] == expected

@@ -641,6 +641,78 @@ class TestBleuReadsNistMatches:
             assert main([*argv, "--out", str(tmp_path / "out.tsv")]) == 0
         assert len(recorded) == calls
 
+    @pytest.mark.parametrize(
+        "metrics, max_ngram, per_pair",
+        [
+            (("bleu", "nist"), 4, 1),
+            (("bleu", "nist"), 6, 2),
+            (("bleu",), 4, 1),
+            (("ebleu",), 4, 0),
+        ],
+    )
+    def test_each_pair_is_clipped_once_per_reader(
+        self, tmp_path, bleu_nist_files, metrics, max_ngram, per_pair
+    ):
+        # BLEU reads NIST's clipping up to NIST's order 5; EBLEU clips by its own rule.
+        from mteval import bleu
+
+        lexicon = tmp_path / "syn.txt"
+        lexicon.write_text("a, e\n", encoding="utf-8")
+        argv = ["score", *(a for m in metrics for a in ("--metric", m)), *bleu_nist_files]
+        argv += ["--lexicon", str(lexicon), "--max-ngram", str(max_ngram)]
+        with recorded_calls(bleu, "clip_pair") as recorded:
+            assert main([*argv, "--out", str(tmp_path / "out.tsv")]) == 0
+        pairs = len(BLEU_NIST_HYP.splitlines())
+        assert len(recorded) == per_pair * pairs
+
+
+class TestSameTextScoresTheSame:
+    """A line scores as its NFC form with every U+FEFF dropped (UAX #15)."""
+
+    @staticmethod
+    def score_rows(capsys, tmp_path, hyp_text, ref_text, *options):
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text(hyp_text, encoding="utf-8")
+        ref.write_text(ref_text, encoding="utf-8")
+        code, out = run_cli(capsys, "score", "--hyp", str(hyp), "--ref", str(ref), *options)
+        assert code == 0
+        echo = ("# pairs", "# metrics")
+        return [ln for ln in out.splitlines() if not ln.startswith(echo)]
+
+    @pytest.mark.parametrize(
+        "hyp, rows",
+        [
+            # NFD against NFC: the same text.
+            ("the cafe\u0301 is open\n", ["BLEU\tTER", "100.00\t0.00"]),
+            # A zero width space is another format character, and it stays.
+            ("the caf\u200b\u00e9 is open\n", ["BLEU\tTER", "50.00\t25.00"]),
+        ],
+        ids=["nfd", "zero-width-space"],
+    )
+    def test_canonically_equivalent_text_matches(self, capsys, tmp_path, hyp, rows):
+        options = ["--metric", "bleu", "--metric", "ter", "--max-ngram", "2"]
+        got = self.score_rows(capsys, tmp_path, hyp, "the caf\u00e9 is open\n", *options)
+        assert got == rows
+
+    def test_a_byte_order_mark_inside_a_file_is_dropped(self, capsys, tmp_path):
+        options = ["--metric", "bleu", "--max-ngram", "2", "--per-sentence"]
+        hyp, ref = "a b\n\ufeffc d\n", "a b\nc d\n"
+        got = self.score_rows(capsys, tmp_path, hyp, ref, *options)
+        assert got == ["BLEU", "100.00", "# per-sentence", "100.00", "100.00"]
+
+    def test_an_nfd_lexicon_field_matches_its_nfc_word(self, capsys, tmp_path):
+        lexicon = tmp_path / "syn.txt"
+        options = ["--metric", "ebleu", "--metric", "meteor", "--lexicon", str(lexicon)]
+        hyp, ref = "the caf\u00e9 is open\n", "the bistr\u00f3 is open\n"
+
+        def rows(synonyms):
+            lexicon.write_text(synonyms + "\n", encoding="utf-8")
+            return self.score_rows(capsys, tmp_path, hyp, ref, *options)
+
+        nfc = rows("caf\u00e9, bistr\u00f3")
+        assert rows("cafe\u0301, bistro\u0301") == nfc
+        assert rows("caf\u00e9, bistro") != nfc
+
 
 class TestCorrelateCommand:
     def test_fixture_pearson_entry(self, capsys, pl_en_table_path):

@@ -169,7 +169,7 @@ def assert_order_stats_match_oracle(corpus, lexicon, rare, cfg):
     n = cfg.max_order
     for pair in corpus.pairs:
         trace = synonym_substitute(pair, lexicon)
-        got = _pair_order_stats(trace, pair.references, n, rare, cfg)
+        got = _pair_order_stats(trace, pair.references, rare, cfg)
         expected = [
             oracle_ebleu_order_stats(trace, pair, k, rare, cfg) for k in range(1, n + 1)
         ]

@@ -18,7 +18,13 @@ no new reference length, and no better score, and where METEOR and LEPOR
 break a tie by the first reference, the one that won before still comes
 first. NIST and TER pool or average over the references, and EBLEU's
 rare-word set counts them, so the copy moves those by definition.
+
+Text that is the same must score the same: putting any lines, the
+lexicon's too, in Normalization Form D (UAX #15), or putting a U+FEFF in
+front of any lines, must not move any of the seven scores.
 """
+
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +42,9 @@ from mteval import (
     nist_score,
     ribes_score,
     ter_score,
+    tokenize,
 )
-from helpers import corpus_of, small_corpora
+from helpers import corpus_of, pair_of, small_corpora
 
 _LEXICON = SynonymLexicon(
     entries={"a": frozenset("bd"), "b": frozenset("a"), "d": frozenset("a")}
@@ -156,3 +163,63 @@ def test_meteor_does_not_depend_on_reference_order():
     empty = SynonymLexicon.empty()
     reordered = with_references_in_order(forward, (1, 0))
     assert meteor_score(reordered, empty) == meteor_score(forward, empty)
+
+
+# Words with canonical decompositions, in NFC: the text of a, b, c and d.
+_ACCENTED = dict(zip("abcd", ["caf\u00e9", "\u00e9", "e", "\u00f1\u00f6"]))
+
+
+def lines_of(corpus: ParallelCorpus) -> list[tuple[str, ...]]:
+    """Each pair as its text lines, hypothesis first, in ``_ACCENTED`` words."""
+    return [
+        tuple(" ".join(map(_ACCENTED.get, s)) for s in (pair.hypothesis, *pair.references))
+        for pair in corpus
+    ]
+
+
+def accented(lines, change, changed) -> tuple[ParallelCorpus, SynonymLexicon]:
+    """The corpus of ``lines``, tokenized, with ``change`` applied to line k
+    of pair i where ``changed[i][k]``, and ``_LEXICON`` in ``_ACCENTED``
+    words with ``change`` applied to every field when ``changed[-1]``."""
+    corpus = ParallelCorpus(
+        tuple(
+            pair_of(*(change(line) if flag else line for line, flag in zip(pair, flags)))
+            for pair, flags in zip(lines, changed)
+        )
+    )
+    field = change if changed[-1] else (lambda word: word)
+
+    def word(name):
+        return tokenize(field(_ACCENTED[name]))[0]
+
+    lexicon = SynonymLexicon(
+        entries={word(w): frozenset(map(word, s)) for w, s in _LEXICON.entries.items()}
+    )
+    return corpus, lexicon
+
+
+def changed_lines(data, lines):
+    """A drawn flag for each line of ``lines`` and one for the lexicon."""
+    flags = [
+        data.draw(st.lists(st.booleans(), min_size=len(pair), max_size=len(pair)))
+        for pair in lines
+    ]
+    return [*flags, data.draw(st.booleans())]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda line: unicodedata.normalize("NFD", line),
+        lambda line: "\ufeff" + line,
+    ],
+    ids=["nfd", "byte-order-mark"],
+)
+@pytest.mark.parametrize("name", sorted(_SCORERS))
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_the_same_text_moves_no_score(name, change, data):
+    lines = lines_of(data.draw(_SMALL_CORPORA))
+    unchanged = accented(lines, change, [[False] * len(p) for p in lines] + [False])
+    corpus, lexicon = accented(lines, change, changed_lines(data, lines))
+    assert scores(name, corpus, lexicon) == scores(name, *unchanged)

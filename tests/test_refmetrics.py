@@ -299,10 +299,18 @@ class TestTer:
         st.lists(st.sampled_from("abc"), max_size=8),
         st.integers(0, 9),
     )
+    # An empty reference, with cutoffs below, at and above the hypothesis length.
+    @example([], [], 0)
+    @example(["a", "b", "a"], [], 0)
+    @example(["a", "b", "a"], [], 2)
+    @example(["a", "b", "a"], [], 3)
+    @example(["a", "b", "a"], [], 4)
     def test_cut_off_search_keeps_the_minimum(self, hyp, ref, cutoff):
         # A search stopped at the cutoff returns no less than it, so the
         # smaller of the two is the full search's, capped at the cutoff.
+        # Against an empty reference every word is deleted.
         full = _shifted_edit_count(tuple(hyp), tuple(ref))
+        assert ref or full == len(hyp)
         cut = _shifted_edit_count(tuple(hyp), tuple(ref), cutoff)
         assert min(cutoff, cut) == min(cutoff, full)
 
@@ -338,8 +346,6 @@ def reference_masks(hyp, ref):
 
 def bit_parallel_distance(hyp, ref):
     """Word edit distance by ``_advance`` from the empty prefix of ``ref``."""
-    if not ref:
-        return len(hyp)
     return _advance(reference_masks(hyp, ref), (1 << len(ref)) - 1)
 
 

@@ -133,7 +133,7 @@ def bleu_score(
     n = cfg.max_order
     w = 1.0 / n
     if matched_per_order is None:
-        matches = (matches_per_order(clip_pair(p, n)[0], n) for p in corpus.pairs)
+        matches = (matches_per_order(clip_pair(p, n)[0], n) for p in corpus)
     elif len(matched_per_order) != len(corpus) or any(
         len(matched) < n for matched in matched_per_order
     ):

@@ -158,12 +158,12 @@ def cmd_score(args: argparse.Namespace) -> int:
         lowercase=args.lowercase, split_punctuation=args.split_punct
     )
     corpus = load_parallel_corpus(args.hyp, args.ref, tok_cfg)
-    if not corpus.pairs:
+    if not corpus:
         raise EmptyCorpusError(f"{args.hyp}: no lines to score")
     lexicon = (
         load_synonym_lexicon(args.lexicon, tok_cfg)
         if args.lexicon
-        else SynonymLexicon.empty()
+        else SynonymLexicon({})
     )
     both = {"nist", "bleu"} <= set(metrics)
     matched = [] if both and cfg.max_order <= NIST_ORDER else None

@@ -4,10 +4,13 @@ Hypothesis and reference files are UTF-8 plain text, one sentence per
 line (LF, CRLF or CR). A synonym lexicon file holds one synonym set per
 line, comma separated; blank lines and lines starting with ``#`` are
 skipped. A byte order mark at the start of any of these files is
-dropped. All loaded objects are immutable and safe to share between
-concurrent scorers. ``reduce_pairs`` is the scoring loop every metric
-runs over a corpus: it pools each pair's statistic columns into running
-totals and applies the metric's score formula to the totals.
+dropped, and so is every U+FEFF of a lexicon line before the line is
+read as blank, comment or words. All loaded objects are immutable and
+safe to share between concurrent scorers. A ``ParallelCorpus`` is the
+tuple of its ``EvalPair``s; a ``SynonymLexicon`` is not a tuple, since
+its ``len`` counts headwords. ``reduce_pairs`` is the scoring loop every
+metric runs over a corpus: it pools each pair's statistic columns into
+running totals and applies the metric's score formula to the totals.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     LineCountMismatchError,
     MalformedLineError,
 )
-from .records import Frozen, checked
+from .records import checked
 
 TokenSeq = tuple[str, ...]
 """An ordered sequence of normalized tokens for one sentence."""
@@ -75,25 +78,22 @@ class EvalPair(NamedTuple):
             raise ValueError("an evaluation pair needs at least one reference")
 
 
-class ParallelCorpus(Frozen):
-    """Line-aligned hypothesis/reference pairs."""
+class ParallelCorpus(tuple):
+    """Line-aligned hypothesis/reference pairs: the tuple of its ``EvalPair``s."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ()
 
-    def __init__(self, pairs: tuple[EvalPair, ...]) -> None:
-        self._set(pairs)
+    def __new__(cls, pairs: Iterable[EvalPair]) -> ParallelCorpus:
+        return super().__new__(cls, pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
+    def __repr__(self) -> str:
+        return f"ParallelCorpus(pairs={tuple(self)!r})"
 
     def all_references(self) -> list[TokenSeq]:
-        return [ref for pair in self.pairs for ref in pair.references]
+        return [ref for pair in self for ref in pair.references]
 
     def hypothesis_token_count(self) -> int:
-        return sum(len(pair.hypothesis) for pair in self.pairs)
+        return sum(len(pair.hypothesis) for pair in self)
 
     def reference_token_count(self) -> int:
         return sum(len(ref) for ref in self.all_references())
@@ -121,10 +121,10 @@ def reduce_pairs(
     appended to it in corpus order. A pair's columns are dropped once
     added. Raises :class:`EmptyCorpusError` on an empty corpus.
     """
-    if not corpus.pairs:
+    if not corpus:
         raise EmptyCorpusError("cannot score an empty corpus")
     totals = None
-    for pair in corpus.pairs:
+    for pair in corpus:
         columns = pair_stats(pair)
         if per_sentence is not None:
             per_sentence.append(score(columns)[0])
@@ -158,11 +158,12 @@ def read_lines(path: str | Path) -> list[str]:
 
 def content_lines(lines: Sequence[str]) -> list[tuple[int, str]]:
     """The stripped ``lines`` of a ``read_lines`` file with their 1-based
-    line numbers, blank lines and ``#`` comment lines skipped."""
+    line numbers, every U+FEFF dropped first, as ``tokenize`` drops it,
+    then blank lines and ``#`` comment lines skipped."""
     return [
         (lineno, text)
         for lineno, line in enumerate(lines, start=1)
-        if (text := line.strip()) and not text.startswith("#")
+        if (text := line.replace("\ufeff", "").strip()) and not text.startswith("#")
     ]
 
 
@@ -201,33 +202,46 @@ def load_parallel_corpus(
         tokens = tokenize(line, cfg)
         return tuple(map(one_word, tokens, tokens))
 
-    pairs = tuple(
+    return ParallelCorpus(
         EvalPair(
             hypothesis=words(line),
             references=tuple(words(lines[i]) for lines in ref_lines),
         )
         for i, line in enumerate(hyp_lines)
     )
-    return ParallelCorpus(pairs)
 
 
-class SynonymLexicon(Frozen):
-    """Word to synonym-set mapping, symmetric and irreflexive."""
+class SynonymLexicon:
+    """Word to synonym-set mapping, symmetric and irreflexive.
+
+    Immutable, but not a tuple: ``len`` counts headwords, which would
+    break a NamedTuple's ``_make`` and ``_replace``.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[str, frozenset[str]]) -> None:
-        self._set(entries)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.entries == self.entries
+
+    def __repr__(self) -> str:
+        return f"SynonymLexicon(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return SynonymLexicon, (self.entries,)
 
     def synonyms(self, word: str) -> frozenset[str]:
         return self.entries.get(word, frozenset())
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @classmethod
-    def empty(cls) -> "SynonymLexicon":
-        return cls(entries={})
 
 
 def load_synonym_lexicon(

@@ -74,7 +74,9 @@ def _scored_with(lines: list[str]) -> dict[str, str] | None:
 
 def _read_table(path: str | Path) -> tuple[list[str], dict | None, list[tuple]]:
     """Header names, scoring options (``_scored_with``) and rows of a table."""
-    lines = read_lines(path)
+    # Every U+FEFF dropped, as ``content_lines`` drops it, so a marker or
+    # echo line that starts with one is still read as one.
+    lines = [line.replace("\ufeff", "") for line in read_lines(path)]
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == PER_SENTENCE_MARKER:
             raise TableFormatError(
@@ -112,8 +114,8 @@ def _read_table(path: str | Path) -> tuple[list[str], dict | None, list[tuple]]:
 def read_score_table(path: str | Path, *more_paths: str | Path) -> ScoreTable:
     """The rows of one or more score table files, in order, as one table.
 
-    Lines end as in corpus files (``corpus.read_lines``); a leading byte
-    order mark is dropped, comments are skipped. :class:`TableFormatError`
+    Lines end as in corpus files (``corpus.read_lines``); every U+FEFF is
+    dropped, then comments are skipped. :class:`TableFormatError`
     names the file of a header naming a metric twice, the file line of a
     bad row or of the marker line of ``score --per-sentence`` output, and
     a table that differs from the first in its header, in a scoring

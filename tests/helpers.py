@@ -187,7 +187,7 @@ def oracle_nist_score(corpus, max_order=5):
     hyp_totals = [0] * (max_order + 1)
     hyp_len = 0
     avg_ref_len = 0.0
-    for pair in corpus.pairs:
+    for pair in corpus:
         hyp_len += len(pair.hypothesis)
         avg_ref_len += sum(len(ref) for ref in pair.references) / len(pair.references)
         for n in range(1, max_order + 1):
@@ -475,7 +475,7 @@ def oracle_bleu_score(corpus, weights, smoothing_epsilon=0.0):
     matched = [0] * max_order
     totals = [0] * max_order
     hyp_len = ref_len = 0
-    for pair in corpus.pairs:
+    for pair in corpus:
         c = len(pair.hypothesis)
         hyp_len += c
         ref_len += min((len(ref) for ref in pair.references), key=lambda rl: (abs(rl - c), rl))
@@ -507,7 +507,7 @@ def oracle_bleu_score(corpus, weights, smoothing_epsilon=0.0):
 def oracle_lepor_score(corpus, alpha, beta):
     total_diff = 0.0
     matches = hyp_total = ref_total = 0
-    for pair in corpus.pairs:
+    for pair in corpus:
         c = len(pair.hypothesis)
         r = min((len(ref) for ref in pair.references), key=lambda rl: (abs(rl - c), rl))
         ref = next(ref for ref in pair.references if len(ref) == r)
@@ -529,7 +529,7 @@ def oracle_lepor_score(corpus, alpha, beta):
 
 def oracle_ribes_score(corpus, alpha):
     total = 0.0
-    for pair in corpus.pairs:
+    for pair in corpus:
         best = 0.0
         for ref in pair.references:
             aligned = oracle_order_alignment(pair.hypothesis, ref)
@@ -539,7 +539,7 @@ def oracle_ribes_score(corpus, alpha):
             precision = len(aligned) / len(pair.hypothesis)
             best = max(best, normalized * precision**alpha)
         total += best
-    return total / len(corpus.pairs)
+    return total / len(corpus)
 
 
 def oracle_goodman_kruskal_lambda(counts):

@@ -242,7 +242,7 @@ def test_criterion_5_degeneration_to_bleu():
     for _ in range(200):
         corpus = random_corpus(rng, VOCAB, max_pairs=20, max_len=15)
         cfg = EbleuConfig(rare_words_score=1.0)
-        enhanced = ebleu_score(corpus, SynonymLexicon.empty(), cfg)
+        enhanced = ebleu_score(corpus, SynonymLexicon({}), cfg)
         plain = bleu_score(corpus, BleuConfig())
         assert enhanced.corpus_score == pytest.approx(plain.corpus_score, abs=1e-9)
         checked += 1
@@ -328,7 +328,7 @@ def test_criterion_7_monotone_and_bounded(seed, syn_a, syn_b, rare_a, rare_b):
 
 def test_criterion_7_metric_ranges():
     rng = random.Random(424242)
-    lexicon = SynonymLexicon.empty()
+    lexicon = SynonymLexicon({})
     for _ in range(500):
         corpus = random_corpus(rng, VOCAB, max_pairs=3, max_len=6)
         bleu = bleu_score(corpus, BleuConfig(max_order=2)).corpus_score

@@ -88,7 +88,7 @@ class TestBleuScore:
         bleu_score(corpus, cfg, per_sentence=sink)
         assert sink == [
             bleu_score(ParallelCorpus((pair,)), cfg).corpus_score
-            for pair in corpus.pairs
+            for pair in corpus
         ]
 
     def test_empty_corpus_rejected(self):
@@ -112,7 +112,7 @@ class TestBleuScore:
     def test_pair_order_is_irrelevant(self):
         rng = random.Random(11)
         corpus = random_corpus(rng, VOCAB, max_pairs=8, max_len=10, min_len=2)
-        shuffled = list(corpus.pairs)
+        shuffled = list(corpus)
         rng.shuffle(shuffled)
         permuted = ParallelCorpus(pairs=tuple(shuffled))
         assert bleu_score(permuted).corpus_score == pytest.approx(
@@ -122,7 +122,7 @@ class TestBleuScore:
     def test_duplicating_every_pair_is_a_no_op(self):
         rng = random.Random(13)
         corpus = random_corpus(rng, VOCAB, max_pairs=6, max_len=10, min_len=2)
-        doubled = ParallelCorpus(pairs=corpus.pairs + corpus.pairs)
+        doubled = ParallelCorpus(pairs=corpus + corpus)
         assert bleu_score(doubled).corpus_score == pytest.approx(
             bleu_score(corpus).corpus_score, abs=1e-12
         )
@@ -210,7 +210,7 @@ class TestClipPair:
     @settings(deadline=None, max_examples=100)
     @given(small_corpora(), st.integers(1, 6))
     def test_clips_at_the_maximum_and_keeps_each_table(self, corpus, max_order):
-        for pair in corpus.pairs:
+        for pair in corpus:
             matches, tables = bleu.clip_pair(pair, max_order)
             hyp = window_counts(pair.hypothesis, max_order)
             best = max_ref_counts(pair.references, max_order)
@@ -238,13 +238,13 @@ class TestOrderColumns:
     @settings(deadline=None, max_examples=100)
     @given(small_corpora(), st.integers(1, 8))
     def test_small_corpora(self, corpus, max_order):
-        for pair in corpus.pairs:
+        for pair in corpus:
             self.check(pair, max_order)
 
     @pytest.mark.parametrize("max_order", range(1, 9))
     @pytest.mark.parametrize("line", EDGE_LINES)
     def test_edge_lines(self, line, max_order):
-        self.check(corpus_of(line).pairs[0], max_order)
+        self.check(corpus_of(line)[0], max_order)
 
 
 class TestEdgeLines:
@@ -289,7 +289,7 @@ class TestBleuConfig:
         assert score == oracle_bleu_score(corpus, weights, epsilon)
         assert sink == [
             oracle_bleu_score(ParallelCorpus((pair,)), weights, epsilon)
-            for pair in corpus.pairs
+            for pair in corpus
         ]
 
     def test_uniform_default_weights(self):

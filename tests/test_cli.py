@@ -713,6 +713,20 @@ class TestSameTextScoresTheSame:
         assert rows("cafe\u0301, bistro\u0301") == nfc
         assert rows("caf\u00e9, bistro") != nfc
 
+    # A U+FEFF at the start of a lexicon line is dropped before the line is
+    # read as blank or comment, so the line stays one.
+    @pytest.mark.parametrize(
+        "stray", ["\ufeff# note, x\n", "\ufeff\n"], ids=["comment", "blank"]
+    )
+    def test_a_byte_order_mark_does_not_make_a_lexicon_line(self, capsys, tmp_path, stray):
+        lexicon = tmp_path / "syn.txt"
+        options = ["--metric", "meteor", "--lexicon", str(lexicon)]
+        hyp, ref = "the exam is hard\n", "the quiz is hard\n"
+        for synonyms in ("exam, quiz\n", "exam, quiz\n" + stray):
+            lexicon.write_text(synonyms, encoding="utf-8")
+            got = self.score_rows(capsys, tmp_path, hyp, ref, *options)
+            assert got == ["METEOR", "87.50"]
+
 
 class TestCorrelateCommand:
     def test_fixture_pearson_entry(self, capsys, pl_en_table_path):
@@ -800,6 +814,28 @@ class TestCorrelateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {table}:5: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_per_sentence_marker_after_a_byte_order_mark_is_refused(self, capsys, tmp_path):
+        # Read as a comment, the marker would let the corpus row count as a sentence.
+        hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+        hyp.write_text("a b c\nb c d\nc d e\n", encoding="utf-8")
+        ref.write_text("a b c\nb c x\nx y e\n", encoding="utf-8")
+        table = tmp_path / "scores.tsv"
+        assert main(["score", "--metric", "bleu", "--metric", "ter", "--hyp", str(hyp),
+                     "--ref", str(ref), "--per-sentence", "--out", str(table)]) == 0
+        text = table.read_text(encoding="utf-8")
+        table.write_text(text.replace("# per-sentence", "\ufeff# per-sentence"), encoding="utf-8")
+        assert main(["correlate", "--table", str(table)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {table}:5: ")
+
+    def test_a_comment_after_a_byte_order_mark_is_a_comment(self, capsys, tmp_path):
+        path = tmp_path / "table.tsv"
+        outputs = []
+        for note in ("", "\ufeff# note\n"):
+            path.write_text(f"BLEU\tTER\n1\t3\n{note}2\t2\n3\t1\n", encoding="utf-8")
+            outputs.append(run_cli(capsys, "correlate", "--table", str(path)))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_is_data_error(self, capsys, tmp_path, cell):
@@ -1018,6 +1054,15 @@ class TestTablesScoredAlike:
         assert main(["correlate", "--table", first, "--table", second]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {second}: has ") and err.endswith(f", unlike {first}\n")
+
+    def test_echo_lines_after_a_byte_order_mark_are_compared(self, capsys, score):
+        # Skipped as comments but not read as echo lines, they would let
+        # tables scored differently merge.
+        for out, options in (("a.tsv", ()), ("b.tsv", ("--max-ngram", "2"))):
+            text = Path(score(out, *options)).read_text(encoding="utf-8")
+            Path(out).write_text(text.replace("# ", "\ufeff# "), encoding="utf-8")
+        assert main(["correlate", "--table", "a.tsv", "--table", "b.tsv"]) == 1
+        assert capsys.readouterr().err == "error: b.tsv: scored with max_ngram=2, unlike a.tsv\n"
 
 
 def test_module_entry_point(tmp_path):

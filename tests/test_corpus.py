@@ -109,8 +109,8 @@ class TestLoadParallelCorpus:
         corpus = load_parallel_corpus(hyp, [ref1, ref2])
         assert len(corpus) == 3
         assert all(len(pair.references) == 2 for pair in corpus)
-        assert corpus.pairs[1].hypothesis == ("c", "d")
-        assert corpus.pairs[1].references == (("c", "y"), ("q",))
+        assert corpus[1].hypothesis == ("c", "d")
+        assert corpus[1].references == (("c", "y"), ("q",))
 
     def test_line_count_mismatch(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
@@ -164,7 +164,7 @@ class TestLoadParallelCorpus:
         hyp.write_bytes(b"\xef\xbb\xbfthe cat sat down\n")
         ref.write_text("the cat sat down\n", encoding="utf-8")
         corpus = load_parallel_corpus(hyp, [ref])
-        assert corpus.pairs[0].hypothesis == ("the", "cat", "sat", "down")
+        assert corpus[0].hypothesis == ("the", "cat", "sat", "down")
 
     def test_needs_a_reference_file(self, tmp_path):
         hyp = tmp_path / "hyp.txt"

@@ -75,7 +75,7 @@ def scores(name, corpus, lexicon=_LEXICON):
 
 def with_pairs(corpus: ParallelCorpus, change) -> ParallelCorpus:
     """``corpus`` with ``change(pair)`` in place of each pair."""
-    return ParallelCorpus(tuple(map(change, corpus.pairs)))
+    return ParallelCorpus(tuple(map(change, corpus)))
 
 
 def reordered(pair: EvalPair, order) -> EvalPair:
@@ -96,7 +96,7 @@ def test_reordering_the_references_moves_no_score(name, data):
     corpus = data.draw(_SMALL_CORPORA)
     # One order per pair: pairs may hold different numbers of references.
     orders = [data.draw(st.permutations(range(len(pair.references)))) for pair in corpus]
-    permuted = ParallelCorpus(tuple(map(reordered, corpus.pairs, orders)))
+    permuted = ParallelCorpus(tuple(map(reordered, corpus, orders)))
     assert scores(name, permuted) == scores(name, corpus)
 
 
@@ -160,7 +160,7 @@ def test_lepor_does_not_depend_on_reference_order():
 )
 def test_meteor_does_not_depend_on_reference_order():
     forward = corpus_of(("b", "a a", "c"), ("c", "a", "c"))
-    empty = SynonymLexicon.empty()
+    empty = SynonymLexicon({})
     reordered = with_references_in_order(forward, (1, 0))
     assert meteor_score(reordered, empty) == meteor_score(forward, empty)
 

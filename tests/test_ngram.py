@@ -278,7 +278,7 @@ class TestOneTablePerSentence:
         run = {
             "bleu": lambda: bleu_score(corpus, BleuConfig(max_order=max_order)),
             "ebleu": lambda: ebleu_score(
-                corpus, SynonymLexicon.empty(), EbleuConfig(max_order=max_order)
+                corpus, SynonymLexicon({}), EbleuConfig(max_order=max_order)
             ),
             "nist": lambda: nist_score(corpus),  # at its fixed order 5
         }[metric]
@@ -321,7 +321,7 @@ class TestOrdersPastTheHypothesis:
             assert details["precisions"] == [1.0] * 3 + [0.0] * 47
         elif metric == "ebleu":
             cfg = EbleuConfig(max_order=50, rare_words_score=1.0)
-            details = ebleu_score(corpus, SynonymLexicon.empty(), cfg).details
+            details = ebleu_score(corpus, SynonymLexicon({}), cfg).details
             assert details["order_scores"] == [1.0] * 3 + [0.0] * 47
         else:
             assert nist_score(corpus) == oracle_nist_score(corpus, 3)
@@ -361,7 +361,7 @@ class TestOneClippingRule:
     def test_equals_bleu_matched_and_totals(self, corpus, order):
         # One clipping path: the ngram functions and BLEU's statistics of
         # the one-pair corpus agree exactly.
-        for pair in corpus.pairs:
+        for pair in corpus:
             details = bleu_score(
                 ParallelCorpus((pair,)), BleuConfig(max_order=order)
             ).details

@@ -1,6 +1,7 @@
 """The public records: immutable, compared, hashed and shown by value, and
 validated wherever one is built, ``_replace`` and ``_make`` included."""
 
+import copy
 import math
 import pickle
 
@@ -103,7 +104,15 @@ def test_equal_instances_compare_equal(build, text):
 
 @pytest.mark.parametrize("build, text", PINNED, ids=IDS)
 def test_pickle_round_trip(build, text):
-    assert pickle.loads(pickle.dumps(build())) == build()
+    # ``==`` alone cannot tell a corpus from a plain tuple of its pairs.
+    record = build()
+    copies = [copy.copy(record), copy.deepcopy(record)] + [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for duplicate in copies:
+        assert duplicate == record
+        assert type(duplicate) is type(record)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -142,5 +151,7 @@ def test_corpus_and_lexicon_sizes_count_their_items():
     corpus = ParallelCorpus((PAIR, other, PAIR))
     assert len(corpus) == 3
     assert list(corpus) == [PAIR, other, PAIR]
+    assert corpus[1] is other
+    assert tuple(corpus) == (PAIR, other, PAIR)
     lexicon = SynonymLexicon({"exam": frozenset({"quiz"}), "quiz": frozenset({"exam"})})
     assert len(lexicon) == 2

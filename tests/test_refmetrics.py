@@ -58,7 +58,7 @@ from helpers import (
 )
 
 VOCAB = list("abcdef")
-EMPTY = SynonymLexicon.empty()
+EMPTY = SynonymLexicon({})
 
 
 # --- NIST --------------------------------------------------------------------
@@ -75,7 +75,7 @@ class TestNist:
 
     def test_duplicated_corpus_unchanged(self):
         corpus = corpus_of(("a b c", "a b x"), ("p q", "p r"))
-        doubled = ParallelCorpus(pairs=corpus.pairs + corpus.pairs)
+        doubled = ParallelCorpus(pairs=corpus + corpus)
         assert nist_score(doubled) == pytest.approx(nist_score(corpus), abs=1e-12)
 
     def test_rarer_matches_weigh_more(self):
@@ -187,7 +187,7 @@ class TestNist:
         assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
         assert sink == [
             oracle_nist_score(ParallelCorpus((pair,)))
-            for pair in corpus.pairs
+            for pair in corpus
         ]
 
     def test_per_sentence_scores_pool_the_references_once(self, monkeypatch):
@@ -227,7 +227,7 @@ class TestNist:
         assert nist_score(corpus, per_sentence=sink) == oracle_nist_score(corpus)
         assert sink == [
             oracle_nist_score(ParallelCorpus((pair,)))
-            for pair in corpus.pairs
+            for pair in corpus
         ]
 
 
@@ -319,7 +319,7 @@ class TestTer:
     def test_multi_reference_edits_are_the_minimum_of_full_searches(self, corpus):
         sink = []
         ter_score(corpus, per_sentence=sink)
-        for pair, value in zip(corpus.pairs, sink):
+        for pair, value in zip(corpus, sink):
             edits = min(_shifted_edit_count(pair.hypothesis, r) for r in pair.references)
             avg = sum(map(len, pair.references)) / len(pair.references)
             assert value == (edits / avg if avg else (0.0 if edits == 0 else math.inf))
@@ -704,7 +704,7 @@ def test_equals_the_formula_at_the_published_weights(name, corpus):
     sink = []
     assert scorer(corpus, per_sentence=sink) == oracle(corpus)
     assert sink == [
-        oracle(ParallelCorpus((pair,))) for pair in corpus.pairs
+        oracle(ParallelCorpus((pair,))) for pair in corpus
     ]
 
 
@@ -772,7 +772,7 @@ class TestAlignmentOracles:
     @settings(deadline=None, max_examples=300)
     @given(small_corpora(alphabet="abcd", max_len=12), lexicons())
     def test_alignments_equal_scanning_the_reference(self, corpus, lexicon):
-        for pair in corpus.pairs:
+        for pair in corpus:
             for ref in pair.references:
                 check_alignments(pair.hypothesis, ref, lexicon)
 
@@ -867,7 +867,7 @@ class TestPerSentenceSink:
         assert scorer(corpus, per_sentence=sink) == scorer(corpus)
         assert sink == [
             _value(scorer(ParallelCorpus((pair,))))
-            for pair in corpus.pairs
+            for pair in corpus
         ]
 
     # empty and one-token lines in one corpus, TER's inf among them
